@@ -5,13 +5,17 @@ quaternion real parts a_i for SU(2) pairs and triples with their derived
 r/s/t/l scalars, the ten trace coordinates of a rank-2 SU(3)/SL(3) tuple
 with their realified u-form and the P/Q symmetric functions, and the
 torus-invariant minors of a single 3x3 matrix with their degree-2 relation.
+
+Each formula is written once, in the batch core below, and broadcasts over
+stacked tuples; the functions returning dataclasses validate one tuple and
+wrap that core, as do ``invariant_record``, the lifts and the verify suites.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 
@@ -83,12 +87,128 @@ def word_trace_table(rho: RepTuple, max_len: int = 3) -> dict:
     return {str(w): trace_word(rho, w) for w in all_words(rho.r, max_len)}
 
 
+# --- batch core ---------------------------------------------------------------
+#
+# Tuples are stacked as (..., r, n, n) arrays (the tuple index on axis -3),
+# coordinates as (..., k) arrays.
+
+
+def _inverse(x, unitary: bool):
+    """Stacked inverse; the conjugate transpose on unitary input."""
+    return np.conj(np.swapaxes(x, -1, -2)) if unitary else np.linalg.inv(x)
+
+
+def _tr(x):
+    return np.einsum("...ii->...", x)
+
+
+def _tr_prod(x, y):
+    """tr(x @ y) without forming the product."""
+    return np.einsum("...ij,...ji->...", x, y)
+
+
+def su2_a_coords(x, unitary: bool = True):
+    """a-coordinates of stacked SU(2)/SL(2) tuples ``x`` of shape (..., r, 2, 2).
+
+    Returns (..., r + r(r-1)/2): a_j = tr(X_j)/2, then a_jk = tr(X_j^-1 X_k)/2
+    for j < k in lexicographic order, i.e. (a1, a2, a3) for pairs and
+    (a1, a2, a3, a12, a13, a23) for triples.  Real parts on unitary input.
+    """
+    x = np.asarray(x)
+    j, k = (list(v) for v in zip(*combinations(range(x.shape[-3]), 2)))
+    pairs = _tr_prod(_inverse(x, unitary)[..., j, :, :], x[..., k, :, :])
+    a = np.concatenate([_tr(x), pairs], axis=-1) / 2.0
+    return a.real if unitary else a
+
+
+def su2_commutator_re(x):
+    """Re(X1 X2 X1^-1 X2^-1) = half its trace, by multiplication; x is (..., 2, 2, 2) SU(2)."""
+    x1, x2 = x[..., 0, :, :], x[..., 1, :, :]
+    return _tr_prod(x1 @ x2, _inverse(x2 @ x1, True)).real / 2.0
+
+
+def fricke_rhs(a1, a2, a3):
+    """The classical three-trace side of the Fricke identity, 2(a1^2+a2^2+a3^2) - 4 a1 a2 a3 - 1."""
+    return 2.0 * (a1**2 + a2**2 + a3**2) - 4.0 * a1 * a2 * a3 - 1.0
+
+
+def sigma3(a1, a2, a3):
+    """sigma(a) = 1 - a1^2 - a2^2 - a3^2 + 2 a1 a2 a3."""
+    return 1.0 - a1 * a1 - a2 * a2 - a3 * a3 + 2.0 * a1 * a2 * a3
+
+
+_J, _K = np.array([0, 0, 1]), np.array([1, 2, 2])  # the pairs 12, 13, 23
+_GRAM_INDEX = np.array([[0, 3, 4], [3, 1, 5], [4, 5, 2]])
+
+
+def gram(c, tol: float = DEFAULT_TOL):
+    """Gram data of the quaternion imaginary parts from stacked six-coordinates c (..., 6).
+
+    Returns ``(r, s, t123)``: r (..., 3, 3) with r_jj = 1 - a_j^2 and
+    r_jk = a_jk - a_j a_k; the pairwise sigmas s (..., 3) = (s12, s13, s23),
+    s_jk = r_jj r_kk - r_jk^2; and the normalized Gram determinant
+    t123 = det r / (r11 r22 r33), 0 where |r11 r22 r33| <= tol (an imaginary
+    part degenerates).
+    """
+    c = np.asarray(c)
+    a = c[..., :3]
+    diag = 1.0 - a * a
+    off = c[..., 3:] - a[..., _J] * a[..., _K]
+    s = diag[..., _J] * diag[..., _K] - off**2
+    r = np.concatenate([diag, off], axis=-1)[..., _GRAM_INDEX]
+    vol = diag[..., 0] * diag[..., 1] * diag[..., 2]
+    big = np.abs(vol) > tol
+    t123 = np.where(big, np.linalg.det(r) / np.where(big, vol, 1.0), 0.0)
+    return r, s, t123[()]
+
+
+def su3_trace_coords(x, unitary: bool = True):
+    """The ten traces (t1, t-1, ..., t5, t-5) of stacked rank-2 tuples x (..., 2, 3, 3).
+
+    t1 = tr X1, t2 = tr X2, t3 = tr X1X2, t4 = tr X1X2^-1,
+    t5 = tr X1X2X1^-1X2^-1; t-k is the trace of the inverse word.
+    """
+    x1, x2 = x[..., 0, :, :], x[..., 1, :, :]
+    x1i, x2i = _inverse(x1, unitary), _inverse(x2, unitary)
+    x12 = x1 @ x2
+    return np.stack(
+        [_tr(x1), _tr(x1i), _tr(x2), _tr(x2i), _tr(x12), _tr(x1i @ x2i),
+         _tr(x1 @ x2i), _tr(x1i @ x2), _tr(x12 @ x1i @ x2i), _tr(x2 @ x1 @ x2i @ x1i)],
+        axis=-1,
+    )
+
+
+# Columns (t_k + t_-k)/2 and (t_k - t_-k)/2i for each pair (t_k, t_-k); for
+# k = 5 only the second one, u5.
+_U_MAP = np.kron(np.eye(5), [[0.5, -0.5j], [0.5, 0.5j]])[:, [0, 1, 2, 3, 4, 5, 6, 7, 9]]
+
+
+def u_from_traces(t):
+    """u_(k) = (t_k + t_-k)/2, u_(-k) = (t_k - t_-k)/2i for k = 1..4, then u5; (..., 10) -> (..., 9)."""
+    return t @ _U_MAP
+
+
+def pq_from_traces(t):
+    """P = t5 + t-5 and Q = t5 t-5 of stacked traces (..., 10)."""
+    return t[..., 8] + t[..., 9], t[..., 8] * t[..., 9]
+
+
+def su3_alcove_quartic(tau):
+    """|tau|^4 - 8 Re(tau^3) + 18 |tau|^2 - 27; <= 0 exactly on traces of SU(3)."""
+    return abs(tau) ** 4 - 8.0 * (tau**3).real + 18.0 * abs(tau) ** 2 - 27.0
+
+
+def su3_delta(P, Q):
+    """Delta = Q^2 + 12 P Q + 18 Q - 4 P^3 - 27; <= 0 on unitary pairs."""
+    return Q**2 + 12.0 * P * Q + 18.0 * Q - 4.0 * P**3 - 27.0
+
+
+def su3_disc(P, Q):
+    """Discriminant P^2 - 4Q of the commutator-trace relation t^2 - P t + Q."""
+    return P**2 - 4.0 * Q
+
+
 # --- SU(2) coordinates -------------------------------------------------------
-
-
-def _re_q(m) -> float:
-    """Quaternion real part of an SU(2) matrix: half the (real) trace."""
-    return float(np.trace(m).real) / 2.0
 
 
 @dataclass(frozen=True)
@@ -123,8 +243,7 @@ def _check_su2(rho: RepTuple, r: int, tol: float) -> None:
 def su2_rank2_coords(rho: RepTuple, tol: float = DEFAULT_TOL) -> SU2Rank2Coords:
     """(a1, a2, a3) = (Re X1, Re X2, Re(X1^-1 X2))."""
     _check_su2(rho, 2, tol)
-    x1, x2 = rho.matrices
-    return SU2Rank2Coords(_re_q(x1), _re_q(x2), _re_q(x1.conj().T @ x2))
+    return SU2Rank2Coords(*su2_a_coords(rho.matrices).tolist())
 
 
 def fricke_check(rho: RepTuple, tol: float = DEFAULT_TOL):
@@ -134,26 +253,15 @@ def fricke_check(rho: RepTuple, tol: float = DEFAULT_TOL):
     three-trace expression 2(a1^2+a2^2+a3^2) - 4 a1 a2 a3 - 1.
     """
     _check_su2(rho, 2, tol)
-    x1, x2 = rho.matrices
-    comm = x1 @ x2 @ x1.conj().T @ x2.conj().T
-    lhs = _re_q(comm)
     a = su2_rank2_coords(rho, tol)
-    rhs = 2.0 * (a.a1**2 + a.a2**2 + a.a3**2) - 4.0 * a.a1 * a.a2 * a.a3 - 1.0
-    return lhs, rhs
+    lhs = su2_commutator_re(np.asarray(rho.matrices))
+    return float(lhs), float(fricke_rhs(a.a1, a.a2, a.a3))
 
 
 def su2_rank3_coords(rho: RepTuple, tol: float = DEFAULT_TOL) -> SU2Rank3Coords:
     """Six real parts (a_1, a_2, a_3, a_12, a_13, a_23) of an SU(2) triple."""
     _check_su2(rho, 3, tol)
-    x1, x2, x3 = rho.matrices
-    return SU2Rank3Coords(
-        _re_q(x1),
-        _re_q(x2),
-        _re_q(x3),
-        _re_q(x1.conj().T @ x2),
-        _re_q(x1.conj().T @ x3),
-        _re_q(x2.conj().T @ x3),
-    )
+    return SU2Rank3Coords(*su2_a_coords(rho.matrices).tolist())
 
 
 @dataclass(frozen=True)
@@ -177,16 +285,7 @@ class RSTInvariants:
 
 
 def rst(c: SU2Rank3Coords, tol: float = DEFAULT_TOL) -> RSTInvariants:
-    a = [c.a1, c.a2, c.a3]
-    pair = {(0, 1): c.a12, (0, 2): c.a13, (1, 2): c.a23}
-    r = np.empty((3, 3))
-    for j in range(3):
-        r[j, j] = 1.0 - a[j] ** 2
-    for (j, k), ajk in pair.items():
-        r[j, k] = r[k, j] = ajk - a[j] * a[k]
-
-    def s(j, k):
-        return float(r[j, j] * r[k, k] - r[j, k] ** 2)
+    r, s, t123 = gram(c.as_array(), tol)
 
     def l(j, k):
         den = r[j, j] * r[k, k]
@@ -194,15 +293,13 @@ def rst(c: SU2Rank3Coords, tol: float = DEFAULT_TOL) -> RSTInvariants:
             return None
         return float(r[j, k] / np.sqrt(den))
 
-    diag = r[0, 0] * r[1, 1] * r[2, 2]
-    # Normalized Gram volume; 0 when an imaginary part degenerates.
-    t123 = float(np.linalg.det(r) / diag) if diag > tol else 0.0
+    s12, s13, s23 = s.tolist()
     return RSTInvariants(
         r=r,
-        s12=s(0, 1),
-        s13=s(0, 2),
-        s23=s(1, 2),
-        t123=t123,
+        s12=s12,
+        s13=s13,
+        s23=s23,
+        t123=float(t123),
         l12=l(0, 1),
         l13=l(0, 2),
         l23=l(1, 2),
@@ -240,6 +337,10 @@ class SU3Rank2Traces:
             (self.t5, self.tm5),
         )
 
+    def as_array(self):
+        """The ten traces in field order, as ``su3_trace_coords`` stacks them."""
+        return np.array([v for pair in self.pairs() for v in pair])
+
     def unitary_defect(self) -> float:
         """How far the traces are from the unitary symmetry tm_k = conj(t_k)."""
         return max(abs(tm - np.conj(t)) for t, tm in self.pairs())
@@ -249,25 +350,8 @@ def su3_traces(rho: RepTuple, tol: float = DEFAULT_TOL) -> SU3Rank2Traces:
     if rho.n != 3 or rho.r != 2:
         raise NotInGroup("expected a rank-2 tuple of 3x3 matrices")
     require_valid(rho, max(tol, 1e-8))
-    x1, x2 = rho.matrices
-    if rho.descriptor.family == "SU":
-        x1i, x2i = x1.conj().T, x2.conj().T
-    else:
-        x1i, x2i = np.linalg.inv(x1), np.linalg.inv(x2)
-    tr = lambda m: complex(np.trace(m))
-    comm = x1 @ x2 @ x1i @ x2i
-    return SU3Rank2Traces(
-        t1=tr(x1),
-        tm1=tr(x1i),
-        t2=tr(x2),
-        tm2=tr(x2i),
-        t3=tr(x1 @ x2),
-        tm3=tr(x1i @ x2i),
-        t4=tr(x1 @ x2i),
-        tm4=tr(x1i @ x2),
-        t5=tr(comm),
-        tm5=tr(x2 @ x1 @ x2i @ x1i),
-    )
+    t = su3_trace_coords(np.asarray(rho.matrices), rho.descriptor.family == "SU")
+    return SU3Rank2Traces(*t.tolist())
 
 
 @dataclass(frozen=True)
@@ -310,7 +394,8 @@ class PQRecord:
 
 
 def _realify(values, unitary, tol=REALIFY_TOL):
-    worst = max(abs(complex(v).imag) for v in values)
+    values = np.asarray(values, dtype=complex)
+    worst = float(np.max(np.abs(values.imag)))
     if unitary is None:
         unitary = worst < tol
     if unitary and worst >= tol:
@@ -318,8 +403,8 @@ def _realify(values, unitary, tol=REALIFY_TOL):
             f"imaginary part {worst:.3e} exceeds {tol:g}; input is not unitary-derived"
         )
     if unitary:
-        return [float(complex(v).real) for v in values]
-    return [complex(v) for v in values]
+        return values.real.tolist()
+    return values.tolist()
 
 
 def u_coords(t: SU3Rank2Traces, unitary: bool | None = None) -> UCoords:
@@ -329,18 +414,12 @@ def u_coords(t: SU3Rank2Traces, unitary: bool | None = None) -> UCoords:
     raises ComplexInput otherwise (guarding against silently treating
     non-unitary input as unitary).
     """
-    raw = []
-    for tk, tmk in t.pairs()[:4]:
-        raw.append((tk + tmk) / 2.0)
-        raw.append((tk - tmk) / 2.0j)
-    raw.append((t.t5 - t.tm5) / 2.0j)
-    vals = _realify(raw, unitary)
-    return UCoords(*vals)
+    return UCoords(*_realify(u_from_traces(t.as_array()), unitary))
 
 
 def pq(t: SU3Rank2Traces, unitary: bool | None = None) -> PQRecord:
     """P = t5 + t-5, Q = t5 * t-5; real on unitary input."""
-    P, Q = _realify([t.t5 + t.tm5, t.t5 * t.tm5], unitary)
+    P, Q = _realify(pq_from_traces(t.as_array()), unitary)
     return PQRecord(P=P, Q=Q, tau=complex(t.t5))
 
 
@@ -420,63 +499,21 @@ def invariant_record(rho: RepTuple, tol: float = DEFAULT_TOL) -> dict:
     """
     unitary = rho.descriptor.family == "SU"
     if (rho.r, rho.n) == (2, 2):
-        x1, x2 = rho.matrices
-        x1i = x1.conj().T if unitary else np.linalg.inv(x1)
-        a1 = np.trace(x1) / 2.0
-        a2 = np.trace(x2) / 2.0
-        a3 = np.trace(x1i @ x2) / 2.0
-        if unitary:
-            a1, a2, a3 = a1.real, a2.real, a3.real
-        sig = 1 - a1**2 - a2**2 - a3**2 + 2 * a1 * a2 * a3
-        return {"a1": a1, "a2": a2, "a3": a3, "sigma": sig}
+        a1, a2, a3 = su2_a_coords(rho.matrices, unitary)
+        return {"a1": a1, "a2": a2, "a3": a3, "sigma": sigma3(a1, a2, a3)}
     if (rho.r, rho.n) == (3, 2):
-        x1, x2, x3 = rho.matrices
-        inv = (lambda m: m.conj().T) if unitary else np.linalg.inv
-        names = ["a1", "a2", "a3", "a12", "a13", "a23"]
-        vals = [
-            np.trace(x1) / 2.0,
-            np.trace(x2) / 2.0,
-            np.trace(x3) / 2.0,
-            np.trace(inv(x1) @ x2) / 2.0,
-            np.trace(inv(x1) @ x3) / 2.0,
-            np.trace(inv(x2) @ x3) / 2.0,
-        ]
-        if unitary:
-            vals = [v.real for v in vals]
-        rec = dict(zip(names, vals))
-        a1, a2, a3, a12, a13, a23 = vals
-        sig = lambda x, y, z: 1 - x * x - y * y - z * z + 2 * x * y * z
-        rec["s12"] = sig(a1, a2, a12)
-        rec["s13"] = sig(a1, a3, a13)
-        rec["s23"] = sig(a2, a3, a23)
-        r = np.array(
-            [
-                [1 - a1 * a1, a12 - a1 * a2, a13 - a1 * a3],
-                [a12 - a1 * a2, 1 - a2 * a2, a23 - a2 * a3],
-                [a13 - a1 * a3, a23 - a2 * a3, 1 - a3 * a3],
-            ]
-        )
-        den = r[0, 0] * r[1, 1] * r[2, 2]
-        rec["t123"] = np.linalg.det(r) / den if abs(den) > tol else 0.0
+        a = su2_a_coords(rho.matrices, unitary)
+        _, s, t123 = gram(a, tol)
+        rec = dict(zip(("a1", "a2", "a3", "a12", "a13", "a23"), a))
+        rec.update(zip(("s12", "s13", "s23"), s))
+        rec["t123"] = t123
         return rec
     if (rho.r, rho.n) == (2, 3):
         t = su3_traces(rho, tol)
-        u = u_coords(t, unitary=None)
         record = pq(t, unitary=None)
-        rec = {
-            "t1": t.t1, "tm1": t.tm1, "t2": t.t2, "tm2": t.tm2,
-            "t3": t.t3, "tm3": t.tm3, "t4": t.t4, "tm4": t.tm4,
-            "t5": t.t5, "tm5": t.tm5,
-        }
-        for name, v in zip(
-            ["u1", "um1", "u2", "um2", "u3", "um3", "u4", "um4", "u5"], u.as_list()
-        ):
-            rec[name] = v
+        rec = {**vars(t), **vars(u_coords(t, unitary=None))}
         rec["P"], rec["Q"] = record.P, record.Q
-        rec["disc"] = record.P**2 - 4.0 * record.Q
-        rec["Delta"] = (
-            record.Q**2 + 12 * record.P * record.Q + 18 * record.Q
-            - 4 * record.P**3 - 27
-        )
+        rec["disc"] = su3_disc(record.P, record.Q)
+        rec["Delta"] = su3_delta(record.P, record.Q)
         return rec
     return word_trace_table(rho, max_len=3)

@@ -120,22 +120,26 @@ def polar(g, tol: float = DEFAULT_TOL) -> PolarParts:
     return PolarParts(k=k, p=(p + p.conj().T) / 2.0)
 
 
-def haar_su(n: int, rng: np.random.Generator) -> np.ndarray:
-    """One Haar-distributed SU(n) matrix.
+def haar_su(n: int, rng: np.random.Generator, count: int | None = None) -> np.ndarray:
+    """One Haar-distributed SU(n) matrix, or a (count, n, n) stack of them.
 
     Ginibre sample, QR, then column phases fixed so R has positive diagonal
-    (the unique QR decomposition), then divided by the principal n-th root of
-    the determinant.  Deterministic given the generator state.
+    (the unique QR decomposition; Mezzadri, arXiv:math-ph/0609050), then
+    divided by the principal n-th root of the determinant.  The Gaussians are
+    drawn as (count, 2, n, n), real then imaginary part per matrix, so a
+    stack consumes the generator exactly as ``count`` single draws do.
+    Deterministic given the generator state.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
+    g = rng.standard_normal((1 if count is None else count, 2, n, n))
+    z = (g[:, 0] + 1j * g[:, 1]) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
     safe = np.where(np.abs(d) > 0, d, 1.0)
-    q = q * (safe / np.abs(safe))
-    det = np.linalg.det(q)
-    return q * np.exp(-1j * np.angle(det) / n)
+    q = q * (safe / np.abs(safe))[:, None, :]
+    q = q * np.exp(-1j * np.angle(np.linalg.det(q)) / n)[:, None, None]
+    return q[0] if count is None else q
 
 
 # Mixing constants for unitary_eig: each colliding eigenvalue pair of a

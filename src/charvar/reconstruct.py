@@ -21,7 +21,7 @@ from .groups import (
     require_valid,
     su,
 )
-from .invariants import SU2Rank2Coords, SU2Rank3Coords, su2_rank3_coords
+from .invariants import SU2Rank2Coords, SU2Rank3Coords, gram, su2_rank3_coords
 from .semialgebraic import in_su2_rank2_image, in_su2_rank3_image, sigma
 
 
@@ -30,7 +30,7 @@ class NotInImage(ValueError):
 
 
 class DegenerateUnhandled(ValueError):
-    """Every relabeling degenerates and the diagonal fallback fails."""
+    """Every pair is degenerate and the diagonal fallback fails."""
 
 
 class DegenerateSpectrum(ValueError):
@@ -75,55 +75,22 @@ def su2_rank2_lift(a: SU2Rank2Coords, tol: float = DEFAULT_TOL) -> LiftResult:
     )
 
 
-def _gram(c: SU2Rank3Coords) -> np.ndarray:
-    a = [c.a1, c.a2, c.a3]
-    pair = {(0, 1): c.a12, (0, 2): c.a13, (1, 2): c.a23}
-    r = np.empty((3, 3))
-    for j in range(3):
-        r[j, j] = 1.0 - a[j] ** 2
-    for (j, k), v in pair.items():
-        r[j, k] = r[k, j] = v - a[j] * a[k]
-    return r
+def _generic_rank3_lift(a, r, s12: float, c3: float):
+    """Cholesky frame of the imaginary parts with leading pair s12 > tol.
 
-
-def _permute_coords(c: SU2Rank3Coords, perm) -> SU2Rank3Coords:
-    a = [c.a1, c.a2, c.a3]
-    pair = {(0, 1): c.a12, (0, 2): c.a13, (1, 2): c.a23, }
-    for (j, k), v in list(pair.items()):
-        pair[(k, j)] = v
-    p = perm
-    return SU2Rank3Coords(
-        a[p[0]], a[p[1]], a[p[2]],
-        pair[(p[0], p[1])], pair[(p[0], p[2])], pair[(p[1], p[2])],
-    )
-
-
-def _generic_rank3_lift(c: SU2Rank3Coords, sign: int, tol: float, c3_zero: bool):
-    """Cholesky frame of the imaginary parts; requires r11 > tol, s12 > tol.
-
-    The j-component magnitude is c3^2 = det(r)/s12 (the third Cholesky pivot
-    of the Gram matrix), which vanishes exactly when t123 does; callers pass
-    ``c3_zero`` when |t123| <= tol so the unique sheet carries c3 = 0 exactly
-    rather than sqrt of rounding noise.
+    ``a`` and ``r`` (nested lists) are the a_j and the Gram matrix in the
+    lift's ordering; ``c3`` is the signed j-component of the third imaginary
+    part, c3^2 = det(r)/s12 (the third Cholesky pivot of the Gram matrix).
     """
-    r = _gram(c)
-    r11 = r[0, 0]
-    s12 = r11 * r[1, 1] - r[0, 1] ** 2
-    if r11 <= tol or s12 <= tol:
-        return None
-    detr = float(np.linalg.det(r))
+    r11 = r[0][0]
     b1 = np.sqrt(r11)
-    b2 = r[0, 1] / b1
+    b2 = r[0][1] / b1
     d2 = np.sqrt(s12) / b1
-    b3 = r[0, 2] / b1
-    d3 = (r[1, 2] * r11 - r[0, 1] * r[0, 2]) / (d2 * r11)
-    if c3_zero:
-        c3 = 0.0
-    else:
-        c3 = sign * _sqrt_clamped(detr, tol, "det(r)") / np.sqrt(s12)
-    x1 = np.array([[c.a1 + 1j * b1, 0.0], [0.0, c.a1 - 1j * b1]])
-    x2 = np.array([[c.a2 + 1j * b2, 1j * d2], [1j * d2, c.a2 - 1j * b2]])
-    x3 = np.array([[c.a3 + 1j * b3, c3 + 1j * d3], [-c3 + 1j * d3, c.a3 - 1j * b3]])
+    b3 = r[0][2] / b1
+    d3 = (r[1][2] * r11 - r[0][1] * r[0][2]) / (d2 * r11)
+    x1 = np.array([[a[0] + 1j * b1, 0.0], [0.0, a[0] - 1j * b1]])
+    x2 = np.array([[a[1] + 1j * b2, 1j * d2], [1j * d2, a[1] - 1j * b2]])
+    x3 = np.array([[a[2] + 1j * b3, c3 + 1j * d3], [-c3 + 1j * d3, a[2] - 1j * b3]])
     return x1, x2, x3
 
 
@@ -155,18 +122,10 @@ def _diagonal_rank3_lift(c: SU2Rank3Coords, tol: float):
     return None
 
 
-# Every permutation, fixed order: the generic branch needs the first index
-# non-central (r_aa > 0) and the leading pair irreducible (s_ab > 0), and
-# e.g. "X1 central, pair (2,3) irreducible" is reachable only with primary
-# pair {2,3}, which the first three orderings never produce.
-_ORDERINGS = (
-    (0, 1, 2),
-    (1, 0, 2),
-    (2, 0, 1),
-    (0, 2, 1),
-    (1, 2, 0),
-    (2, 1, 0),
-)
+# Cyclic relabelings, one per leading pair in the order of gram()'s
+# (s12, s13, s23).  A cyclic relabeling keeps the sign of the triple product
+# of the imaginary parts, so ``sign`` names the same sheet in each of them.
+_CYCLIC = ((0, 1, 2), (2, 0, 1), (1, 2, 0))
 
 
 def su2_rank3_lift(
@@ -175,41 +134,45 @@ def su2_rank3_lift(
     """Lift six a-coordinates to one SU(2) triple per requested sheet.
 
     Returns both sheets when ``sign`` is None and the lift is non-unique
-    (|t123| > tol).  Index relabelings are tried in a fixed order before the
-    simultaneous-diagonal fallback; whenever relabeling is needed the lift is
-    automatically unique (a degenerate pair forces t123 = 0).
+    (|t123| > tol).  Sheet ``s`` has triple product of the quaternion
+    imaginary parts of sign -s.  The frame is built in the cyclic relabeling
+    whose leading pair has the largest pairwise sigma; when every pair is
+    degenerate (all s_ab <= tol) the simultaneous-diagonal fallback applies.
+    A degenerate pair forces t123 = 0, so the lift is then unique.
     """
     if not in_su2_rank3_image(c, tol).inside:
         raise NotInImage("coordinates fail the rank-3 image inequalities")
-    if max(abs(v) for v in c.as_array()) > 1.0 + tol:
+    coords = c.as_array()
+    if np.max(np.abs(coords)) > 1.0 + tol:
         raise NotInImage("coordinates leave [-1, 1]")
-    r = _gram(c)
-    diag = r[0, 0] * r[1, 1] * r[2, 2]
-    t123 = float(np.linalg.det(r) / diag) if diag > tol else 0.0
+    r, s, t123 = gram(coords, tol)
+    t123 = float(t123)
     unique = abs(t123) <= tol
     signs = (sign,) if sign is not None else ((1,) if unique else (1, -1))
 
-    for perm in _ORDERINGS:
-        cp = _permute_coords(c, perm)
+    lead = int(np.argmax(s))
+    s_lead = float(s[lead])
+    if s_lead > tol:
+        p = list(_CYCLIC[lead])
+        a, rp = coords[p].tolist(), r[p][:, p].tolist()
+        # |t123| <= tol: the unique sheet carries c3 = 0 exactly rather than
+        # the square root of rounding noise.
+        c3 = 0.0
+        if not unique:
+            c3 = _sqrt_clamped(float(np.linalg.det(r)), tol, "det(r)") / np.sqrt(s_lead)
+        slot_of = np.argsort(p)
         out = []
-        for s in signs:
-            mats = _generic_rank3_lift(cp, s, tol, c3_zero=unique)
-            if mats is None:
-                out = None
-                break
-            unperm = [None, None, None]
-            for slot, orig in enumerate(perm):
-                unperm[orig] = mats[slot]
-            out.append(RepTuple(su(2), tuple(unperm)))
-        if out is not None:
-            return LiftResult(tuples=tuple(out), unique=unique, t123=t123, signs=signs)
+        for sg in signs:
+            mats = _generic_rank3_lift(a, rp, s_lead, sg * c3)
+            out.append(RepTuple(su(2), tuple(mats[i] for i in slot_of)))
+        return LiftResult(tuples=tuple(out), unique=unique, t123=t123, signs=signs)
 
     mats = _diagonal_rank3_lift(c, tol)
     if mats is None:
-        raise DegenerateUnhandled("no ordering is generic and the diagonal fallback failed")
+        raise DegenerateUnhandled("every pair is degenerate and the diagonal fallback failed")
     rho = RepTuple(su(2), mats)
     got = su2_rank3_coords(rho, max(tol, 1e-8)).as_array()
-    if np.max(np.abs(got - c.as_array())) > max(100 * tol, 1e-7):
+    if np.max(np.abs(got - coords)) > max(100 * tol, 1e-7):
         raise DegenerateUnhandled("diagonal fallback does not reproduce the coordinates")
     return LiftResult(tuples=(rho,), unique=True, t123=t123, signs=(0,))
 

@@ -19,6 +19,10 @@ from .invariants import (
     SU2Rank2Coords,
     SU2Rank3Coords,
     UCoords,
+    sigma3,
+    su3_alcove_quartic,
+    su3_delta,
+    su3_disc,
     su3_traces,
 )
 
@@ -47,11 +51,6 @@ def _verdict(margins: dict, inside: bool, tol: float) -> RegionVerdict:
 
 
 # --- SU(2) rank 2 ------------------------------------------------------------
-
-
-def sigma3(a1: float, a2: float, a3: float) -> float:
-    """sigma(a) = 1 - a1^2 - a2^2 - a3^2 + 2 a1 a2 a3."""
-    return 1.0 - a1 * a1 - a2 * a2 - a3 * a3 + 2.0 * a1 * a2 * a3
 
 
 def sigma(a: SU2Rank2Coords) -> float:
@@ -116,26 +115,13 @@ def in_su2_rank3_image(c: SU2Rank3Coords, tol: float = DEFAULT_TOL) -> RegionVer
 # --- SU(3) single factor and pairs -------------------------------------------
 
 
-def su3_alcove_quartic(tau: complex) -> float:
-    """|tau|^4 - 8 Re(tau^3) + 18 |tau|^2 - 27; <= 0 exactly on traces of SU(3)."""
-    tau = complex(tau)
-    return float(
-        abs(tau) ** 4 - 8.0 * (tau**3).real + 18.0 * abs(tau) ** 2 - 27.0
-    )
-
-
 def su3_alcove_check(tau: complex, tol: float = DEFAULT_TOL) -> RegionVerdict:
-    """Single margin: the quartic above (negative inside, 0 on the boundary).
+    """Single margin: ``su3_alcove_quartic`` (negative inside, 0 on the boundary).
 
     The boundary is where the matrix has a repeated eigenvalue.
     """
     q = su3_alcove_quartic(tau)
     return _verdict({"alcove": q}, q <= tol, tol)
-
-
-def su3_delta(P: float, Q: float) -> float:
-    """Delta = Q^2 + 12 P Q + 18 Q - 4 P^3 - 27; <= 0 on unitary pairs."""
-    return float(Q**2 + 12.0 * P * Q + 18.0 * Q - 4.0 * P**3 - 27.0)
 
 
 def in_S_plus(u: UCoords, record: PQRecord, tol: float = DEFAULT_TOL) -> RegionVerdict:
@@ -153,7 +139,7 @@ def in_S_plus(u: UCoords, record: PQRecord, tol: float = DEFAULT_TOL) -> RegionV
     for k in (1, 2, 3, 4):
         margins[f"alcove_{k}"] = su3_alcove_quartic(u.tau(k))
     margins["delta"] = su3_delta(P, Q)
-    margins["disc"] = P * P - 4.0 * Q
+    margins["disc"] = su3_disc(P, Q)
     inside = (
         all(margins[f"alcove_{k}"] <= tol for k in (1, 2, 3, 4))
         and margins["delta"] <= tol

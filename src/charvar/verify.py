@@ -1,8 +1,8 @@
 """Batch verification suites.
 
-Each suite draws its samples through the audited single-matrix samplers and
-then evaluates the heavy 1e5-sample checks on stacked arrays; the stacked
-formulas are pinned to the scalar operations by a dedicated test.  Every
+The heavy 1e5-sample checks draw their Haar samples as stacks and evaluate
+the library's batch formulas (``charvar.invariants``) on them, the same code
+the scalar operations wrap.  The acceptance bounds are fixed constants.  Every
 suite returns a JSON-ready report dict with a ``passed`` flag, per-check
 values, and elapsed wall time.
 """
@@ -25,14 +25,24 @@ from .groups import (
 from .invariants import (
     SU2Rank2Coords,
     all_words,
+    fricke_rhs,
     pq,
+    pq_from_traces,
     relation_residual,
+    sigma3,
+    su2_a_coords,
+    su2_commutator_re,
     su2_rank2_coords,
     su2_rank3_coords,
+    su3_alcove_quartic,
+    su3_delta,
+    su3_disc,
     su3_minors,
+    su3_trace_coords,
     su3_traces,
     trace_word,
     u_coords,
+    u_from_traces,
 )
 from .kempfness import kn_flow, moment_residual
 from .poincare import baird_poly, surface_counterexample_polys
@@ -56,16 +66,9 @@ def canonical_su3_example() -> RepTuple:
     return RepTuple(su(3), (x1, x2))
 
 
-def _haar_stack(n: int, count: int, rng) -> np.ndarray:
-    return np.stack([haar_su(n, rng) for _ in range(count)])
-
-
-def _H(a):  # stacked conjugate transpose
-    return np.conj(np.swapaxes(a, -1, -2))
-
-
-def _tr(a):
-    return np.trace(a, axis1=-2, axis2=-1)
+def _haar_pairs(n: int, count: int, rng) -> np.ndarray:
+    """count Haar pairs stacked as (count, 2, n, n); all first factors are drawn first."""
+    return np.stack([haar_su(n, rng, count), haar_su(n, rng, count)], axis=1)
 
 
 def _report(name, passed, elapsed, checks, **meta):
@@ -78,7 +81,7 @@ def _report(name, passed, elapsed, checks, **meta):
 # --- criterion 1 -------------------------------------------------------------
 
 
-def verify_retraction(samples: int = 1000, seed: int = 0, tol: float = 1e-9) -> dict:
+def verify_retraction(samples: int = 1000, seed: int = 0) -> dict:
     """phi_1 lands in SU, phi is K-equivariant, and fixes SU tuples."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
@@ -125,16 +128,12 @@ def verify_retraction(samples: int = 1000, seed: int = 0, tol: float = 1e-9) -> 
 # --- criterion 2 -------------------------------------------------------------
 
 
-def verify_fricke(samples: int = 10_000, seed: int = 0, tol: float = 1e-9) -> dict:
+def verify_fricke(samples: int = 10_000, seed: int = 0) -> dict:
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
-    x1 = _haar_stack(2, samples, rng)
-    x2 = _haar_stack(2, samples, rng)
-    a1 = _tr(x1).real / 2.0
-    a2 = _tr(x2).real / 2.0
-    a3 = _tr(_H(x1) @ x2).real / 2.0
-    lhs = _tr(x1 @ x2 @ _H(x1) @ _H(x2)).real / 2.0
-    rhs = 2.0 * (a1**2 + a2**2 + a3**2) - 4.0 * a1 * a2 * a3 - 1.0
+    x = _haar_pairs(2, samples, rng)
+    lhs = su2_commutator_re(x)
+    rhs = fricke_rhs(*su2_a_coords(x).T)
     worst = float(np.max(np.abs(lhs - rhs)))
     elapsed = time.perf_counter() - t0
     return _report(
@@ -155,21 +154,16 @@ def sample_admissible_rank2(count: int, rng) -> list:
     out = []
     while len(out) < count:
         a = rng.uniform(-1.0, 1.0, size=(4 * count, 3))
-        s = 1 - a[:, 0] ** 2 - a[:, 1] ** 2 - a[:, 2] ** 2 + 2 * a.prod(axis=1)
+        s = sigma3(*a.T)
         good = a[(s >= 0.0) & (s <= 1.0)]
         out.extend(good[: count - len(out)])
     return [SU2Rank2Coords(*map(float, row)) for row in out]
 
 
-def verify_sigma_ball(samples: int = 100_000, seed: int = 0, tol: float = 1e-9) -> dict:
+def verify_sigma_ball(samples: int = 100_000, seed: int = 0) -> dict:
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
-    x1 = _haar_stack(2, samples, rng)
-    x2 = _haar_stack(2, samples, rng)
-    a1 = _tr(x1).real / 2.0
-    a2 = _tr(x2).real / 2.0
-    a3 = _tr(_H(x1) @ x2).real / 2.0
-    s = 1 - a1**2 - a2**2 - a3**2 + 2 * a1 * a2 * a3
+    s = sigma3(*su2_a_coords(_haar_pairs(2, samples, rng)).T)
     sig_min, sig_max = float(s.min()), float(s.max())
 
     lifts = max(1000, samples // 10)
@@ -206,7 +200,7 @@ def coplanar_su2_triple(rng) -> RepTuple:
     return RepTuple(su(2), tuple(mats))
 
 
-def verify_two_sheet(samples: int = 10_000, seed: int = 0, tol: float = 1e-9) -> dict:
+def verify_two_sheet(samples: int = 10_000, seed: int = 0) -> dict:
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     worst_rt = 0.0
@@ -257,31 +251,18 @@ def verify_two_sheet(samples: int = 10_000, seed: int = 0, tol: float = 1e-9) ->
 # --- criterion 5 -------------------------------------------------------------
 
 
-def verify_su3_membership(samples: int = 100_000, seed: int = 0, tol: float = 1e-9) -> dict:
+def verify_su3_membership(samples: int = 100_000, seed: int = 0) -> dict:
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
-    x1 = _haar_stack(3, samples, rng)
-    x2 = _haar_stack(3, samples, rng)
-    x1i, x2i = _H(x1), _H(x2)
-    t = {}
-    t[1], t[-1] = _tr(x1), _tr(x1i)
-    t[2], t[-2] = _tr(x2), _tr(x2i)
-    t[3], t[-3] = _tr(x1 @ x2), _tr(x1i @ x2i)
-    t[4], t[-4] = _tr(x1 @ x2i), _tr(x1i @ x2)
-    t[5] = _tr(x1 @ x2 @ x1i @ x2i)
-    quart = lambda tau: (
-        np.abs(tau) ** 4 - 8.0 * (tau**3).real + 18.0 * np.abs(tau) ** 2 - 27.0
-    )
-    worst_quartic = float(max(quart(t[k]).max() for k in (1, 2, 3, 4)))
-    P = 2.0 * t[5].real
-    Q = np.abs(t[5]) ** 2
-    delta = Q**2 + 12 * P * Q + 18 * Q - 4 * P**3 - 27
-    worst_delta = float(delta.max())
-    u_lo = min(float(((t[k] + t[-k]) / 2).real.min()) for k in (1, 2, 3, 4))
-    u_hi = max(float(((t[k] + t[-k]) / 2).real.max()) for k in (1, 2, 3, 4))
-    um_lo = min(float(((t[k] - t[-k]) / 2j).real.min()) for k in (1, 2, 3, 4))
-    um_hi = max(float(((t[k] - t[-k]) / 2j).real.max()) for k in (1, 2, 3, 4))
-    u5 = t[5].imag
+    t = su3_trace_coords(_haar_pairs(3, samples, rng))
+    # Unitary input: the imaginary parts of P, Q and u are rounding.
+    worst_quartic = float(su3_alcove_quartic(t[:, 0:8:2]).max())
+    P, Q = (v.real for v in pq_from_traces(t))
+    worst_delta = float(su3_delta(P, Q).max())
+    u = u_from_traces(t).real
+    u_lo, u_hi = float(u[:, 0:8:2].min()), float(u[:, 0:8:2].max())
+    um_lo, um_hi = float(u[:, 1:8:2].min()), float(u[:, 1:8:2].max())
+    u5 = u[:, 8]
     elapsed = time.perf_counter() - t0
     checks = {
         "max_single_factor_quartic": worst_quartic,
@@ -305,7 +286,7 @@ def verify_su3_membership(samples: int = 100_000, seed: int = 0, tol: float = 1e
 # --- criterion 6 -------------------------------------------------------------
 
 
-def verify_su3_example(samples: int = 1, seed: int = 0, tol: float = 1e-9) -> dict:
+def verify_su3_example(samples: int = 1, seed: int = 0) -> dict:
     t0 = time.perf_counter()
     rho = canonical_su3_example()
     t = su3_traces(rho)
@@ -313,8 +294,8 @@ def verify_su3_example(samples: int = 1, seed: int = 0, tol: float = 1e-9) -> di
     rec = pq(t, unitary=True)
     eight = max(abs(v) for v in u.as_list()[:8])
     u5_err = abs(u.u5 - U5_BOX)
-    disc_err = abs(rec.P**2 - 4 * rec.Q + 27.0)
-    delta = rec.Q**2 + 12 * rec.P * rec.Q + 18 * rec.Q - 4 * rec.P**3 - 27
+    disc_err = abs(su3_disc(rec.P, rec.Q) + 27.0)
+    delta = su3_delta(rec.P, rec.Q)
     elapsed = time.perf_counter() - t0
     checks = {
         "max_first_eight_u": float(eight),
@@ -329,33 +310,14 @@ def verify_su3_example(samples: int = 1, seed: int = 0, tol: float = 1e-9) -> di
 # --- criterion 7 -------------------------------------------------------------
 
 
-def verify_transpose(samples: int = 10_000, seed: int = 0, tol: float = 1e-9) -> dict:
+def verify_transpose(samples: int = 10_000, seed: int = 0) -> dict:
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
-    x1 = _haar_stack(3, samples, rng)
-    x2 = _haar_stack(3, samples, rng)
-    xt1 = np.swapaxes(x1, -1, -2)
-    xt2 = np.swapaxes(x2, -1, -2)
-
-    def u_vec(y1, y2):
-        y1i, y2i = _H(y1), _H(y2)
-        pairs = [
-            (_tr(y1), _tr(y1i)),
-            (_tr(y2), _tr(y2i)),
-            (_tr(y1 @ y2), _tr(y1i @ y2i)),
-            (_tr(y1 @ y2i), _tr(y1i @ y2)),
-        ]
-        us = []
-        for tk, tmk in pairs:
-            us.append(((tk + tmk) / 2).real)
-            us.append(((tk - tmk) / 2j).real)
-        u5 = _tr(y1 @ y2 @ y1i @ y2i).imag
-        return np.stack(us), u5
-
-    u, u5 = u_vec(x1, x2)
-    ut, u5t = u_vec(xt1, xt2)
-    worst_eight = float(np.max(np.abs(u - ut)))
-    worst_u5 = float(np.max(np.abs(u5 + u5t)))
+    x = _haar_pairs(3, samples, rng)
+    u = u_from_traces(su3_trace_coords(x)).real
+    ut = u_from_traces(su3_trace_coords(np.swapaxes(x, -1, -2))).real
+    worst_eight = float(np.max(np.abs(u[:, :8] - ut[:, :8])))
+    worst_u5 = float(np.max(np.abs(u[:, 8] + ut[:, 8])))
     elapsed = time.perf_counter() - t0
     checks = {"max_first_eight_change": worst_eight, "max_u5_sum": worst_u5}
     passed = worst_eight < 1e-10 and worst_u5 < 1e-10
@@ -374,7 +336,7 @@ def random_sl3(rng) -> np.ndarray:
             return a / d ** (1.0 / 3.0)
 
 
-def verify_minors(samples: int = 10_000, seed: int = 0, tol: float = 1e-9) -> dict:
+def verify_minors(samples: int = 10_000, seed: int = 0) -> dict:
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -391,7 +353,7 @@ def verify_minors(samples: int = 10_000, seed: int = 0, tol: float = 1e-9) -> di
 # --- criterion 9 -------------------------------------------------------------
 
 
-def verify_kempf_ness(samples: int = 10_000, seed: int = 0, tol: float = 1e-9) -> dict:
+def verify_kempf_ness(samples: int = 10_000, seed: int = 0) -> dict:
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
 
@@ -431,7 +393,7 @@ def verify_kempf_ness(samples: int = 10_000, seed: int = 0, tol: float = 1e-9) -
     for i in range(flows):
         n, r = ((2, 2), (3, 2))[i % 2]
         g = sample_tuple(sl(n), 1, rng)[0]
-        ks = [haar_su(n, rng) for _ in range(r)]
+        ks = haar_su(n, rng, r)
         gi = np.linalg.inv(g)
         rho = RepTuple(sl(n), tuple(g @ k @ gi for k in ks))
         out, trace = kn_flow(rho)
@@ -464,7 +426,7 @@ def verify_kempf_ness(samples: int = 10_000, seed: int = 0, tol: float = 1e-9) -
 # --- criterion 10 ------------------------------------------------------------
 
 
-def verify_baird(samples: int = 10, seed: int = 0, tol: float = 1e-9) -> dict:
+def verify_baird(samples: int = 10, seed: int = 0) -> dict:
     t0 = time.perf_counter()
     rmax = max(3, samples)
     polys = {}
@@ -495,7 +457,7 @@ def verify_baird(samples: int = 10, seed: int = 0, tol: float = 1e-9) -> dict:
 # --- criterion 11 ------------------------------------------------------------
 
 
-def verify_figures(samples: int = 64, seed: int = 0, tol: float = 1e-9) -> dict:
+def verify_figures(samples: int = 64, seed: int = 0) -> dict:
     t0 = time.perf_counter()
     resolution = max(16, samples)
     _, alcove_rows = region_grid("su3-alcove", resolution)
@@ -536,8 +498,8 @@ SUITES = {
 }
 
 
-def run_suite(name: str, samples: int | None = None, seed: int = 0, tol: float = 1e-9) -> dict:
+def run_suite(name: str, samples: int | None = None, seed: int = 0) -> dict:
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     fn, default_samples = SUITES[name]
-    return fn(samples=samples if samples is not None else default_samples, seed=seed, tol=tol)
+    return fn(samples=samples if samples is not None else default_samples, seed=seed)

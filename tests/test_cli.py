@@ -205,6 +205,13 @@ def test_verify_command(capsys):
     assert out2 == out
 
 
+def test_verify_has_no_tol(capsys):
+    # The acceptance bounds are fixed; a --tol flag would be ignored.
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "fricke", "--tol", "1"])
+    assert exc.value.code == 2
+
+
 def test_tol_env_override(capsys, monkeypatch):
     monkeypatch.setenv("CHARVAR_TOL", "1e-6")
     from charvar.cli import build_parser

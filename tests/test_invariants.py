@@ -7,17 +7,24 @@ from charvar.invariants import (
     SU2Rank3Coords,
     Word,
     fricke_check,
+    fricke_rhs,
+    gram,
     invariant_record,
     pq,
+    pq_from_traces,
     relation_residual,
     rst,
+    su2_a_coords,
+    su2_commutator_re,
     su2_rank2_coords,
     su2_rank3_coords,
     su3_minors,
+    su3_trace_coords,
     su3_traces,
     trace_word,
     transpose_tuple,
     u_coords,
+    u_from_traces,
     word_trace_table,
 )
 from charvar.linalg import haar_su
@@ -304,20 +311,45 @@ def test_invariant_record_fallback_words():
     assert len(rec) == 10 + 100 + 1000
 
 
-# --- stacked formulas used by the verification suites --------------------------
+# --- the batch core broadcasts like the scalar wrappers ------------------------
 
 
 def test_vectorized_su3_formulas_match_scalar():
     rng = np.random.default_rng(16)
-    x1 = np.stack([haar_su(3, rng) for _ in range(50)])
-    x2 = np.stack([haar_su(3, rng) for _ in range(50)])
-    H = lambda a: np.conj(np.swapaxes(a, -1, -2))
-    tr = lambda a: np.trace(a, axis1=-2, axis2=-1)
-    t5 = tr(x1 @ x2 @ H(x1) @ H(x2))
-    u1 = ((tr(x1) + tr(H(x1))) / 2).real
-    for i in range(50):
-        rho = RepTuple(su(3), (x1[i], x2[i]))
-        t = su3_traces(rho)
-        u = u_coords(t)
-        assert abs(t.t5 - t5[i]) < 1e-13
-        assert abs(u.u1 - u1[i]) < 1e-13
+    words = ["x1", "x1^-1", "x2", "x2^-1", "x1 x2", "x1^-1 x2^-1", "x1 x2^-1",
+             "x1^-1 x2", "x1 x2 x1^-1 x2^-1", "x2 x1 x2^-1 x1^-1"]
+    for desc in (su(3), sl(3)):
+        tuples = [sample_tuple(desc, 2, rng) for _ in range(50)]
+        t = su3_trace_coords(np.array([rho.matrices for rho in tuples]), desc.family == "SU")
+        u = u_from_traces(t)
+        P, Q = pq_from_traces(t)
+        for i, rho in enumerate(tuples):
+            ts = su3_traces(rho)
+            rec = pq(ts)
+            assert np.max(np.abs(t[i] - ts.as_array())) < 1e-13
+            assert np.max(np.abs(u[i] - np.array(u_coords(ts).as_list()))) < 1e-13
+            assert abs(P[i] - rec.P) < 1e-13 and abs(Q[i] - rec.Q) < 1e-13
+            ref = np.array([trace_word(rho, Word.parse(w)) for w in words])
+            assert np.max(np.abs(t[i] - ref)) < 1e-10 * max(1.0, np.max(np.abs(ref)))
+
+
+def test_vectorized_su2_coords_match_scalar():
+    rng = np.random.default_rng(17)
+    for r, wrapper in ((2, su2_rank2_coords), (3, su2_rank3_coords)):
+        tuples = [sample_tuple(su(2), r, rng) for _ in range(50)]
+        x = np.array([rho.matrices for rho in tuples])
+        a = su2_a_coords(x)
+        if r == 2:
+            lhs, rhs = su2_commutator_re(x), fricke_rhs(*a.T)
+        else:
+            g, s, t123 = gram(a)
+        for i, rho in enumerate(tuples):
+            c = wrapper(rho)
+            assert np.max(np.abs(a[i] - c.as_array())) < 1e-13
+            if r == 2:
+                assert np.max(np.abs(np.array([lhs[i], rhs[i]]) - fricke_check(rho))) < 1e-13
+            else:
+                scal = rst(c)
+                assert np.max(np.abs(g[i] - scal.r)) < 1e-13
+                assert np.max(np.abs(s[i] - [scal.s12, scal.s13, scal.s23])) < 1e-13
+                assert abs(t123[i] - scal.t123) < 1e-13

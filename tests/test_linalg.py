@@ -164,11 +164,19 @@ def test_haar_su2_trace_second_moment():
     # Weyl integration: tr = 2 cos(theta) with density (2/pi) sin^2,
     # so E[(tr)^2] = 1.
     rng = np.random.default_rng(9)
-    total = 0.0
-    n_samples = 100_000
-    for _ in range(n_samples):
-        total += np.trace(haar_su(2, rng)).real ** 2
-    assert abs(total / n_samples - 1.0) < 0.02
+    tr = np.trace(haar_su(2, rng, 100_000), axis1=1, axis2=2).real
+    assert abs(np.mean(tr**2) - 1.0) < 0.02
+
+
+def test_haar_su_batch_matches_single_draws():
+    for n in (1, 2, 3, 4):
+        rng_batch = np.random.default_rng(20 + n)
+        rng_single = np.random.default_rng(20 + n)
+        batch = haar_su(n, rng_batch, count=7)
+        single = np.array([haar_su(n, rng_single) for _ in range(7)])
+        assert batch.shape == (7, n, n)
+        assert np.max(np.abs(batch - single)) < 1e-15
+        assert rng_batch.random() == rng_single.random()
 
 
 def test_unitary_eig_reconstruction():

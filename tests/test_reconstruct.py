@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from charvar.groups import RepTuple, conjugate_tuple, sample_tuple, su
+from charvar.groups import RepTuple, conjugate_tuple, sample_tuple, su, to_quaternion
 from charvar.invariants import (
     SU2Rank2Coords,
     SU2Rank3Coords,
     all_words,
+    gram,
     su2_rank2_coords,
     su2_rank3_coords,
     trace_word,
@@ -185,6 +186,39 @@ def test_rank3_lift_diagonal_fallback():
     assert res.unique
     back = su2_rank3_coords(res.tuples[0])
     assert np.max(np.abs(back.as_array() - c.as_array())) < 1e-10
+
+
+def test_rank3_sheet_orientation():
+    # Sheet s has imaginary parts with triple product of sign -s, whichever
+    # cyclic relabeling the lift builds its frame in.
+    rng = np.random.default_rng(12)
+    leads = set()
+    checked = 0
+    while checked < 200:
+        c = su2_rank3_coords(sample_tuple(su(2), 3, rng))
+        res = su2_rank3_lift(c)
+        if abs(res.t123) <= 1e-4:
+            continue
+        leads.add(int(np.argmax(gram(c.as_array())[1])))
+        for s, rho in zip(res.signs, res.tuples):
+            im = np.array([to_quaternion(m).im for m in rho.matrices])
+            assert np.sign(np.linalg.det(im)) == -s
+        checked += 1
+    assert leads == {0, 1, 2}
+
+
+def test_rank3_lift_small_leading_pair_stays_in_su2():
+    # s12 = 7e-9 but s13, s23 are large: a frame led by the (1,2) pair divided
+    # by d2 ~ 1e-4 and left det(X3) off by 2e-8.
+    c = SU2Rank3Coords(
+        -0.46069663552728485, 0.14261376481037738, 0.4527235578241153,
+        0.8127837353271695, -0.48130756226488036, -0.23950595641525668,
+    )
+    for sign in (1, -1):
+        rho = su2_rank3_lift(c, sign=sign).tuples[0]
+        assert rho.is_valid(1e-12)
+        back = su2_rank3_coords(rho)
+        assert np.max(np.abs(back.as_array() - c.as_array())) < 1e-12
 
 
 def test_rank3_lift_rejects_outside():
