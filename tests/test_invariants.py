@@ -335,21 +335,20 @@ def test_vectorized_su3_formulas_match_scalar():
 
 def test_vectorized_su2_coords_match_scalar():
     rng = np.random.default_rng(17)
-    for r, wrapper in ((2, su2_rank2_coords), (3, su2_rank3_coords)):
-        tuples = [sample_tuple(su(2), r, rng) for _ in range(50)]
-        x = np.array([rho.matrices for rho in tuples])
-        a = su2_a_coords(x)
-        if r == 2:
-            lhs, rhs = su2_commutator_re(x), fricke_rhs(*a.T)
-        else:
-            g, s, t123 = gram(a)
-        for i, rho in enumerate(tuples):
-            c = wrapper(rho)
-            assert np.max(np.abs(a[i] - c.as_array())) < 1e-13
-            if r == 2:
-                assert np.max(np.abs(np.array([lhs[i], rhs[i]]) - fricke_check(rho))) < 1e-13
-            else:
-                scal = rst(c)
-                assert np.max(np.abs(g[i] - scal.r)) < 1e-13
-                assert np.max(np.abs(s[i] - [scal.s12, scal.s13, scal.s23])) < 1e-13
-                assert abs(t123[i] - scal.t123) < 1e-13
+    pairs = [sample_tuple(su(2), 2, rng) for _ in range(50)]
+    triples = [sample_tuple(su(2), 3, rng) for _ in range(50)]
+    x = np.array([rho.matrices for rho in pairs])
+    a2 = su2_a_coords(x)
+    lhs, rhs = su2_commutator_re(x), fricke_rhs(*a2.T)
+    a3 = su2_a_coords(np.array([rho.matrices for rho in triples]))
+    g, s, t123 = gram(a3)
+    for i, rho in enumerate(pairs):
+        assert np.max(np.abs(a2[i] - su2_rank2_coords(rho).as_array())) < 1e-13
+        assert np.max(np.abs(np.array([lhs[i], rhs[i]]) - fricke_check(rho))) < 1e-13
+    for i, rho in enumerate(triples):
+        c = su2_rank3_coords(rho)
+        scal = rst(c)
+        assert np.max(np.abs(a3[i] - c.as_array())) < 1e-13
+        assert np.max(np.abs(g[i] - scal.r)) < 1e-13
+        assert np.max(np.abs(s[i] - [scal.s12, scal.s13, scal.s23])) < 1e-13
+        assert abs(t123[i] - scal.t123) < 1e-13
