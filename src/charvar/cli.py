@@ -295,8 +295,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, input_arg=True):
-        sp.add_argument("--tol", type=float, default=tol)
+    def common(sp, input_arg=True, tol_arg=True):
+        # --tol only on the commands that pass it on; argparse rejects it elsewhere.
+        if tol_arg:
+            sp.add_argument("--tol", type=float, default=tol)
         sp.add_argument("--out", default=None)
         if input_arg:
             sp.add_argument("--input", default=None, help="tuple JSON file, default stdin")
@@ -306,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--r", type=int, required=True)
     sp.add_argument("--seed", type=int, default=0)
-    common(sp, input_arg=False)
+    common(sp, input_arg=False, tol_arg=False)
     sp.set_defaults(fn=cmd_sample)
 
     sp = sub.add_parser("invariants", help="invariant coordinates of a tuple")
@@ -315,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("trace", help="trace of a word, e.g. 'x1 x2^-1'")
     sp.add_argument("--word", required=True)
-    common(sp)
+    common(sp, tol_arg=False)
     sp.set_defaults(fn=cmd_trace)
 
     sp = sub.add_parser("retract", help="apply the retraction at time t")
@@ -327,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-iter", type=int, default=FLOW_MAX_ITER)
     sp.add_argument("--flow-tol", type=float, default=FLOW_TOL)
     sp.add_argument("--format", choices=("json", "csv"), default="json")
-    common(sp)
+    common(sp, tol_arg=False)
     sp.set_defaults(fn=cmd_flow)
 
     sp = sub.add_parser("composite", help="flow to critical set, then retract")
@@ -354,13 +356,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("region", help="emit figure-data grids as CSV")
     sp.add_argument("--name", required=True)
     sp.add_argument("--resolution", type=int, default=64)
-    common(sp, input_arg=False)
+    common(sp, input_arg=False, tol_arg=False)
     sp.set_defaults(fn=cmd_region)
 
     sp = sub.add_parser("poincare", help="expand the rank-r Poincare polynomial")
     sp.add_argument("--r", type=int, default=3)
     sp.add_argument("--surface", action="store_true", help="print the surface-group constants")
-    common(sp, input_arg=False)
+    common(sp, input_arg=False, tol_arg=False)
     sp.set_defaults(fn=cmd_poincare)
 
     sp = sub.add_parser("verify", help="run a verification suite")

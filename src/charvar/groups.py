@@ -103,8 +103,9 @@ def conjugate_tuple(g, rho: RepTuple, tol: float = DEFAULT_TOL) -> RepTuple:
     g = cmat(g)
     if g.shape != (rho.n, rho.n):
         raise DimensionMismatch(f"conjugator shape {g.shape} vs n={rho.n}")
-    if abs(np.linalg.det(g)) <= tol:
-        raise Singular("conjugator is numerically singular")
+    s = np.linalg.svd(g, compute_uv=False)
+    if s[-1] <= tol * s[0]:
+        raise Singular("conjugator is numerically singular (s_min <= tol * s_max)")
     gi = np.linalg.inv(g)
     mats = tuple(g @ m @ gi for m in rho.matrices)
     # Conjugation by a non-unitary element moves an SU tuple into SL(n,C).

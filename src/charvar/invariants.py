@@ -235,7 +235,7 @@ class SU2Rank3Coords:
 
 
 def _check_su2(rho: RepTuple, r: int, tol: float) -> None:
-    if rho.n != 2 or rho.r != r:
+    if rho.descriptor.family != "SU" or rho.n != 2 or rho.r != r:
         raise NotInGroup(f"expected an SU(2) tuple of rank {r}")
     require_valid(rho, max(tol, 1e-8))
 
@@ -253,9 +253,8 @@ def fricke_check(rho: RepTuple, tol: float = DEFAULT_TOL):
     three-trace expression 2(a1^2+a2^2+a3^2) - 4 a1 a2 a3 - 1.
     """
     _check_su2(rho, 2, tol)
-    a = su2_rank2_coords(rho, tol)
-    lhs = su2_commutator_re(np.asarray(rho.matrices))
-    return float(lhs), float(fricke_rhs(a.a1, a.a2, a.a3))
+    x = np.asarray(rho.matrices)
+    return float(su2_commutator_re(x)), float(fricke_rhs(*su2_a_coords(x)))
 
 
 def su2_rank3_coords(rho: RepTuple, tol: float = DEFAULT_TOL) -> SU2Rank3Coords:

@@ -17,10 +17,6 @@ import numpy as np
 
 DEFAULT_TOL = 1e-9
 
-# Floor used when inverting squared singular values inside polar(); relative
-# to the largest eigenvalue so ill-scaled but invertible inputs survive.
-_PD_FLOOR = 1e-300
-
 
 class NotHermitian(ValueError):
     """Matrix expected to equal its conjugate transpose does not."""
@@ -108,13 +104,14 @@ def polar(g, tol: float = DEFAULT_TOL) -> PolarParts:
     Computed through the SVD ``g = U S V*`` (so ``k = U V*`` and
     ``p = V log(S) V*``), which keeps ``k`` unitary to machine precision even
     for badly conditioned ``g``; the value agrees with the ``(g*g)``-power
-    route in exact arithmetic.
+    route in exact arithmetic.  ``g`` counts as singular when its smallest
+    singular value is at most ``tol`` times its largest, so the test does not
+    depend on the scale of ``g``.
     """
     g = cmat(g)
-    if abs(np.linalg.det(g)) <= tol:
-        raise Singular(f"|det g| = {abs(np.linalg.det(g)):.3e} <= tol={tol:g}")
     u, s, vh = np.linalg.svd(g)
-    s = np.clip(s, _PD_FLOOR, None)
+    if s[-1] <= tol * s[0]:
+        raise Singular(f"s_min = {s[-1]:.3e} <= tol * s_max = {tol * s[0]:.3e}")
     k = u @ vh
     p = (vh.conj().T * np.log(s)) @ vh
     return PolarParts(k=k, p=(p + p.conj().T) / 2.0)

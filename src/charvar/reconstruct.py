@@ -5,6 +5,10 @@ The rank-3 lift realizes the quaternion imaginary parts as a Cholesky frame
 of their Gram matrix; the two sheets differ in the sign of the j-component
 c3 of the third matrix, and coincide exactly when the normalized Gram
 determinant t123 vanishes.
+
+Conjugacy uses the polar decomposition: if g A_i g^-1 = B_i for unitary
+tuples, g*g commutes with every A_i, so the unitary polar factor of g also
+conjugates A to B.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, frob, polar, unitary_eig
+from .linalg import DEFAULT_TOL, frob
 from .groups import (
     DimensionMismatch,
     NotInGroup,
@@ -34,7 +38,8 @@ class DegenerateUnhandled(ValueError):
 
 
 class DegenerateSpectrum(ValueError):
-    """First component's spectrum is too clustered for the conjugacy algorithm."""
+    """Formerly raised by unitary_conjugacy on a repeated eigenvalue of X1;
+    nothing raises it any more.  Kept for the names in ``bench/``."""
 
 
 @dataclass(frozen=True)
@@ -180,42 +185,16 @@ def su2_rank3_lift(
 # --- constructive K-conjugacy ------------------------------------------------
 
 
-def _aligned_eig(x, tol: float):
-    vals, v = unitary_eig(x)
-    ang = np.angle(vals)
-    gaps = [
-        min(abs(ang[i] - ang[j]), 2 * np.pi - abs(ang[i] - ang[j]))
-        for i in range(len(ang))
-        for j in range(i + 1, len(ang))
-    ]
-    if min(gaps) <= tol:
-        raise DegenerateSpectrum("first component has clustered eigenvalues")
-    return vals, v
-
-
-def _match_perm(w1, w2, tol: float):
-    """Permutation p with w2[p] ~ w1, or None."""
-    from itertools import permutations
-
-    n = len(w1)
-    best, best_err = None, np.inf
-    for p in permutations(range(n)):
-        err = max(abs(w1[i] - w2[p[i]]) for i in range(n))
-        if err < best_err:
-            best, best_err = p, err
-    if best_err > max(10 * tol, 1e-7):
-        return None
-    return best
-
-
 def unitary_conjugacy(rho1: RepTuple, rho2: RepTuple, tol: float = DEFAULT_TOL):
     """Find k in SU(n) with k rho1 k^-1 = rho2 within 10*tol, or None.
 
-    Diagonalize both first components, align their spectra by the (unique,
-    given simple spectra) eigenvalue-matching permutation, then fix the
-    residual diagonal-torus phases from the largest off-diagonal entries of
-    the second component, one per eigenline.  The candidate is verified on
-    every component before being returned.
+    Intertwiners X A_i = B_i X span the null space of X -> (X A_i - B_i X)_i.
+    A unitary k within eps on every component is a vector of norm sqrt(n)
+    that this map sends to norm <= sqrt(r) eps, so no singular value below
+    sqrt(r/n) eps means None.  Otherwise a fixed probe projected onto the
+    right singular vectors below that bound gives an intertwiner g = U S V*,
+    and its polar factor U V* is verified on every component.  Non-conjugate
+    tuples sharing a summand have only singular intertwiners and fail there.
     """
     if rho1.descriptor != rho2.descriptor or rho1.r != rho2.r:
         raise DimensionMismatch("tuples must share descriptor and rank")
@@ -223,47 +202,26 @@ def unitary_conjugacy(rho1: RepTuple, rho2: RepTuple, tol: float = DEFAULT_TOL):
         raise NotInGroup("unitary_conjugacy expects unitary-valued tuples")
     require_valid(rho1, max(tol, 1e-8))
     require_valid(rho2, max(tol, 1e-8))
-    n = rho1.n
-    w1, v1 = _aligned_eig(rho1[0], tol)
-    w2, v2 = _aligned_eig(rho2[0], tol)
-    p = _match_perm(w1, w2, tol)
-    if p is None:
+    n, eps = rho1.n, 10.0 * max(tol, 1e-9)
+    eye = np.eye(n)
+    # Row-major vec: vec(X A) = (I kron A^T) vec(X), vec(B X) = (B kron I) vec(X).
+    m = np.concatenate(
+        [np.kron(eye, a.T) - np.kron(b, eye) for a, b in zip(rho1.matrices, rho2.matrices)]
+    )
+    # The QR factor tri keeps the singular values and right singular vectors
+    # of m.  y minus its minimal-norm least-squares fit, singular values
+    # <= bound cut, is y projected onto the right singular vectors below the
+    # bound; lstsq gives it without the workspace of forming the vectors.
+    tri = np.linalg.qr(m, mode="r")
+    s = np.linalg.svd(tri, compute_uv=False)
+    bound = np.sqrt(rho1.r / n) * eps
+    if s[-1] > bound:
         return None
-    v2 = v2[:, list(p)]
-
-    # Components of both tuples in their aligned eigenbases.
-    a = [v1.conj().T @ m @ v1 for m in rho1.matrices]
-    b = [v2.conj().T @ m @ v2 for m in rho2.matrices]
-
-    # Torus phases: phi_j - phi_k = arg(b_jk / a_jk), solved along a greedy
-    # spanning tree rooted at eigenline 0, preferring the second component.
-    phi = np.zeros(n)
-    known = {0}
-    while len(known) < n:
-        best = None  # (weight, j_new, j_old, comp)
-        for comp in range(1, rho1.r):
-            for j in range(n):
-                if j in known:
-                    continue
-                for k in known:
-                    w = min(abs(a[comp][k, j]), abs(b[comp][k, j]))
-                    if best is None or w > best[0]:
-                        best = (w, j, k, comp)
-        if best is None or best[0] <= tol:
-            # Unresolved eigenline (vanishing couplings): leave phase 0 and
-            # let verification decide.
-            known |= set(range(n))
-            break
-        w, j, k, comp = best
-        # Theta a Theta* = b with Theta = diag(e^{i phi}) gives
-        # e^{i(phi_k - phi_j)} a_kj = b_kj.
-        phi[j] = phi[k] - np.angle(b[comp][k, j] / a[comp][k, j])
-        known.add(j)
-
-    k_mat = v2 @ np.diag(np.exp(1j * phi)) @ v1.conj().T
-    k_mat = polar(k_mat).k
+    # Fixed probe: the n x n matrix of quasi-random phases exp(2 pi i phi j^2).
+    y = np.exp(2j * np.pi * ((np.arange(n * n) ** 2 * 0.6180339887498949) % 1.0))
+    g = (y - np.linalg.lstsq(tri, tri @ y, rcond=bound / max(s[0], bound))[0]).reshape(n, n)
+    u, _, wh = np.linalg.svd(g)
+    k_mat = u @ wh
     k_mat = k_mat * np.exp(-1j * np.angle(np.linalg.det(k_mat)) / n)
     err = max(frob(k_mat @ m1 @ k_mat.conj().T - m2) for m1, m2 in zip(rho1.matrices, rho2.matrices))
-    if err <= 10.0 * max(tol, 1e-9):
-        return k_mat
-    return None
+    return k_mat if err <= eps else None

@@ -26,16 +26,17 @@ def phi(g, t: float, tol: float = DEFAULT_TOL) -> np.ndarray:
     Evaluated through the SVD g = U S V* as U S^(1-t) V*, which is the same
     matrix in exact arithmetic but stays unitary to machine precision at
     t = 1 regardless of conditioning.  The (g*g)-power and polar-parts
-    routes are kept as cross-checks in the test suite.
+    routes are kept as cross-checks in the test suite.  ``g`` counts as
+    singular when s_min <= tol * s_max, independently of its scale.
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"t={t} outside [0, 1]")
     g = cmat(g)
-    if abs(np.linalg.det(g)) <= tol:
+    u, s, vh = np.linalg.svd(g)
+    if s[-1] <= tol * s[0]:
         raise Singular("phi expects an invertible matrix")
     if t == 0.0:
         return g.copy()
-    u, s, vh = np.linalg.svd(g)
     return (u * s ** (1.0 - t)) @ vh
 
 

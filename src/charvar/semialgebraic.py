@@ -152,8 +152,7 @@ def classify_B(rho: RepTuple, tol: float = DEFAULT_TOL) -> str:
     """Sign of u5 = Im tr(X1 X2 X1^-1 X2^-1) with a tol-wide B_zero band."""
     if rho.n != 3 or rho.r != 2 or rho.descriptor.family != "SU":
         raise NotInGroup("classify_B expects an SU(3) pair")
-    require_valid(rho, max(tol, 1e-8))
-    t = su3_traces(rho, tol)
+    t = su3_traces(rho, tol)  # validates the pair
     u5 = float(t.t5.imag)
     if abs(u5) <= tol:
         return "B_zero"

@@ -212,6 +212,23 @@ def test_verify_has_no_tol(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "--group", "SU", "--n", "2", "--r", "2"],
+        ["trace", "--word", "x1"],
+        ["flow"],
+        ["region", "--name", "su3-alcove"],
+        ["poincare"],
+    ],
+)
+def test_tol_rejected_where_unused(argv):
+    # These commands never read a tolerance, so --tol would do nothing.
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--tol", "1"])
+    assert exc.value.code == 2
+
+
 def test_tol_env_override(capsys, monkeypatch):
     monkeypatch.setenv("CHARVAR_TOL", "1e-6")
     from charvar.cli import build_parser

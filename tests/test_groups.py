@@ -19,7 +19,7 @@ from charvar.groups import (
     tuple_to_json,
     validate,
 )
-from charvar.linalg import frob, haar_su
+from charvar.linalg import Singular, frob, haar_su
 
 QI = Quaternion(0, 1, 0, 0)
 QJ = Quaternion(0, 0, 1, 0)
@@ -109,6 +109,15 @@ def test_conjugate_tuple():
     assert moved.descriptor == sl(2)
     for a, b in zip(rho.matrices, moved.matrices):
         assert abs(np.trace(a) - np.trace(b)) < 1e-12
+
+
+def test_conjugate_tuple_singularity_is_scale_free():
+    rng = np.random.default_rng(6)
+    rho = sample_tuple(su(3), 2, rng)
+    moved = conjugate_tuple(1e-4 * np.eye(3), rho)
+    assert all(frob(a - b) < 1e-12 for a, b in zip(moved.matrices, rho.matrices))
+    with pytest.raises(Singular):
+        conjugate_tuple(1e-4 * np.diag([1.0, 1.0, 0.0]), rho)
 
 
 def test_conjugate_tuple_dimension_mismatch():

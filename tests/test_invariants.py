@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from charvar.groups import RepTuple, conjugate_tuple, sample_tuple, sl, su
+from charvar.groups import NotInGroup, RepTuple, conjugate_tuple, sample_tuple, sl, su
 from charvar.invariants import (
     ComplexInput,
     SU2Rank3Coords,
@@ -120,6 +120,18 @@ def test_fricke_identity_sampled():
         lhs, rhs = fricke_check(sample_tuple(su(2), 2, rng))
         worst = max(worst, abs(lhs - rhs))
     assert worst < 1e-12
+
+
+def test_su2_coords_reject_sl_input():
+    # The inverse a_jk takes on SU(2) is X^*, which is wrong on SL(2) input;
+    # SL tuples go through invariant_record instead.
+    rng = np.random.default_rng(0)
+    pair, triple = sample_tuple(sl(2), 2, rng), sample_tuple(sl(2), 3, rng)
+    for fn, rho in ((su2_rank2_coords, pair), (fricke_check, pair), (su2_rank3_coords, triple)):
+        with pytest.raises(NotInGroup):
+            fn(rho)
+    a3 = invariant_record(pair)["a3"]
+    assert abs(a3 - np.trace(np.linalg.inv(pair[0]) @ pair[1]) / 2) < 1e-12
 
 
 def test_su2_rank3_coords_examples():

@@ -149,6 +149,15 @@ def test_polar_rejects_singular():
         polar(np.array([[1, 0], [0, 0]], dtype=complex))
 
 
+def test_polar_singularity_is_scale_free():
+    # det(1e-4 I_3) = 1e-12 is below tol, but the matrix is well conditioned.
+    parts = polar(1e-4 * np.eye(3))
+    assert frob(parts.k - np.eye(3)) < 1e-15
+    assert frob(parts.p - np.log(1e-4) * np.eye(3)) < 1e-12
+    with pytest.raises(Singular):
+        polar(1e-4 * np.diag([1.0, 1.0, 0.0]))
+
+
 def test_haar_su_validity_and_determinism():
     rng1 = np.random.default_rng(8)
     rng2 = np.random.default_rng(8)

@@ -13,7 +13,6 @@ from charvar.invariants import (
 )
 from charvar.linalg import exp_herm, frob, haar_su
 from charvar.reconstruct import (
-    DegenerateSpectrum,
     NotInImage,
     su2_rank2_lift,
     su2_rank3_lift,
@@ -275,11 +274,90 @@ def test_conjugacy_agrees_with_invariants():
             assert abs(trace_word(rho, w) - trace_word(rho2, w)) < 1e-9
 
 
-def test_conjugacy_degenerate_spectrum_raises():
+def _assert_conjugator(k, rho1, rho2):
+    assert k is not None
+    n = rho1.n
+    assert frob(k @ k.conj().T - np.eye(n)) < 1e-12
+    assert abs(np.linalg.det(k) - 1) < 1e-12
+    worst = max(frob(k @ a @ k.conj().T - b) for a, b in zip(rho1.matrices, rho2.matrices))
+    assert worst < 1e-8
+
+
+def _moved(rho, rng):
+    """rho conjugated by a Haar element: the same point of the character space."""
+    return conjugate_tuple(haar_su(rho.n, rng), rho)
+
+
+def _blocks(a, b):
+    """Block-diagonal SU(4) element from two SU(2) blocks."""
+    z = np.zeros((2, 2))
+    return np.block([[a, z], [z, b]])
+
+
+def test_conjugacy_degenerate_spectrum_resolved():
+    # X1 = I has a fully repeated spectrum; the intertwiner method needs no
+    # simple eigenvalue.
     rng = np.random.default_rng(10)
     rho = RepTuple(su(2), (np.eye(2, dtype=complex), haar_su(2, rng)))
-    with pytest.raises(DegenerateSpectrum):
-        unitary_conjugacy(rho, rho)
+    _assert_conjugator(unitary_conjugacy(rho, rho), rho, rho)
+    moved = _moved(rho, rng)
+    _assert_conjugator(unitary_conjugacy(rho, moved), rho, moved)
+
+
+def test_conjugacy_haar_pairs_up_to_n8():
+    rng = np.random.default_rng(12)
+    for n in range(2, 9):
+        for _ in range(3):
+            rho = sample_tuple(su(n), 2, rng)
+            moved = _moved(rho, rng)
+            _assert_conjugator(unitary_conjugacy(rho, moved), rho, moved)
+
+
+def test_conjugacy_reducible_block_tuples():
+    # 2+2 block SU(4) pairs: distinct blocks (commutant of dimension 2) and a
+    # repeated block (commutant of dimension 4).
+    rng = np.random.default_rng(13)
+    for repeated in (False, True):
+        for _ in range(20):
+            a1, a2 = haar_su(2, rng), haar_su(2, rng)
+            b1, b2 = (a1, a2) if repeated else (haar_su(2, rng), haar_su(2, rng))
+            rho = RepTuple(su(4), (_blocks(a1, b1), _blocks(a2, b2)))
+            moved = _moved(rho, rng)
+            _assert_conjugator(unitary_conjugacy(rho, moved), rho, moved)
+
+
+def test_conjugacy_diagonal_tuples_with_identity_first():
+    rng = np.random.default_rng(14)
+    cycle = np.eye(3, dtype=complex)[[1, 2, 0]]
+    for i in range(20):
+        angles = rng.uniform(-np.pi, np.pi, 3)
+        d = np.diag(np.exp(1j * (angles - angles.mean())))
+        rho = RepTuple(su(3), (np.eye(3, dtype=complex), d))
+        moved = conjugate_tuple(cycle, rho) if i % 2 else _moved(rho, rng)
+        _assert_conjugator(unitary_conjugacy(rho, moved), rho, moved)
+
+
+def test_conjugacy_repeated_eigenvalue_irreducible_su3():
+    # An irreducible SU(3) pair whose first matrix has a double eigenvalue.
+    rng = np.random.default_rng(15)
+    for _ in range(20):
+        v = haar_su(3, rng)
+        theta = rng.uniform(0.3, 1.2)
+        x1 = v @ np.diag(np.exp(1j * np.array([theta, theta, -2.0 * theta]))) @ v.conj().T
+        rho = RepTuple(su(3), (x1, haar_su(3, rng)))
+        moved = _moved(rho, rng)
+        _assert_conjugator(unitary_conjugacy(rho, moved), rho, moved)
+
+
+def test_conjugacy_shared_summand_is_not_conjugacy():
+    # Intertwiners exist (they map the shared block onto itself), but every
+    # one of them is singular: the answer is None, not an exception.
+    rng = np.random.default_rng(16)
+    for _ in range(20):
+        a1, a2 = haar_su(2, rng), haar_su(2, rng)
+        rho1 = RepTuple(su(4), (_blocks(a1, haar_su(2, rng)), _blocks(a2, haar_su(2, rng))))
+        rho2 = RepTuple(su(4), (_blocks(a1, haar_su(2, rng)), _blocks(a2, haar_su(2, rng))))
+        assert unitary_conjugacy(rho1, _moved(rho2, rng)) is None
 
 
 def test_unitary_lemma_on_reducible_tuples():

@@ -36,6 +36,13 @@ def test_phi_parameter_and_singular_errors():
         phi(np.zeros((2, 2)), 0.5)
 
 
+def test_phi_singularity_is_scale_free():
+    assert frob(phi(1e-4 * np.eye(3), 0.5) - 1e-2 * np.eye(3)) < 1e-15
+    for t in (0.0, 0.5, 1.0):
+        with pytest.raises(Singular):
+            phi(1e-4 * np.diag([1.0, 1.0, 0.0]), t)
+
+
 def test_phi_cross_route():
     # Same map three ways: SVD (production), g (g*g)^(-t/2), and k e^{(1-t)p}.
     rng = np.random.default_rng(1)

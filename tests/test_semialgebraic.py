@@ -6,6 +6,7 @@ from charvar.invariants import (
     ComplexInput,
     SU2Rank2Coords,
     SU2Rank3Coords,
+    fricke_check,
     pq,
     su3_traces,
     u_coords,
@@ -201,6 +202,17 @@ def test_classify_B():
     w = np.exp(2j * np.pi / 3)
     diag_pair = RepTuple(su(3), (np.diag([w, np.conj(w), 1]), np.diag([1j, -1j, 1])))
     assert classify_B(diag_pair) == "B_zero"
+
+
+@pytest.mark.parametrize("fn, n", [(fricke_check, 2), (classify_B, 3)])
+def test_pair_validated_once(monkeypatch, fn, n):
+    import charvar.groups
+
+    calls = []
+    real = charvar.groups.validate
+    monkeypatch.setattr(charvar.groups, "validate", lambda *a, **k: calls.append(1) or real(*a, **k))
+    fn(sample_tuple(su(n), 2, np.random.default_rng(1)))
+    assert len(calls) == 2  # one per matrix
 
 
 def test_product_condition():
