@@ -230,7 +230,7 @@ def test_rank3_lift_rejects_outside():
 
 def test_conjugacy_constructive_round_trip():
     rng = np.random.default_rng(6)
-    for n, r in ((2, 2), (2, 3), (3, 2)):
+    for n, r in ((2, 2), (2, 3), (3, 2), (4, 2), (5, 2), (6, 2), (7, 2), (8, 2)):
         for _ in range(20):
             rho = sample_tuple(su(n), r, rng)
             k = haar_su(n, rng)
@@ -302,15 +302,6 @@ def test_conjugacy_degenerate_spectrum_resolved():
     _assert_conjugator(unitary_conjugacy(rho, rho), rho, rho)
     moved = _moved(rho, rng)
     _assert_conjugator(unitary_conjugacy(rho, moved), rho, moved)
-
-
-def test_conjugacy_haar_pairs_up_to_n8():
-    rng = np.random.default_rng(12)
-    for n in range(2, 9):
-        for _ in range(3):
-            rho = sample_tuple(su(n), 2, rng)
-            moved = _moved(rho, rng)
-            _assert_conjugator(unitary_conjugacy(rho, moved), rho, moved)
 
 
 def test_conjugacy_reducible_block_tuples():
