@@ -89,13 +89,15 @@ def _emit_csv(args, header, rows) -> None:
     _emit(args, buf.getvalue())
 
 
-def _read_tuple(path: str | None) -> RepTuple:
+def _read_text(path: str | None) -> str:
     if path is None or path == "-":
-        data = sys.stdin.read()
-    else:
-        with open(path) as fh:
-            data = fh.read()
-    return tuple_from_json(json.loads(data))
+        return sys.stdin.read()
+    with open(path) as fh:
+        return fh.read()
+
+
+def _read_tuple(path: str | None) -> RepTuple:
+    return tuple_from_json(json.loads(_read_text(path)))
 
 
 # --- subcommands -------------------------------------------------------------
@@ -178,13 +180,6 @@ def cmd_lift(args) -> int:
     return 0
 
 
-def _read_text(path: str | None) -> str:
-    if path is None or path == "-":
-        return sys.stdin.read()
-    with open(path) as fh:
-        return fh.read()
-
-
 def _scalar(v):
     if isinstance(v, list):  # [re, im] pair from our own JSON encoding
         if abs(v[1]) > 1e-9:
@@ -234,7 +229,7 @@ def cmd_membership(args) -> int:
     elif case == (3, 2, "SU"):
         out = {"su2-rank3-image": in_su2_rank3_image(su2_rank3_coords(rho), args.tol).to_json()}
     elif case == (2, 3, "SU"):
-        t = su3_traces(rho, args.tol)
+        t = su3_traces(rho)
         u = u_coords(t, unitary=True)
         out = {
             "S-plus": in_S_plus(u, pq(t, unitary=True), args.tol).to_json(),

@@ -2,8 +2,9 @@
 
 A representation of the rank-r free group is stored as the r-tuple of images
 of the generators, together with a descriptor saying which group the entries
-live in (SU(n) or SL(n,C)).  Tuples are immutable values; every operation
-returns fresh tuples.
+live in (SU(n) or SL(n,C)).  Tuples are immutable values, checked against
+their group once, when built, within GROUP_TOL; every operation trusts the
+tuples it is given and returns fresh ones.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import DEFAULT_TOL, Singular, cmat, exp_herm, frob, haar_su
+
+GROUP_TOL = 1e-8  # how far a RepTuple's matrices may miss their group
 
 
 class NotInGroup(ValueError):
@@ -77,6 +80,8 @@ class RepTuple:
                     f"matrix shape {m.shape} does not match {self.descriptor}"
                 )
         object.__setattr__(self, "matrices", mats)
+        if not self.is_valid(GROUP_TOL):
+            raise NotInGroup(f"tuple is not {self.descriptor}-valued within tol={GROUP_TOL:g}")
 
     @property
     def r(self) -> int:
@@ -93,11 +98,6 @@ class RepTuple:
         return all(validate(m, self.descriptor, tol) for m in self.matrices)
 
 
-def require_valid(rho: RepTuple, tol: float = DEFAULT_TOL) -> None:
-    if not rho.is_valid(tol):
-        raise NotInGroup(f"tuple is not {rho.descriptor}-valued within tol={tol:g}")
-
-
 def conjugate_tuple(g, rho: RepTuple, tol: float = DEFAULT_TOL) -> RepTuple:
     """Simultaneous conjugation (g X_1 g^-1, ..., g X_r g^-1)."""
     g = cmat(g)
@@ -108,11 +108,15 @@ def conjugate_tuple(g, rho: RepTuple, tol: float = DEFAULT_TOL) -> RepTuple:
         raise Singular("conjugator is numerically singular (s_min <= tol * s_max)")
     gi = np.linalg.inv(g)
     mats = tuple(g @ m @ gi for m in rho.matrices)
-    # Conjugation by a non-unitary element moves an SU tuple into SL(n,C).
-    desc = rho.descriptor
-    if desc.family == "SU" and not validate(g, desc, tol):
-        desc = GroupDescriptor("SL", desc.n)
-    return RepTuple(desc, mats)
+    # The family is read off the result: an SU tuple stays SU while the
+    # conjugated matrices pass the SU check (a scalar g, or one commuting
+    # with the tuple up to a unitary factor), else it moves to SL(n,C).
+    if rho.descriptor.family == "SU":
+        try:
+            return RepTuple(rho.descriptor, mats)
+        except NotInGroup:
+            pass
+    return RepTuple(sl(rho.n), mats)
 
 
 def random_traceless_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:

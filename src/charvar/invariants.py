@@ -7,8 +7,10 @@ with their realified u-form and the P/Q symmetric functions, and the
 torus-invariant minors of a single 3x3 matrix with their degree-2 relation.
 
 Each formula is written once, in the batch core below, and broadcasts over
-stacked tuples; the functions returning dataclasses validate one tuple and
-wrap that core, as do ``invariant_record``, the lifts and the verify suites.
+stacked tuples; the functions returning dataclasses check one tuple's case
+(family, n and r) and wrap that core, as do ``invariant_record``, the lifts
+and the verify suites.  Group membership is not re-checked here: a RepTuple
+is validated once, when it is built.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from itertools import combinations, product
 import numpy as np
 
 from .linalg import DEFAULT_TOL, cmat
-from .groups import NotInGroup, RepTuple, require_valid
+from .groups import NotInGroup, RepTuple
 
 REALIFY_TOL = 1e-10
 
@@ -234,32 +236,31 @@ class SU2Rank3Coords:
         return np.array([self.a1, self.a2, self.a3, self.a12, self.a13, self.a23])
 
 
-def _check_su2(rho: RepTuple, r: int, tol: float) -> None:
+def _check_su2(rho: RepTuple, r: int) -> None:
     if rho.descriptor.family != "SU" or rho.n != 2 or rho.r != r:
         raise NotInGroup(f"expected an SU(2) tuple of rank {r}")
-    require_valid(rho, max(tol, 1e-8))
 
 
-def su2_rank2_coords(rho: RepTuple, tol: float = DEFAULT_TOL) -> SU2Rank2Coords:
+def su2_rank2_coords(rho: RepTuple) -> SU2Rank2Coords:
     """(a1, a2, a3) = (Re X1, Re X2, Re(X1^-1 X2))."""
-    _check_su2(rho, 2, tol)
+    _check_su2(rho, 2)
     return SU2Rank2Coords(*su2_a_coords(rho.matrices).tolist())
 
 
-def fricke_check(rho: RepTuple, tol: float = DEFAULT_TOL):
+def fricke_check(rho: RepTuple):
     """Commutator real part two ways: matrix product vs the trace identity.
 
     lhs = Re(X1 X2 X1^-1 X2^-1) by multiplication; rhs is the classical
     three-trace expression 2(a1^2+a2^2+a3^2) - 4 a1 a2 a3 - 1.
     """
-    _check_su2(rho, 2, tol)
+    _check_su2(rho, 2)
     x = np.asarray(rho.matrices)
     return float(su2_commutator_re(x)), float(fricke_rhs(*su2_a_coords(x)))
 
 
-def su2_rank3_coords(rho: RepTuple, tol: float = DEFAULT_TOL) -> SU2Rank3Coords:
+def su2_rank3_coords(rho: RepTuple) -> SU2Rank3Coords:
     """Six real parts (a_1, a_2, a_3, a_12, a_13, a_23) of an SU(2) triple."""
-    _check_su2(rho, 3, tol)
+    _check_su2(rho, 3)
     return SU2Rank3Coords(*su2_a_coords(rho.matrices).tolist())
 
 
@@ -345,10 +346,9 @@ class SU3Rank2Traces:
         return max(abs(tm - np.conj(t)) for t, tm in self.pairs())
 
 
-def su3_traces(rho: RepTuple, tol: float = DEFAULT_TOL) -> SU3Rank2Traces:
+def su3_traces(rho: RepTuple) -> SU3Rank2Traces:
     if rho.n != 3 or rho.r != 2:
         raise NotInGroup("expected a rank-2 tuple of 3x3 matrices")
-    require_valid(rho, max(tol, 1e-8))
     t = su3_trace_coords(np.asarray(rho.matrices), rho.descriptor.family == "SU")
     return SU3Rank2Traces(*t.tolist())
 
@@ -508,7 +508,7 @@ def invariant_record(rho: RepTuple, tol: float = DEFAULT_TOL) -> dict:
         rec["t123"] = t123
         return rec
     if (rho.r, rho.n) == (2, 3):
-        t = su3_traces(rho, tol)
+        t = su3_traces(rho)
         record = pq(t, unitary=None)
         rec = {**vars(t), **vars(u_coords(t, unitary=None))}
         rec["P"], rec["Q"] = record.P, record.Q

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import DEFAULT_TOL, frob
-from .groups import RepTuple, require_valid
+from .groups import RepTuple
 from .invariants import invariant_record
 from .retraction import retract_tuple
 
@@ -49,9 +49,8 @@ class MomentResidual:
     norm: float
 
 
-def kn_functional(rho: RepTuple, tol: float = DEFAULT_TOL) -> float:
+def kn_functional(rho: RepTuple) -> float:
     """sum_i tr(X_i X_i*) >= 0; equals r*n exactly on unitary tuples."""
-    require_valid(rho, max(tol, 1e-8))
     return float(sum(np.trace(m @ m.conj().T).real for m in rho.matrices))
 
 
@@ -63,9 +62,8 @@ def _residual_matrix(mats) -> np.ndarray:
     return (m + m.conj().T) / 2.0
 
 
-def moment_residual(rho: RepTuple, tol: float = DEFAULT_TOL) -> MomentResidual:
+def moment_residual(rho: RepTuple) -> MomentResidual:
     """M = sum_i (X_i X_i* - X_i* X_i), Hermitian and traceless."""
-    require_valid(rho, max(tol, 1e-8))
     m = _residual_matrix(rho.matrices)
     return MomentResidual(M=m, norm=frob(m))
 
@@ -87,7 +85,6 @@ def kn_flow(
     norm drops below ``tol`` or after ``max_iter`` iterations;
     non-convergence signals an orbit that is not closed.
     """
-    require_valid(rho, max(tol, 1e-8) if rho.descriptor.family == "SU" else 1e-8)
     mats = [m.copy() for m in rho.matrices]
     p = float(sum(np.trace(m @ m.conj().T).real for m in mats))
     m_res = _residual_matrix(mats)

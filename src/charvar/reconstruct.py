@@ -18,15 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import DEFAULT_TOL, frob
-from .groups import (
-    DimensionMismatch,
-    NotInGroup,
-    RepTuple,
-    require_valid,
-    su,
-)
+from .groups import DimensionMismatch, NotInGroup, RepTuple, su
 from .invariants import SU2Rank2Coords, SU2Rank3Coords, gram, su2_rank3_coords
-from .semialgebraic import in_su2_rank2_image, in_su2_rank3_image, sigma
+from .semialgebraic import in_su2_rank2_image, in_su2_rank3_image
 
 
 class NotInImage(ValueError):
@@ -59,20 +53,21 @@ def _sqrt_clamped(x: float, tol: float, what: str) -> float:
 def su2_rank2_lift(a: SU2Rank2Coords, tol: float = DEFAULT_TOL) -> LiftResult:
     """Solve (a1, a2, a3) for a pair X1 = diag, X2 = a2 + b2 i + c2 j.
 
-    b1 = sqrt(1-a1^2), b2 = (a3 - a1 a2)/b1, c2 = sqrt(sigma)/b1 (the stable
-    form of sqrt(1 - a2^2 - b2^2)); for b1 ~ 0 (X1 central) the fallback
-    c2 = 0, b2 = sqrt(1-a2^2) applies.
+    b1 = sqrt(1-a1^2) and X2's imaginary part lies on the circle of radius
+    beta = sqrt(1-a2^2): b2 = beta cos, c2 = beta sin with
+    cos = (a3 - a1 a2)/(b1 beta) clipped to [-1, 1], so X2 is a unit
+    quaternion however small b1 is.  When b1 beta <= tol (X1 or X2 central)
+    the angle is free and cos = 1 is taken.
     """
     if not in_su2_rank2_image(a, tol).inside:
         raise NotInImage("coordinates fail the sigma-ball inequalities")
     b1 = _sqrt_clamped(1.0 - a.a1**2, tol, "1-a1^2")
-    if b1 <= tol:
-        b2 = _sqrt_clamped(1.0 - a.a2**2, tol, "1-a2^2")
-        c2 = 0.0
-    else:
-        b2 = (a.a3 - a.a1 * a.a2) / b1
-        sig = sigma(a)
-        c2 = _sqrt_clamped(sig, tol, "sigma") / b1
+    beta = _sqrt_clamped(1.0 - a.a2**2, tol, "1-a2^2")
+    cos = 1.0
+    if b1 * beta > tol:
+        cos = min(1.0, max(-1.0, (a.a3 - a.a1 * a.a2) / (b1 * beta)))
+    b2 = beta * cos
+    c2 = beta * np.sqrt(1.0 - cos**2)
     x1 = np.array([[a.a1 + 1j * b1, 0.0], [0.0, a.a1 - 1j * b1]])
     x2 = np.array([[a.a2 + 1j * b2, c2], [-c2, a.a2 - 1j * b2]])
     return LiftResult(
@@ -176,7 +171,7 @@ def su2_rank3_lift(
     if mats is None:
         raise DegenerateUnhandled("every pair is degenerate and the diagonal fallback failed")
     rho = RepTuple(su(2), mats)
-    got = su2_rank3_coords(rho, max(tol, 1e-8)).as_array()
+    got = su2_rank3_coords(rho).as_array()
     if np.max(np.abs(got - coords)) > max(100 * tol, 1e-7):
         raise DegenerateUnhandled("diagonal fallback does not reproduce the coordinates")
     return LiftResult(tuples=(rho,), unique=True, t123=t123, signs=(0,))
@@ -200,8 +195,6 @@ def unitary_conjugacy(rho1: RepTuple, rho2: RepTuple, tol: float = DEFAULT_TOL):
         raise DimensionMismatch("tuples must share descriptor and rank")
     if rho1.descriptor.family != "SU":
         raise NotInGroup("unitary_conjugacy expects unitary-valued tuples")
-    require_valid(rho1, max(tol, 1e-8))
-    require_valid(rho2, max(tol, 1e-8))
     n, eps = rho1.n, 10.0 * max(tol, 1e-9)
     eye = np.eye(n)
     # Row-major vec: vec(X A) = (I kron A^T) vec(X), vec(B X) = (B kron I) vec(X).

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import DEFAULT_TOL, cmat, frob, unitary_eig
-from .groups import NotInGroup, RepTuple, require_valid
+from .groups import GROUP_TOL, NotInGroup, RepTuple
 from .invariants import (
     ComplexInput,
     PQRecord,
@@ -152,7 +152,7 @@ def classify_B(rho: RepTuple, tol: float = DEFAULT_TOL) -> str:
     """Sign of u5 = Im tr(X1 X2 X1^-1 X2^-1) with a tol-wide B_zero band."""
     if rho.n != 3 or rho.r != 2 or rho.descriptor.family != "SU":
         raise NotInGroup("classify_B expects an SU(3) pair")
-    t = su3_traces(rho, tol)  # validates the pair
+    t = su3_traces(rho)
     u5 = float(t.t5.imag)
     if abs(u5) <= tol:
         return "B_zero"
@@ -169,7 +169,6 @@ def product_condition(rho: RepTuple, tol: float = DEFAULT_TOL) -> RegionVerdict:
     """
     if rho.n != 3 or rho.r != 2 or rho.descriptor.family != "SU":
         raise NotInGroup("product_condition expects an SU(3) pair")
-    require_valid(rho, max(tol, 1e-8))
     vals, v = unitary_eig(rho[0])
     y = v.conj().T @ rho[1] @ v
     gaps = [abs(vals[i] - vals[j]) for i in range(3) for j in range(i + 1, 3)]
@@ -192,7 +191,7 @@ class AlcovePoint:
         return np.array(self.lam)
 
 
-def alcove_lambda(k, tol: float = DEFAULT_TOL) -> AlcovePoint:
+def alcove_lambda(k) -> AlcovePoint:
     """Unique alcove representative of a unitary matrix's eigen-angles.
 
     Angles are taken in (-1/2, 1/2]; their sum is an integer m (det has unit
@@ -202,7 +201,7 @@ def alcove_lambda(k, tol: float = DEFAULT_TOL) -> AlcovePoint:
     """
     k = cmat(k)
     n = k.shape[0]
-    if frob(k @ k.conj().T - np.eye(n)) > max(tol, 1e-8):
+    if frob(k @ k.conj().T - np.eye(n)) > GROUP_TOL:
         raise NotInGroup("alcove_lambda expects a unitary matrix")
     ang = np.angle(np.linalg.eigvals(k)) / (2.0 * np.pi)
     ang = np.where(ang <= -0.5, ang + 1.0, ang)

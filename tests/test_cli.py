@@ -55,6 +55,17 @@ def test_invariants_dispatch(capsys, tmp_path):
     assert "x1" in rec and "x1 x2^-1" in rec
 
 
+def test_invariants_rejects_invalid_tuple(tmp_path):
+    from charvar.groups import NotInGroup
+
+    bad = [[[2.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]  # det 2
+    eye = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"family": "SL", "n": 2, "r": 2, "matrices": [bad, eye]}))
+    with pytest.raises(NotInGroup):
+        main(["invariants", "--input", str(path)])
+
+
 @pytest.mark.parametrize("r", [2, 3])
 def test_sample_invariants_lift_round_trip(capsys, tmp_path, r):
     tuple_path = tmp_path / "t.json"

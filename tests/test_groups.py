@@ -1,3 +1,4 @@
+import inspect
 import json
 
 import numpy as np
@@ -8,6 +9,7 @@ from charvar.groups import (
     GroupDescriptor,
     NotInGroup,
     Quaternion,
+    RepTuple,
     cartan,
     conjugate_tuple,
     from_quaternion,
@@ -19,7 +21,11 @@ from charvar.groups import (
     tuple_to_json,
     validate,
 )
+from charvar.invariants import fricke_check, su2_rank2_coords, su2_rank3_coords, su3_traces
+from charvar.kempfness import kn_flow, kn_functional, moment_residual
 from charvar.linalg import Singular, frob, haar_su
+from charvar.reconstruct import unitary_conjugacy
+from charvar.semialgebraic import classify_B, product_condition
 
 QI = Quaternion(0, 1, 0, 0)
 QJ = Quaternion(0, 0, 1, 0)
@@ -109,6 +115,12 @@ def test_conjugate_tuple():
     assert moved.descriptor == sl(2)
     for a, b in zip(rho.matrices, moved.matrices):
         assert abs(np.trace(a) - np.trace(b)) < 1e-12
+    # A scalar g leaves the tuple unitary-valued, so it stays an SU tuple.
+    pair = RepTuple(su(2), rho.matrices[:2])
+    for g in (2 * np.eye(2), np.exp(0.3j) * np.eye(2)):
+        scaled = conjugate_tuple(g, pair)
+        assert scaled.descriptor == su(2)
+        assert np.allclose(su2_rank2_coords(scaled).as_array(), su2_rank2_coords(pair).as_array())
 
 
 def test_conjugate_tuple_singularity_is_scale_free():
@@ -157,3 +169,47 @@ def test_tuple_json_round_trip():
     back = tuple_from_json(json.loads(text))
     assert back.descriptor == rho.descriptor
     assert all(np.array_equal(a, b) for a, b in zip(back.matrices, rho.matrices))
+
+
+def test_rep_tuple_validated_at_construction():
+    shear = np.array([[1, 1], [0, 1]], dtype=complex)
+    eye = np.eye(2, dtype=complex)
+    assert RepTuple(sl(2), (shear, eye)).r == 2  # in SL(2), not in SU(2)
+    with pytest.raises(NotInGroup):
+        RepTuple(su(2), (shear, eye))
+    with pytest.raises(NotInGroup):
+        RepTuple(sl(2), (np.diag([2.0, 1.0]), eye))
+    obj = tuple_to_json(RepTuple(sl(2), (shear, eye)))
+    obj["matrices"][0][0][0] = [2.0, 0.0]  # det 2
+    with pytest.raises(NotInGroup):
+        tuple_from_json(obj)
+
+
+def test_operations_trust_built_tuples(monkeypatch):
+    """Operations never re-check group membership; only construction does."""
+    import charvar.groups
+
+    rng = np.random.default_rng(10)
+    pair2, triple2 = sample_tuple(su(2), 2, rng), sample_tuple(su(2), 3, rng)
+    pair3, sl_pair = sample_tuple(su(3), 2, rng), sample_tuple(sl(2), 2, rng)
+    calls = []
+    real = charvar.groups.validate
+    monkeypatch.setattr(charvar.groups, "validate", lambda *a, **k: calls.append(1) or real(*a, **k))
+    su2_rank2_coords(pair2)
+    fricke_check(pair2)
+    su2_rank3_coords(triple2)
+    su3_traces(pair3)
+    classify_B(pair3)
+    product_condition(pair3)
+    assert unitary_conjugacy(pair3, pair3) is not None
+    for rho in (pair2, sl_pair):
+        kn_functional(rho)
+        moment_residual(rho)
+    assert calls == []
+    kn_flow(sl_pair, max_iter=50)
+    assert len(calls) == 2  # the flowed pair's own construction, one per matrix
+
+
+def test_validity_tol_removed_from_operations():
+    for fn in (su2_rank2_coords, su2_rank3_coords, fricke_check, su3_traces, kn_functional, moment_residual):
+        assert "tol" not in inspect.signature(fn).parameters, fn.__name__

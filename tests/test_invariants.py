@@ -364,3 +364,43 @@ def test_vectorized_su2_coords_match_scalar():
         assert np.max(np.abs(g[i] - scal.r)) < 1e-13
         assert np.max(np.abs(s[i] - [scal.s12, scal.s13, scal.s23])) < 1e-13
         assert abs(t123[i] - scal.t123) < 1e-13
+
+
+def test_fricke_identity_exact():
+    """fricke_rhs equals Re of the commutator of two unit quaternions, symbolically."""
+    sp = pytest.importorskip("sympy")
+
+    q = sp.symbols("a1 b1 c1 d1 a2 b2 c2 d2", real=True)
+
+    def su2(a, b, c, d):
+        alpha, beta = a + sp.I * b, c + sp.I * d
+        return sp.Matrix([[alpha, beta], [-sp.conjugate(beta), sp.conjugate(alpha)]])
+
+    x1, x2 = su2(*q[:4]), su2(*q[4:])
+    # On unit quaternions the inverse is the conjugate transpose.
+    lhs = (x1 * x2 * x1.H * x2.H).trace() / 2
+    rhs = fricke_rhs(x1.trace() / 2, x2.trace() / 2, (x1.H * x2).trace() / 2)
+    norms = [sum(v**2 for v in q[:4]) - 1, sum(v**2 for v in q[4:]) - 1]
+    _, rem = sp.reduced(sp.expand(lhs - rhs), norms, *q)
+    assert rem == 0
+
+
+def test_minors_relation_exact():
+    """relation_residual on a generic 3x3 matrix is a polynomial multiple of det - 1."""
+    sp = pytest.importorskip("sympy")
+    from charvar.invariants import MinorsRecord
+
+    x = sp.Matrix(3, 3, sp.symbols("x0:9"))
+    minors = MinorsRecord(
+        m1=x[0, 0],
+        m2=x[1, 1],
+        m3=x[2, 2],
+        mm1=x[1, 1] * x[2, 2] - x[1, 2] * x[2, 1],
+        mm2=x[0, 0] * x[2, 2] - x[0, 2] * x[2, 0],
+        mm3=x[0, 0] * x[1, 1] - x[0, 1] * x[1, 0],
+        m4=x[0, 1] * x[1, 2] * x[2, 0],
+    )
+    residual = sp.expand(relation_residual(minors))
+    assert residual != 0
+    _, rem = sp.div(residual, x.det() - 1, *x)
+    assert rem == 0

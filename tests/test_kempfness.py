@@ -36,9 +36,9 @@ def test_functional_unitary_invariance():
 
 
 def test_functional_rejects_invalid():
-    bad = RepTuple(sl(2), (np.diag([2.0, 1.0]).astype(complex), np.eye(2, dtype=complex)))
+    # A det-2 pair is refused when it is built, before any operation sees it.
     with pytest.raises(NotInGroup):
-        kn_functional(bad)
+        kn_functional(RepTuple(sl(2), (np.diag([2.0, 1.0]).astype(complex), np.eye(2, dtype=complex))))
 
 
 def test_moment_residual_values():

@@ -67,6 +67,33 @@ def test_rank2_lift_round_trip_property():
     assert worst < 1e-10
 
 
+def _near_central(delta):
+    # X1 a rotation by delta, a3 a fixed fraction of its admissible range.
+    a1 = np.cos(delta)
+    return SU2Rank2Coords(a1, 0.3, a1 * 0.3 + np.sin(delta) * np.sqrt(0.91) * 0.5)
+
+
+@pytest.mark.parametrize("delta", [1e-4, 1e-6, 1e-8])
+def test_rank2_lift_near_central_stays_in_su2(delta):
+    assert su2_rank2_lift(_near_central(delta)).tuples[0].is_valid(1e-12)
+
+
+@pytest.mark.parametrize("delta", [1e-2, 1e-4, 1e-6])
+def test_rank2_lift_near_central_round_trip(delta):
+    c = _near_central(delta)
+    back = su2_rank2_coords(su2_rank2_lift(c).tuples[0])
+    assert np.max(np.abs(back.as_array() - c.as_array())) < 1e-10
+
+
+def test_rank2_lift_haar_near_central():
+    rng = np.random.default_rng(12)
+    rot = np.diag([np.exp(1e-6j), np.exp(-1e-6j)])
+    for _ in range(300):
+        k = haar_su(2, rng)
+        rho = RepTuple(su(2), (k @ rot @ k.conj().T, haar_su(2, rng)))
+        assert su2_rank2_lift(su2_rank2_coords(rho)).tuples[0].is_valid(1e-12)
+
+
 def test_rank2_lift_rejects_outside():
     with pytest.raises(NotInImage):
         su2_rank2_lift(SU2Rank2Coords(1, -1, 1))
