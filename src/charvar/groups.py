@@ -1,10 +1,11 @@
 """Group elements and representation tuples.
 
-A representation of the rank-r free group is stored as the r-tuple of images
-of the generators, together with a descriptor saying which group the entries
-live in (SU(n) or SL(n,C)).  Tuples are immutable values, checked against
-their group once, when built, within GROUP_TOL; every operation trusts the
-tuples it is given and returns fresh ones.
+A representation of the rank-r free group is stored as the images of the
+generators, one read-only (r, n, n) complex array, with a descriptor saying
+which group they live in (SU(n) or SL(n,C)).  Tuples are immutable values,
+checked against their group once, when built, by one ``validate`` call on the
+stack within GROUP_TOL; every operation trusts the tuples it is given, works
+on the whole stack and returns fresh ones.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, Singular, cmat, exp_herm, frob, haar_su
+from .linalg import DEFAULT_TOL, check_invertible, cmat, dagger, exp_herm, haar_su
 
 GROUP_TOL = 1e-8  # how far a RepTuple's matrices may miss their group
 
@@ -50,35 +51,36 @@ def sl(n: int) -> GroupDescriptor:
 
 
 def cartan(g) -> np.ndarray:
-    """Cartan involution: conjugate transpose."""
-    return cmat(g).conj().T
+    """Cartan involution: conjugate transpose (of each matrix of a stack)."""
+    return dagger(cmat(g))
 
 
-def validate(g, d: GroupDescriptor, tol: float = DEFAULT_TOL) -> bool:
-    """True if ``g`` lies in the group described by ``d`` within ``tol``."""
+def validate(g, d: GroupDescriptor, tol: float = DEFAULT_TOL):
+    """Whether ``g`` lies in the group described by ``d`` within ``tol``: one
+    bool per matrix of a stack (..., n, n), False if they are not n x n."""
     g = np.asarray(g, dtype=complex)
-    if g.shape != (d.n, d.n):
+    if g.shape[-2:] != (d.n, d.n):
         return False
-    if abs(np.linalg.det(g) - 1.0) > tol:
-        return False
-    if d.family == "SU" and frob(g @ g.conj().T - np.eye(d.n)) > tol:
-        return False
-    return True
+    ok = np.abs(np.linalg.det(g) - 1.0) <= tol
+    if d.family == "SU":
+        ok &= np.linalg.norm(g @ dagger(g) - np.eye(d.n), axis=(-2, -1)) <= tol
+    return ok
 
 
 @dataclass(frozen=True)
 class RepTuple:
     descriptor: GroupDescriptor
-    matrices: tuple
+    matrices: np.ndarray  # (r, n, n) complex, read-only
 
     def __post_init__(self):
-        mats = tuple(cmat(m).copy() for m in self.matrices)
-        for m in mats:
-            m.setflags(write=False)
-            if m.shape != (self.descriptor.n, self.descriptor.n):
-                raise DimensionMismatch(
-                    f"matrix shape {m.shape} does not match {self.descriptor}"
-                )
+        try:
+            mats = np.array(self.matrices, dtype=complex, order="C")
+        except ValueError as err:  # ragged: the matrices differ in shape
+            raise DimensionMismatch(f"matrices of mixed shapes for {self.descriptor}") from err
+        mats = cmat(mats)
+        if mats.shape[1:] != (self.descriptor.n, self.descriptor.n):
+            raise DimensionMismatch(f"matrix shape {mats.shape[1:]} does not match {self.descriptor}")
+        mats.setflags(write=False)
         object.__setattr__(self, "matrices", mats)
         if not self.is_valid(GROUP_TOL):
             raise NotInGroup(f"tuple is not {self.descriptor}-valued within tol={GROUP_TOL:g}")
@@ -95,7 +97,7 @@ class RepTuple:
         return self.matrices[i]
 
     def is_valid(self, tol: float = DEFAULT_TOL) -> bool:
-        return all(validate(m, self.descriptor, tol) for m in self.matrices)
+        return bool(np.all(validate(self.matrices, self.descriptor, tol)))
 
 
 def conjugate_tuple(g, rho: RepTuple, tol: float = DEFAULT_TOL) -> RepTuple:
@@ -103,11 +105,8 @@ def conjugate_tuple(g, rho: RepTuple, tol: float = DEFAULT_TOL) -> RepTuple:
     g = cmat(g)
     if g.shape != (rho.n, rho.n):
         raise DimensionMismatch(f"conjugator shape {g.shape} vs n={rho.n}")
-    s = np.linalg.svd(g, compute_uv=False)
-    if s[-1] <= tol * s[0]:
-        raise Singular("conjugator is numerically singular (s_min <= tol * s_max)")
-    gi = np.linalg.inv(g)
-    mats = tuple(g @ m @ gi for m in rho.matrices)
+    check_invertible(np.linalg.svd(g, compute_uv=False), tol)
+    mats = g @ rho.matrices @ np.linalg.inv(g)
     # The family is read off the result: an SU tuple stays SU while the
     # conjugated matrices pass the SU check (a scalar g, or one commuting
     # with the tuple up to a unitary factor), else it moves to SL(n,C).
@@ -131,14 +130,11 @@ def sample_tuple(d: GroupDescriptor, r: int, rng: np.random.Generator) -> RepTup
     """Random tuple: Haar factors for SU, Haar times exp(Hermitian) for SL."""
     if r < 1:
         raise ValueError("rank must be >= 1")
-    mats = []
-    for _ in range(r):
-        k = haar_su(d.n, rng)
-        if d.family == "SU":
-            mats.append(k)
-        else:
-            mats.append(k @ exp_herm(random_traceless_hermitian(d.n, rng)))
-    return RepTuple(d, tuple(mats))
+    if d.family == "SU":
+        return RepTuple(d, haar_su(d.n, rng, r))
+    # Each Haar factor is drawn before its Hermitian one, so SL draws stay one at a time.
+    mats = [haar_su(d.n, rng) @ exp_herm(random_traceless_hermitian(d.n, rng)) for _ in range(r)]
+    return RepTuple(d, mats)
 
 
 # --- quaternion model for SU(2) -------------------------------------------
@@ -174,6 +170,16 @@ class Quaternion:
         return (self.b, self.c, self.d)
 
 
+def quaternion_matrix(a, b, c, d) -> np.ndarray:
+    """The SU(2) matrix [[a+ib, c+id], [-c+id, a-ib]] of a + bi + cj + dk;
+    components of shape (...) give a stack (..., 2, 2)."""
+    a, b, c, d = (np.asarray(x, dtype=float) for x in (a, b, c, d))
+    m = np.empty(np.broadcast_shapes(a.shape, b.shape, c.shape, d.shape) + (2, 2), dtype=complex)
+    m[..., 0, 0], m[..., 0, 1] = a + 1j * b, c + 1j * d
+    m[..., 1, 0], m[..., 1, 1] = -c + 1j * d, a - 1j * b
+    return m
+
+
 def to_quaternion(g, tol: float = DEFAULT_TOL) -> Quaternion:
     """SU(2) matrix [[a+ib, c+id], [-c+id, a-ib]] -> unit quaternion a+bi+cj+dk."""
     g = cmat(g)
@@ -186,9 +192,7 @@ def to_quaternion(g, tol: float = DEFAULT_TOL) -> Quaternion:
 def from_quaternion(q: Quaternion, tol: float = DEFAULT_TOL) -> np.ndarray:
     if abs(q.norm() - 1.0) > tol:
         raise NotInGroup(f"quaternion norm {q.norm():.6g} is not 1 within tol={tol:g}")
-    alpha = q.a + 1j * q.b
-    beta = q.c + 1j * q.d
-    return np.array([[alpha, beta], [-np.conj(beta), np.conj(alpha)]])
+    return quaternion_matrix(q.a, q.b, q.c, q.d)
 
 
 # --- JSON wire format -------------------------------------------------------
@@ -209,10 +213,8 @@ def tuple_to_json(rho: RepTuple) -> dict:
 
 def tuple_from_json(obj: dict) -> RepTuple:
     desc = GroupDescriptor(obj["family"], int(obj["n"]))
-    mats = []
-    for m in obj["matrices"]:
-        mats.append(np.array([[complex(e[0], e[1]) for e in row] for row in m]))
-    rho = RepTuple(desc, tuple(mats))
+    mats = [[[complex(e[0], e[1]) for e in row] for row in m] for m in obj["matrices"]]
+    rho = RepTuple(desc, mats)
     if rho.r != int(obj["r"]):
         raise DimensionMismatch("declared rank does not match number of matrices")
     return rho

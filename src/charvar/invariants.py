@@ -21,7 +21,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, cmat
+from .linalg import DEFAULT_TOL, cmat, dagger
 from .groups import NotInGroup, RepTuple
 
 REALIFY_TOL = 1e-10
@@ -97,7 +97,7 @@ def word_trace_table(rho: RepTuple, max_len: int = 3) -> dict:
 
 def _inverse(x, unitary: bool):
     """Stacked inverse; the conjugate transpose on unitary input."""
-    return np.conj(np.swapaxes(x, -1, -2)) if unitary else np.linalg.inv(x)
+    return dagger(x) if unitary else np.linalg.inv(x)
 
 
 def _tr(x):
@@ -254,7 +254,7 @@ def fricke_check(rho: RepTuple):
     three-trace expression 2(a1^2+a2^2+a3^2) - 4 a1 a2 a3 - 1.
     """
     _check_su2(rho, 2)
-    x = np.asarray(rho.matrices)
+    x = rho.matrices
     return float(su2_commutator_re(x)), float(fricke_rhs(*su2_a_coords(x)))
 
 
@@ -349,7 +349,7 @@ class SU3Rank2Traces:
 def su3_traces(rho: RepTuple) -> SU3Rank2Traces:
     if rho.n != 3 or rho.r != 2:
         raise NotInGroup("expected a rank-2 tuple of 3x3 matrices")
-    t = su3_trace_coords(np.asarray(rho.matrices), rho.descriptor.family == "SU")
+    t = su3_trace_coords(rho.matrices, rho.descriptor.family == "SU")
     return SU3Rank2Traces(*t.tolist())
 
 
@@ -424,7 +424,7 @@ def pq(t: SU3Rank2Traces, unitary: bool | None = None) -> PQRecord:
 
 def transpose_tuple(rho: RepTuple) -> RepTuple:
     """Componentwise transpose; swaps t5 and t-5, fixes the other traces."""
-    return RepTuple(rho.descriptor, tuple(m.T.copy() for m in rho.matrices))
+    return RepTuple(rho.descriptor, np.swapaxes(rho.matrices, -1, -2))
 
 
 # --- torus-invariant minors of a 3x3 matrix ----------------------------------

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, frob
+from .linalg import DEFAULT_TOL, dagger, frob
 from .groups import RepTuple
 from .invariants import invariant_record
 from .retraction import retract_tuple
@@ -51,14 +51,13 @@ class MomentResidual:
 
 def kn_functional(rho: RepTuple) -> float:
     """sum_i tr(X_i X_i*) >= 0; equals r*n exactly on unitary tuples."""
-    return float(sum(np.trace(m @ m.conj().T).real for m in rho.matrices))
+    return float(np.trace(rho.matrices @ dagger(rho.matrices), axis1=-2, axis2=-1).real.sum())
 
 
 def _residual_matrix(mats) -> np.ndarray:
-    n = mats[0].shape[0]
-    m = np.zeros((n, n), dtype=complex)
-    for x in mats:
-        m += x @ x.conj().T - x.conj().T @ x
+    x = np.asarray(mats)
+    xh = dagger(x)
+    m = (x @ xh - xh @ x).sum(axis=0)
     return (m + m.conj().T) / 2.0
 
 
@@ -85,8 +84,8 @@ def kn_flow(
     norm drops below ``tol`` or after ``max_iter`` iterations;
     non-convergence signals an orbit that is not closed.
     """
-    mats = [m.copy() for m in rho.matrices]
-    p = float(sum(np.trace(m @ m.conj().T).real for m in mats))
+    mats = rho.matrices
+    p = kn_functional(rho)
     m_res = _residual_matrix(mats)
     res = frob(m_res)
     steps = [FlowStep(0, p, res, 0.0)]
@@ -115,7 +114,7 @@ def kn_flow(
         res = frob(m_res)
         steps.append(FlowStep(it, p, res, eps))
         converged = res <= tol
-    out = RepTuple(rho.descriptor, tuple(mats))
+    out = RepTuple(rho.descriptor, mats)
     return out, FlowTrace(steps=tuple(steps), converged=converged)
 
 

@@ -36,13 +36,25 @@ def frob(a) -> float:
 
 
 def cmat(a) -> np.ndarray:
-    """Coerce to a square complex ndarray."""
+    """Coerce to a complex ndarray of square matrices, one (n, n) or a stack (..., n, n)."""
     m = np.asarray(a, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
+        raise ValueError(f"expected square matrices, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise ValueError("matrix has non-finite entries")
     return m
+
+
+def dagger(x) -> np.ndarray:
+    """Conjugate transpose of one matrix or of each matrix of a stack (..., n, n)."""
+    return np.conj(np.swapaxes(x, -1, -2))
+
+
+def check_invertible(s, tol: float) -> None:
+    """Raise Singular unless the singular values ``s`` (..., n) of each matrix have
+    s_min > tol * s_max, a test that does not depend on the matrix's scale."""
+    if np.any(s[..., -1] <= tol * s[..., 0]):
+        raise Singular("matrix is numerically singular (s_min <= tol * s_max)")
 
 
 def is_hermitian(h, tol: float = DEFAULT_TOL) -> bool:
@@ -104,17 +116,13 @@ def polar(g, tol: float = DEFAULT_TOL) -> PolarParts:
     Computed through the SVD ``g = U S V*`` (so ``k = U V*`` and
     ``p = V log(S) V*``), which keeps ``k`` unitary to machine precision even
     for badly conditioned ``g``; the value agrees with the ``(g*g)``-power
-    route in exact arithmetic.  ``g`` counts as singular when its smallest
-    singular value is at most ``tol`` times its largest, so the test does not
-    depend on the scale of ``g``.
+    route in exact arithmetic.  ``g`` may be a stack (..., n, n), and counts
+    as singular as ``check_invertible`` decides.
     """
-    g = cmat(g)
-    u, s, vh = np.linalg.svd(g)
-    if s[-1] <= tol * s[0]:
-        raise Singular(f"s_min = {s[-1]:.3e} <= tol * s_max = {tol * s[0]:.3e}")
-    k = u @ vh
-    p = (vh.conj().T * np.log(s)) @ vh
-    return PolarParts(k=k, p=(p + p.conj().T) / 2.0)
+    u, s, vh = np.linalg.svd(cmat(g))
+    check_invertible(s, tol)
+    p = (dagger(vh) * np.log(s)[..., None, :]) @ vh
+    return PolarParts(k=u @ vh, p=(p + dagger(p)) / 2.0)
 
 
 def haar_su(n: int, rng: np.random.Generator, count: int | None = None) -> np.ndarray:
@@ -145,7 +153,7 @@ def haar_su(n: int, rng: np.random.Generator, count: int | None = None) -> np.nd
 _EIG_MIX = (0.6180339887498949, 1.4142135623730951, 0.3141592653589793, 2.718281828459045)
 
 
-def unitary_eig(u_mat, tol: float = DEFAULT_TOL):
+def unitary_eig(u_mat):
     """Spectral decomposition of a unitary matrix.
 
     Returns ``(vals, v)`` with ``vals`` the unit-modulus eigenvalues sorted by
@@ -158,7 +166,7 @@ def unitary_eig(u_mat, tol: float = DEFAULT_TOL):
     """
     u = cmat(u_mat)
     n = u.shape[0]
-    if frob(u @ u.conj().T - np.eye(n)) > max(tol, 1e-7):
+    if frob(u @ u.conj().T - np.eye(n)) > 1e-7:
         raise ValueError("unitary_eig expects a unitary matrix")
     a = (u + u.conj().T) / 2.0
     b = (u - u.conj().T) / 2.0j

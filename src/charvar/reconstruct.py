@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import DEFAULT_TOL, frob
-from .groups import DimensionMismatch, NotInGroup, RepTuple, su
+from .groups import DimensionMismatch, NotInGroup, RepTuple, quaternion_matrix, su
 from .invariants import SU2Rank2Coords, SU2Rank3Coords, gram, su2_rank3_coords
 from .semialgebraic import in_su2_rank2_image, in_su2_rank3_image
 
@@ -68,10 +68,9 @@ def su2_rank2_lift(a: SU2Rank2Coords, tol: float = DEFAULT_TOL) -> LiftResult:
         cos = min(1.0, max(-1.0, (a.a3 - a.a1 * a.a2) / (b1 * beta)))
     b2 = beta * cos
     c2 = beta * np.sqrt(1.0 - cos**2)
-    x1 = np.array([[a.a1 + 1j * b1, 0.0], [0.0, a.a1 - 1j * b1]])
-    x2 = np.array([[a.a2 + 1j * b2, c2], [-c2, a.a2 - 1j * b2]])
+    mats = quaternion_matrix([a.a1, a.a2], [b1, b2], [0.0, c2], 0.0)
     return LiftResult(
-        tuples=(RepTuple(su(2), (x1, x2)),), unique=True, t123=None, signs=(1,)
+        tuples=(RepTuple(su(2), mats),), unique=True, t123=None, signs=(1,)
     )
 
 
@@ -88,10 +87,7 @@ def _generic_rank3_lift(a, r, s12: float, c3: float):
     d2 = np.sqrt(s12) / b1
     b3 = r[0][2] / b1
     d3 = (r[1][2] * r11 - r[0][1] * r[0][2]) / (d2 * r11)
-    x1 = np.array([[a[0] + 1j * b1, 0.0], [0.0, a[0] - 1j * b1]])
-    x2 = np.array([[a[1] + 1j * b2, 1j * d2], [1j * d2, a[1] - 1j * b2]])
-    x3 = np.array([[a[2] + 1j * b3, c3 + 1j * d3], [-c3 + 1j * d3, a[2] - 1j * b3]])
-    return x1, x2, x3
+    return quaternion_matrix(a, [b1, b2, b3], [0.0, 0.0, c3], [0.0, d2, d3])
 
 
 def _diagonal_rank3_lift(c: SU2Rank3Coords, tol: float):
@@ -114,11 +110,7 @@ def _diagonal_rank3_lift(c: SU2Rank3Coords, tol: float):
                 ]
             )
             if np.max(np.abs(got - target)) <= max(100 * tol, 1e-7):
-                mats = tuple(
-                    np.array([[aj + 1j * ej * bj, 0.0], [0.0, aj - 1j * ej * bj]])
-                    for aj, bj, ej in zip(a, b, eps)
-                )
-                return mats
+                return quaternion_matrix(a, np.multiply(eps, b), 0.0, 0.0)
     return None
 
 
@@ -164,7 +156,7 @@ def su2_rank3_lift(
         out = []
         for sg in signs:
             mats = _generic_rank3_lift(a, rp, s_lead, sg * c3)
-            out.append(RepTuple(su(2), tuple(mats[i] for i in slot_of)))
+            out.append(RepTuple(su(2), mats[slot_of]))
         return LiftResult(tuples=tuple(out), unique=unique, t123=t123, signs=signs)
 
     mats = _diagonal_rank3_lift(c, tol)

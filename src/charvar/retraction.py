@@ -2,8 +2,9 @@
 
 The elementwise map is phi_t(g) = g (g*g)^(-t/2); at t=0 it is the identity,
 at t=1 it is the unitary polar factor, and it fixes unitary matrices for
-every t.  Applied componentwise it retracts representation tuples, and it
-restricts to the entrywise map z -> z |z|^(-t) on diagonal tuples.
+every t.  Applied to a tuple's (r, n, n) stack it retracts representation
+tuples, and it restricts to the entrywise map z -> z |z|^(-t) on diagonal
+tuples.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, Singular, cmat
+from .linalg import DEFAULT_TOL, Singular, check_invertible, cmat
 from .groups import GroupDescriptor, RepTuple
 
 
@@ -26,23 +27,28 @@ def phi(g, t: float, tol: float = DEFAULT_TOL) -> np.ndarray:
     Evaluated through the SVD g = U S V* as U S^(1-t) V*, which is the same
     matrix in exact arithmetic but stays unitary to machine precision at
     t = 1 regardless of conditioning.  The (g*g)-power and polar-parts
-    routes are kept as cross-checks in the test suite.  ``g`` counts as
-    singular when s_min <= tol * s_max, independently of its scale.
+    routes are kept as cross-checks in the test suite.  ``g`` may be a stack
+    (..., n, n); singular means as ``check_invertible`` decides, scale-free.
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"t={t} outside [0, 1]")
     g = cmat(g)
     u, s, vh = np.linalg.svd(g)
-    if s[-1] <= tol * s[0]:
-        raise Singular("phi expects an invertible matrix")
+    check_invertible(s, tol)
     if t == 0.0:
         return g.copy()
-    return (u * s ** (1.0 - t)) @ vh
+    return (u * s[..., None, :] ** (1.0 - t)) @ vh
 
 
 def retract_tuple(rho: RepTuple, t: float, tol: float = DEFAULT_TOL) -> RepTuple:
-    """Componentwise phi_t; at t=1 the result is SU(n)-valued."""
-    mats = tuple(phi(m, t, tol) for m in rho.matrices)
+    """Componentwise phi_t; at t=1 the result is SU(n)-valued.
+
+    Each phi_t(X_i) is divided by the principal n-th root of its determinant:
+    the SVD of a badly conditioned X_i can move det(phi_t) off 1 by more than
+    GROUP_TOL, although phi_t keeps it in exact arithmetic.
+    """
+    mats = phi(rho.matrices, t, tol)
+    mats = mats / np.linalg.det(mats)[:, None, None] ** (1.0 / rho.n)
     desc = rho.descriptor
     if t == 1.0 and desc.family == "SL":
         desc = GroupDescriptor("SU", desc.n)

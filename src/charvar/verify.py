@@ -17,6 +17,7 @@ from .linalg import exp_herm, frob, haar_su
 from .groups import (
     RepTuple,
     conjugate_tuple,
+    quaternion_matrix,
     random_traceless_hermitian,
     sample_tuple,
     sl,
@@ -44,7 +45,7 @@ from .invariants import (
     u_coords,
     u_from_traces,
 )
-from .kempfness import kn_flow, moment_residual
+from .kempfness import kn_flow, kn_functional, moment_residual
 from .poincare import baird_poly, surface_counterexample_polys
 from .reconstruct import su2_rank2_lift, su2_rank3_lift, unitary_conjugacy
 from .retraction import retract_tuple
@@ -190,14 +191,10 @@ def verify_sigma_ball(samples: int = 100_000, seed: int = 0) -> dict:
 
 def coplanar_su2_triple(rng) -> RepTuple:
     """Triple whose quaternion imaginary parts share the (i, k)-plane: t123 = 0."""
-    mats = []
-    for _ in range(3):
-        phi_a = rng.uniform(0.2, np.pi - 0.2)
-        psi = rng.uniform(0.0, 2 * np.pi)
-        a, s = np.cos(phi_a), np.sin(phi_a)
-        b, d = s * np.cos(psi), s * np.sin(psi)
-        mats.append(np.array([[a + 1j * b, 1j * d], [1j * d, a - 1j * b]]))
-    return RepTuple(su(2), tuple(mats))
+    draws = [(rng.uniform(0.2, np.pi - 0.2), rng.uniform(0.0, 2 * np.pi)) for _ in range(3)]
+    phi_a, psi = np.array(draws).T
+    s = np.sin(phi_a)
+    return RepTuple(su(2), quaternion_matrix(np.cos(phi_a), s * np.cos(psi), 0.0, s * np.sin(psi)))
 
 
 def verify_two_sheet(samples: int = 10_000, seed: int = 0) -> dict:
@@ -373,14 +370,8 @@ def verify_kempf_ness(samples: int = 10_000, seed: int = 0) -> dict:
         H = random_traceless_hermitian(n, rng)
         M = moment_residual(rho).M
         e_plus, e_minus = exp_herm(H, h), exp_herm(H, -h)
-        p_fwd = sum(
-            np.trace(m @ m.conj().T).real
-            for m in (e_plus @ x @ e_minus for x in rho.matrices)
-        )
-        p_bwd = sum(
-            np.trace(m @ m.conj().T).real
-            for m in (e_minus @ x @ e_plus for x in rho.matrices)
-        )
+        p_fwd = kn_functional(RepTuple(sl(n), e_plus @ rho.matrices @ e_minus))
+        p_bwd = kn_functional(RepTuple(sl(n), e_minus @ rho.matrices @ e_plus))
         fd = (p_fwd - p_bwd) / (2.0 * h)
         exact = 2.0 * np.trace(H @ M).real
         worst_fd = max(worst_fd, abs(fd - exact) / max(abs(exact), 1e-12))
@@ -395,7 +386,7 @@ def verify_kempf_ness(samples: int = 10_000, seed: int = 0) -> dict:
         g = sample_tuple(sl(n), 1, rng)[0]
         ks = haar_su(n, rng, r)
         gi = np.linalg.inv(g)
-        rho = RepTuple(sl(n), tuple(g @ k @ gi for k in ks))
+        rho = RepTuple(sl(n), g @ ks @ gi)
         out, trace = kn_flow(rho)
         if not trace.converged:
             not_converged += 1

@@ -13,6 +13,7 @@ from charvar.groups import (
     cartan,
     conjugate_tuple,
     from_quaternion,
+    quaternion_matrix,
     sample_tuple,
     sl,
     su,
@@ -23,7 +24,7 @@ from charvar.groups import (
 )
 from charvar.invariants import fricke_check, su2_rank2_coords, su2_rank3_coords, su3_traces
 from charvar.kempfness import kn_flow, kn_functional, moment_residual
-from charvar.linalg import Singular, frob, haar_su
+from charvar.linalg import Singular, frob, haar_su, unitary_eig
 from charvar.reconstruct import unitary_conjugacy
 from charvar.semialgebraic import classify_B, product_condition
 
@@ -54,6 +55,7 @@ def test_validate():
     rng = np.random.default_rng(1)
     assert validate(haar_su(3, rng), su(3))
     assert not validate(np.eye(3), su(2))  # dimension mismatch
+    assert validate(np.stack([np.eye(2), shear]), su(2)).tolist() == [True, False]
 
 
 def test_group_descriptor_errors():
@@ -78,6 +80,12 @@ def test_quaternion_round_trip_and_product():
         assert frob(from_quaternion(qg) - g) < 1e-12
         # Hamilton product matches matrix product under the embedding.
         assert frob(from_quaternion(qg * qh) - g @ h) < 1e-12
+    # The matrix formula broadcasts: a stack of quaternions gives a stack of matrices.
+    q = rng.standard_normal((5, 4))
+    q /= np.linalg.norm(q, axis=1, keepdims=True)
+    stack = quaternion_matrix(*q.T)
+    assert stack.shape == (5, 2, 2)
+    assert all(np.array_equal(m, from_quaternion(Quaternion(*row))) for m, row in zip(stack, q))
 
 
 def test_quaternion_identities():
@@ -150,13 +158,28 @@ def test_sample_tuple():
     a = sample_tuple(sl(3), 2, rng1)
     b = sample_tuple(sl(3), 2, rng2)
     assert all(np.array_equal(x, y) for x, y in zip(a.matrices, b.matrices))
+    # An SU tuple is one stacked Haar draw, equal to r single draws, and it
+    # leaves the generator where the single draws do.
+    for n in (1, 2, 3, 5):
+        rng1, rng2 = np.random.default_rng(n), np.random.default_rng(n)
+        stacked = sample_tuple(su(n), 4, rng1)
+        single = [haar_su(n, rng2) for _ in range(4)]
+        assert all(np.array_equal(x, y) for x, y in zip(stacked.matrices, single))
+        assert rng1.random() == rng2.random()
 
 
 def test_rep_tuple_immutability():
+    """``matrices`` is one read-only (r, n, n) complex array that the tuple owns."""
     rng = np.random.default_rng(8)
-    rho = sample_tuple(su(2), 2, rng)
-    with pytest.raises(ValueError):
-        rho.matrices[0][0, 0] = 5.0
+    for n, r in ((2, 1), (2, 3), (3, 2)):
+        source = haar_su(n, rng, r)
+        rho = RepTuple(su(n), source)
+        assert isinstance(rho.matrices, np.ndarray)
+        assert rho.matrices.shape == (r, n, n) and rho.matrices.dtype == complex
+        source[0, 0, 0] = 5.0
+        assert rho.matrices[0, 0, 0] != 5.0
+        with pytest.raises(ValueError):
+            rho.matrices[0][0, 0] = 5.0
 
 
 def test_tuple_json_round_trip():
@@ -179,6 +202,13 @@ def test_rep_tuple_validated_at_construction():
         RepTuple(su(2), (shear, eye))
     with pytest.raises(NotInGroup):
         RepTuple(sl(2), (np.diag([2.0, 1.0]), eye))
+    with pytest.raises(DimensionMismatch):
+        RepTuple(sl(2), (eye, np.eye(3)))  # mixed shapes
+    with pytest.raises(DimensionMismatch):
+        RepTuple(sl(2), (np.eye(3), np.eye(3)))
+    for bad in ((np.ones((2, 3)), np.ones((2, 3))), (eye, np.full((2, 2), np.nan)), eye):
+        with pytest.raises(ValueError):
+            RepTuple(sl(2), bad)  # non-square, non-finite, not a sequence of matrices
     obj = tuple_to_json(RepTuple(sl(2), (shear, eye)))
     obj["matrices"][0][0][0] = [2.0, 0.0]  # det 2
     with pytest.raises(NotInGroup):
@@ -207,9 +237,11 @@ def test_operations_trust_built_tuples(monkeypatch):
         moment_residual(rho)
     assert calls == []
     kn_flow(sl_pair, max_iter=50)
-    assert len(calls) == 2  # the flowed pair's own construction, one per matrix
+    assert len(calls) == 1  # the flowed pair's own construction, one per tuple
 
 
 def test_validity_tol_removed_from_operations():
-    for fn in (su2_rank2_coords, su2_rank3_coords, fricke_check, su3_traces, kn_functional, moment_residual):
+    for fn in (
+        su2_rank2_coords, su2_rank3_coords, fricke_check, su3_traces, kn_functional, moment_residual, unitary_eig
+    ):
         assert "tol" not in inspect.signature(fn).parameters, fn.__name__

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from charvar.groups import conjugate_tuple, sample_tuple, sl, su
+from charvar.groups import NotInGroup, RepTuple, conjugate_tuple, sample_tuple, sl, su, validate
 from charvar.linalg import Singular, exp_herm, frob, haar_su, polar, psd_power
 from charvar.retraction import (
     NotDiagonal,
@@ -79,6 +81,58 @@ def test_equivariance():
             lhs = retract_tuple(conjugate_tuple(k, rho), t)
             rhs = conjugate_tuple(k, retract_tuple(rho, t))
             assert max(frob(a - b) for a, b in zip(lhs.matrices, rhs.matrices)) < 1e-9
+
+
+def test_retract_tuple_keeps_det_on_badly_conditioned_input():
+    # A condition-number-1e8 SL(2) matrix that builds (|det - 1| = 7.8e-9);
+    # its SVD puts phi_t's determinant off by more than GROUP_TOL unless
+    # retract_tuple rescales it.
+    rng = np.random.default_rng(1)
+    for _ in range(83):
+        k1, k2 = haar_su(2, rng), haar_su(2, rng)
+    rho = RepTuple(sl(2), [(k1 * [1e4, 1e-4]) @ k2])
+    for t in TS:
+        out = retract_tuple(rho, t)  # NotInGroup for every t > 0 without the rescaling
+        assert abs(np.linalg.det(out[0]) - 1.0) <= abs(np.linalg.det(rho[0]) - 1.0)
+    assert out.descriptor == su(2)
+
+
+def _conditioned_stack(n, r, log_cond, seed):
+    """r matrices k1 diag(s) k2 with Haar k1, k2 and singular values s of
+    product one, spread geometrically over the condition number 10^log_cond."""
+    rng = np.random.default_rng(seed)
+    s = 10.0 ** (log_cond * (0.5 - np.arange(n) / (n - 1)))
+    return haar_su(n, rng, r) * s @ haar_su(n, rng, r)
+
+
+stacks = st.builds(
+    _conditioned_stack,
+    n=st.integers(2, 6),
+    r=st.integers(1, 4),
+    log_cond=st.floats(0.0, 8.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(x=stacks, t=st.floats(0.0, 1.0))
+def test_stacked_phi_and_validate_equal_per_matrix(x, t):
+    assert np.array_equal(phi(x, t), np.stack([phi(m, t) for m in x]))
+    n = x.shape[-1]
+    for d in (sl(n), su(n)):
+        for tol in (1e-8, 1e-12):
+            assert validate(x, d, tol).tolist() == [bool(validate(m, d, tol)) for m in x]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(x=stacks, t=st.floats(0.0, 1.0))
+def test_retract_tuple_stays_in_group(x, t):
+    try:
+        rho = RepTuple(sl(x.shape[-1]), x)
+    except NotInGroup:
+        assume(False)
+    out = retract_tuple(rho, t)  # builds its result, so it is checked there
+    assert out.descriptor == (su(rho.n) if t == 1.0 else sl(rho.n))
 
 
 def test_phi_continuity_proxy():

@@ -212,7 +212,7 @@ def test_pair_validated_once(monkeypatch, fn, n):
     real = charvar.groups.validate
     monkeypatch.setattr(charvar.groups, "validate", lambda *a, **k: calls.append(1) or real(*a, **k))
     fn(sample_tuple(su(n), 2, np.random.default_rng(1)))
-    assert len(calls) == 2  # one per matrix
+    assert len(calls) == 1  # one per tuple
 
 
 def test_product_condition():
