@@ -1,7 +1,7 @@
 """charvar: executable character-variety toolkit.
 
 Deformation retractions from SL(n,C)-representation tuples to SU(n) ones,
-Kempf-Ness gradient flow, exact trace-coordinate maps and their inverses for
+Kempf-Ness Newton flow, exact trace-coordinate maps and their inverses for
 low-rank free-group character varieties, and semi-algebraic membership tests
 for the images.
 """
@@ -96,5 +96,6 @@ from .kempfness import (
     kn_flow,
     kn_functional,
     moment_residual,
+    orbit_closed,
 )
 from .poincare import IntPolynomial, NonPolynomial, baird_poly, surface_counterexample_polys

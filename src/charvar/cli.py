@@ -140,6 +140,7 @@ def cmd_flow(args) -> int:
             args,
             {
                 "converged": trace.converged,
+                "orbit_closed": trace.orbit_closed,
                 "iterations": trace.steps[-1].iter,
                 "functional": trace.steps[-1].p,
                 "residual": trace.steps[-1].residual,

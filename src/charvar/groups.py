@@ -67,8 +67,10 @@ def validate(g, d: GroupDescriptor, tol: float = DEFAULT_TOL):
     return ok
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RepTuple:
+    """Value equality (same descriptor, equal matrices); unhashable, like the arrays it holds."""
+
     descriptor: GroupDescriptor
     matrices: np.ndarray  # (r, n, n) complex, read-only
 
@@ -98,6 +100,13 @@ class RepTuple:
 
     def is_valid(self, tol: float = DEFAULT_TOL) -> bool:
         return bool(np.all(validate(self.matrices, self.descriptor, tol)))
+
+    def __eq__(self, other):
+        if not isinstance(other, RepTuple):
+            return NotImplemented
+        return self.descriptor == other.descriptor and np.array_equal(self.matrices, other.matrices)
+
+    __hash__ = None
 
 
 def conjugate_tuple(g, rho: RepTuple, tol: float = DEFAULT_TOL) -> RepTuple:

@@ -57,49 +57,53 @@ def check_invertible(s, tol: float) -> None:
         raise Singular("matrix is numerically singular (s_min <= tol * s_max)")
 
 
-def is_hermitian(h, tol: float = DEFAULT_TOL) -> bool:
-    h = np.asarray(h, dtype=complex)
-    return frob(h - h.conj().T) <= tol
-
-
 def herm_eig(h, tol: float = DEFAULT_TOL):
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix, or of each matrix of a stack (..., n, n).
 
     Returns ``(w, u)`` with ``w`` real ascending and ``u`` unitary such that
     ``h = u @ diag(w) @ u*``.  Raises NotHermitian if ``h`` is not Hermitian
     within ``tol`` in Frobenius norm.
     """
     h = cmat(h)
-    if not is_hermitian(h, tol):
-        raise NotHermitian(f"|H - H*| = {frob(h - h.conj().T):.3e} exceeds tol={tol:g}")
-    w, u = np.linalg.eigh((h + h.conj().T) / 2.0)
+    hh = dagger(h)
+    gap = np.linalg.norm(h - hh, axis=(-2, -1)).max()
+    if gap > tol:
+        raise NotHermitian(f"|H - H*| = {gap:.3e} exceeds tol={tol:g}")
+    return np.linalg.eigh((h + hh) / 2.0)
+
+
+def _spectral(u, f) -> np.ndarray:
+    """u diag(f) u* for each matrix of a stack of eigenbases and eigenvalue images."""
+    return (u * f[..., None, :]) @ dagger(u)
+
+
+def _positive_eig(p, tol: float):
+    w, u = herm_eig(p, tol)
+    if w.min() <= tol:
+        raise NotPositive(f"minimum eigenvalue {w.min():.3e} <= tol={tol:g}")
     return w, u
 
 
 def psd_power(p, s: float, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Fractional power ``p**s`` of a positive-definite Hermitian matrix."""
-    w, u = herm_eig(p, tol)
-    if w.min() <= tol:
-        raise NotPositive(f"minimum eigenvalue {w.min():.3e} <= tol={tol:g}")
-    return (u * w**s) @ u.conj().T
+    """Fractional power ``p**s`` of a positive-definite Hermitian matrix (or stack)."""
+    w, u = _positive_eig(p, tol)
+    return _spectral(u, w**s)
 
 
 def exp_herm(h, t: float = 1.0, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """``exp(t*h)`` for Hermitian ``h``, via eigendecomposition."""
+    """``exp(t*h)`` for Hermitian ``h`` (or a stack), via eigendecomposition."""
     w, u = herm_eig(h, tol)
-    return (u * np.exp(t * w)) @ u.conj().T
+    return _spectral(u, np.exp(t * w))
 
 
 def log_pd(p, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Matrix logarithm of a positive-definite Hermitian matrix.
+    """Matrix logarithm of a positive-definite Hermitian matrix (or stack).
 
     This is the only logarithm the package defines; general matrix logs are
     out of scope.
     """
-    w, u = herm_eig(p, tol)
-    if w.min() <= tol:
-        raise NotPositive(f"minimum eigenvalue {w.min():.3e} <= tol={tol:g}")
-    return (u * np.log(w)) @ u.conj().T
+    w, u = _positive_eig(p, tol)
+    return _spectral(u, np.log(w))
 
 
 @dataclass(frozen=True)
@@ -154,7 +158,7 @@ _EIG_MIX = (0.6180339887498949, 1.4142135623730951, 0.3141592653589793, 2.718281
 
 
 def unitary_eig(u_mat):
-    """Spectral decomposition of a unitary matrix.
+    """Spectral decomposition of a unitary matrix, or of each matrix of a stack (..., n, n).
 
     Returns ``(vals, v)`` with ``vals`` the unit-modulus eigenvalues sorted by
     ascending principal angle and ``v`` unitary with ``u = v diag(vals) v*``.
@@ -162,26 +166,29 @@ def unitary_eig(u_mat):
     A unitary matrix is normal, so its Hermitian and anti-Hermitian parts
     commute; ``v`` is taken from the Hermitian eigendecomposition of a
     generic real combination of the two, which keeps it exactly unitary and
-    behaves gracefully on repeated eigenvalues.
+    behaves gracefully on repeated eigenvalues.  Each matrix keeps the mixing
+    constant that diagonalises it best.
     """
     u = cmat(u_mat)
-    n = u.shape[0]
-    if frob(u @ u.conj().T - np.eye(n)) > 1e-7:
+    eye = np.eye(u.shape[-1])
+    uh = dagger(u)
+    if np.linalg.norm(u @ uh - eye, axis=(-2, -1)).max() > 1e-7:
         raise ValueError("unitary_eig expects a unitary matrix")
-    a = (u + u.conj().T) / 2.0
-    b = (u - u.conj().T) / 2.0j
-    a = (a + a.conj().T) / 2.0
-    b = (b + b.conj().T) / 2.0
+    a = (u + uh) / 2.0  # both Hermitian entry for entry, since conj is exact
+    b = (u - uh) / 2.0j
     best = None
     for c in _EIG_MIX:
         _, vecs = np.linalg.eigh(a + c * b)
-        d = vecs.conj().T @ u @ vecs
-        off = frob(d - np.diag(np.diagonal(d)))
-        if best is None or off < best[0]:
-            best = (off, vecs, d)
-        if off <= 1e-12 * n:
+        d = dagger(vecs) @ u @ vecs
+        vals = np.diagonal(d, axis1=-2, axis2=-1)
+        off = np.linalg.norm(d - vals[..., None] * eye, axis=(-2, -1))
+        if best is not None:  # per matrix, the better of this constant and the best so far
+            keep = off < best[0]
+            off = np.where(keep, off, best[0])
+            vecs = np.where(keep[..., None, None], vecs, best[1])
+            vals = np.where(keep[..., None], vals, best[2])
+        best = (off, vecs, vals)
+        if off.max() <= 1e-12 * len(eye):
             break
-    _, vecs, d = best
-    vals = np.diagonal(d)
-    order = np.argsort(np.angle(vals))
-    return vals[order].copy(), vecs[:, order]
+    order = np.argsort(np.angle(vals), axis=-1)
+    return np.take_along_axis(vals, order, -1), np.take_along_axis(vecs, order[..., None, :], -1)

@@ -110,6 +110,7 @@ def test_flow_csv_and_json(capsys, tmp_path):
     code, out = run_cli(capsys, "flow", "--input", str(path), "--format", "json")
     obj = json.loads(out)
     assert obj["converged"] in (True, False)
+    assert obj["orbit_closed"] is True  # a random SL(2) pair is irreducible
     assert "tuple" in obj
 
 

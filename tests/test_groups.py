@@ -182,6 +182,18 @@ def test_rep_tuple_immutability():
             rho.matrices[0][0, 0] = 5.0
 
 
+def test_rep_tuple_value_equality():
+    rng = np.random.default_rng(10)
+    rho = sample_tuple(su(2), 2, rng)
+    other = sample_tuple(su(2), 2, rng)
+    assert rho == RepTuple(su(2), rho.matrices.copy())
+    assert rho != other and not (rho == other)  # distinct draws compare unequal, no ValueError
+    assert rho != RepTuple(sl(2), rho.matrices)  # same matrices, other group
+    assert rho != sample_tuple(su(2), 3, rng) and rho != "rho"
+    with pytest.raises(TypeError):
+        hash(rho)
+
+
 def test_tuple_json_round_trip():
     rng = np.random.default_rng(9)
     rho = sample_tuple(sl(3), 2, rng)

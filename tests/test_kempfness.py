@@ -12,10 +12,13 @@ from charvar.groups import (
 )
 from charvar.invariants import all_words, trace_word
 from charvar.kempfness import (
+    FLOW_TOL,
+    _newton_direction,
     composite_retraction,
     kn_flow,
     kn_functional,
     moment_residual,
+    orbit_closed,
 )
 from charvar.linalg import exp_herm, frob, haar_su
 
@@ -190,3 +193,115 @@ def test_flow_trace_csv():
     rows = list(trace.to_csv_rows())
     assert rows[0] == ("iter", "p", "residual", "step")
     assert len(rows) == len(trace.steps) + 1
+
+
+# --- orbit closedness and the Newton flow ------------------------------------
+
+
+def _stretched(n, norm, rng):
+    """g = exp(H) for a random traceless Hermitian H with |H|_F = norm."""
+    h = random_traceless_hermitian(n, rng)
+    return exp_herm(h * (norm / frob(h)))
+
+
+def _conjugated(g, mats):
+    return RepTuple(sl(g.shape[0]), g @ np.asarray(mats) @ np.linalg.inv(g))
+
+
+def _block(a, b):
+    m = np.zeros((4, 4), dtype=complex)
+    m[:2, :2], m[2:, 2:] = a, b
+    return m
+
+
+def _non_closed(rng):
+    """A unipotent pair, a Borel pair and a non-split 2+2 extension, each conjugated."""
+    unipotent = [np.array([[1, 1], [0, 1]], dtype=complex), np.eye(2, dtype=complex)]
+    borel = []
+    for _ in range(2):
+        d = np.exp(0.3 * (rng.standard_normal(3) + 1j * rng.standard_normal(3)))
+        d[-1] = 1.0 / (d[0] * d[1])
+        b = np.triu(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)), 1)
+        borel.append(b + np.diag(d))
+    extension = []
+    for _ in range(2):
+        m = _block(haar_su(2, rng), haar_su(2, rng))
+        m[:2, 2:] = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        extension.append(m)
+    return [_conjugated(_stretched(len(m[0]), 1.0, rng), m) for m in (unipotent, borel, extension)]
+
+
+def test_orbit_closed_false_on_non_closed_orbits():
+    rng = np.random.default_rng(20)
+    for _ in range(10):
+        for rho in _non_closed(rng):
+            assert orbit_closed(rho) is False
+
+
+def test_orbit_closed_true_on_closed_orbits():
+    rng = np.random.default_rng(21)
+    assert orbit_closed(sample_tuple(su(3), 2, rng)) is True
+    for n in range(2, 7):
+        for _ in range(5):
+            assert orbit_closed(_conjugated(_stretched(n, 1.5, rng), haar_su(n, rng, 2))) is True
+    for _ in range(10):  # reducible: the algebra is M_2 + M_2, semisimple but not simple
+        pair = [_block(haar_su(2, rng), haar_su(2, rng)) for _ in range(2)]
+        assert orbit_closed(_conjugated(_stretched(4, 3.0, rng), pair)) is True
+
+
+def test_flow_never_converges_on_non_closed_orbits():
+    rng = np.random.default_rng(22)
+    for rho in _non_closed(rng):
+        _, trace = kn_flow(rho)
+        assert trace.steps[-1].residual <= FLOW_TOL  # reached the tolerance near the closure
+        assert trace.converged is False
+        assert trace.orbit_closed is False
+
+
+def test_flow_flags_are_bools():
+    rng = np.random.default_rng(23)
+    _, trace = kn_flow(_conjugated(_stretched(3, 1.0, rng), haar_su(3, rng, 2)))
+    assert type(trace.converged) is bool and trace.converged
+    assert type(trace.orbit_closed) is bool and trace.orbit_closed
+
+
+def test_hessian_form_matches_second_difference():
+    rng = np.random.default_rng(24)
+    h = 1e-4
+    for n in (2, 3, 4):
+        rho = sample_tuple(sl(n), 2, rng)
+        a = random_traceless_hermitian(n, rng)
+        a /= frob(a)
+        ps = [kn_functional(RepTuple(sl(n), exp_herm(a, s) @ rho.matrices @ exp_herm(a, -s))) for s in (h, 0.0, -h)]
+        second = (ps[0] - 2.0 * ps[1] + ps[2]) / h**2
+        form = 4.0 * sum(frob(a @ x - x @ a) ** 2 for x in rho.matrices)
+        assert abs(second - form) <= 1e-5 * form
+
+
+def test_newton_direction_minimises_the_model():
+    # A = argmin 2 tr(A M) + 2 sum |[A, X_i]|^2: the derivative along any Hermitian B vanishes.
+    rng = np.random.default_rng(25)
+    for n in (2, 3, 5):
+        x = sample_tuple(sl(n), 2, rng).matrices
+        m = moment_residual(RepTuple(sl(n), x)).M
+        a = _newton_direction(x, m)
+        assert frob(a - a.conj().T) < 1e-12
+        for _ in range(5):
+            b = random_traceless_hermitian(n, rng)
+            slope = 2.0 * np.trace(b @ m).real + 4.0 * sum(
+                np.vdot(b @ xi - xi @ b, a @ xi - xi @ a).real for xi in x
+            )
+            assert abs(slope) <= 1e-9 * frob(b) * max(1.0, frob(m))
+
+
+def test_flow_iterations_bounded_on_closed_orbits():
+    # SL(2) pairs and triples g k g^-1 with |log g| in [0.5, 4.2] once crept like 1/k for 1e4-1e5 steps.
+    rng = np.random.default_rng(26)
+    cases = [(2, 2, i) for i in range(100)] + [(2, 3, i) for i in range(100)]
+    cases += [(n, 2, 3 * i) for n in (3, 4, 6) for i in range(20)]
+    for n, r, i in cases:
+        g = _stretched(n, 0.5 + (i + rng.uniform()) / 60, rng)
+        _, trace = kn_flow(_conjugated(g, haar_su(n, rng, r)))
+        assert trace.converged
+        assert trace.steps[-1].iter <= 50, (n, r, i)
+        assert all(0.0 < s.step <= 1.0 for s in trace.steps[1:])

@@ -207,3 +207,26 @@ def test_unitary_eig_repeated_eigenvalues():
         vals, v = unitary_eig(u)
         assert frob(v @ np.diag(vals) @ v.conj().T - u) < 1e-12
         assert frob(v @ v.conj().T - np.eye(3)) < 1e-13
+
+
+def test_spectral_functions_broadcast_over_stacks():
+    # A stack of two inputs gives what two single calls give.
+    rng = np.random.default_rng(12)
+    for n in (2, 3):
+        h = np.array([random_hermitian(n, rng) for _ in range(2)])
+        pd = h @ h + 0.5 * np.eye(n)
+        for fn, arg in ((herm_eig, h), (lambda a: exp_herm(a, 0.3), h), (lambda a: psd_power(a, 0.5), pd), (log_pd, pd)):
+            stacked = fn(arg)
+            singles = [fn(a) for a in arg]
+            for i, single in enumerate(singles):
+                for s, one in zip(stacked if isinstance(stacked, tuple) else (stacked,),
+                                  single if isinstance(single, tuple) else (single,)):
+                    assert np.allclose(s[i], one, atol=1e-12)
+        u = np.array([haar_su(n, rng), haar_su(n, rng) @ haar_su(n, rng)])
+        vals, v = unitary_eig(u)
+        for i in range(2):
+            one_vals, one_v = unitary_eig(u[i])
+            assert np.allclose(vals[i], one_vals, atol=1e-12)
+            assert np.allclose(v[i], one_v, atol=1e-12)
+    with pytest.raises(NotHermitian):
+        herm_eig(np.stack([np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]])]))
