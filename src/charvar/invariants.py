@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, product
 
 import numpy as np
@@ -63,12 +64,17 @@ class Word:
 
 
 def evaluate_word(rho: RepTuple, w: Word) -> np.ndarray:
-    m = np.eye(rho.n, dtype=complex)
-    for g, e in w.letters:
+    """The product of the word's letters; each generator is inverted at most
+    once, as its conjugate transpose on an SU tuple."""
+    for g, _ in w.letters:
         if g > rho.r:
             raise IndexError(f"word uses generator x{g} but rank is {rho.r}")
-        x = rho[g - 1]
-        m = m @ (x if e == 1 else np.linalg.inv(x))
+    stacks = {1: rho.matrices}
+    if any(e == -1 for _, e in w.letters):
+        stacks[-1] = _inverse(rho.matrices, rho.descriptor.family == "SU")
+    m = np.eye(rho.n, dtype=complex)
+    for g, e in w.letters:
+        m = m @ stacks[e][g - 1]
     return m
 
 
@@ -85,8 +91,15 @@ def all_words(r: int, max_len: int = 3):
             yield Word(tuple(combo))
 
 
+@lru_cache(maxsize=64)
+def _word_keys(r: int, max_len: int) -> tuple:
+    return tuple(map(str, all_words(r, max_len)))
+
+
 def word_trace_table(rho: RepTuple, max_len: int = 3) -> dict:
-    return {str(w): trace_word(rho, w) for w in all_words(rho.r, max_len)}
+    """``word_traces`` of one tuple, keyed by the words in ``all_words`` order."""
+    t = word_traces(rho.matrices, max_len, rho.descriptor.family == "SU")
+    return dict(zip(_word_keys(rho.r, max_len), t.tolist()))
 
 
 # --- batch core ---------------------------------------------------------------
@@ -107,6 +120,28 @@ def _tr(x):
 def _tr_prod(x, y):
     """tr(x @ y) without forming the product."""
     return np.einsum("...ij,...ji->...", x, y)
+
+
+def word_traces(x, max_len: int = 3, unitary: bool = False):
+    """Traces of every word of length 1..max_len of stacked tuples x (..., r, n, n).
+
+    Returns (..., 2r + (2r)^2 + ... + (2r)^max_len) in ``all_words`` order.
+    The 2r letters X_1, X_1^-1, ..., X_r, X_r^-1 are stacked once (inverses
+    as conjugate transposes on unitary input); the words of each length are
+    the previous length's products times every letter, and their traces are
+    read as tr(prefix @ letter) without forming the longest products.
+    """
+    if max_len < 1:
+        raise ValueError(f"max_len={max_len} must be >= 1")
+    x = np.asarray(x)
+    *lead, r, n, _ = x.shape
+    letters = np.stack([x, _inverse(x, unitary)], axis=-3).reshape(*lead, 2 * r, n, n)
+    prods, out = letters, [_tr(letters)]
+    for length in range(2, max_len + 1):
+        if length > 2:
+            prods = (prods[..., :, None, :, :] @ letters[..., None, :, :, :]).reshape(*lead, -1, n, n)
+        out.append(np.einsum("...pij,...lji->...pl", prods, letters).reshape(*lead, -1))
+    return np.concatenate(out, axis=-1)
 
 
 def su2_a_coords(x, unitary: bool = True):

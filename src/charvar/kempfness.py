@@ -65,16 +65,17 @@ def kn_functional(rho: RepTuple) -> float:
     return float(np.trace(rho.matrices @ dagger(rho.matrices), axis1=-2, axis2=-1).real.sum())
 
 
-def _residual_matrix(mats) -> np.ndarray:
-    x = np.asarray(mats)
+def residual_matrix(x) -> np.ndarray:
+    """M = sum_i (X_i X_i* - X_i* X_i) of stacked tuples x (..., r, n, n): (..., n, n), Hermitian."""
+    x = np.asarray(x)
     xh = dagger(x)
-    m = (x @ xh - xh @ x).sum(axis=0)
-    return (m + m.conj().T) / 2.0
+    m = (x @ xh - xh @ x).sum(axis=-3)
+    return (m + dagger(m)) / 2.0
 
 
 def moment_residual(rho: RepTuple) -> MomentResidual:
     """M = sum_i (X_i X_i* - X_i* X_i), Hermitian and traceless."""
-    m = _residual_matrix(rho.matrices)
+    m = residual_matrix(rho.matrices)
     return MomentResidual(M=m, norm=frob(m))
 
 
@@ -184,7 +185,7 @@ def kn_flow(
     """
     x = rho.matrices
     p = kn_functional(rho)
-    m_res = _residual_matrix(x)
+    m_res = residual_matrix(x)
     res = frob(m_res)
     steps = [FlowStep(0, p, res, 0.0)]
     it = 0
@@ -205,7 +206,7 @@ def kn_flow(
                 break  # critical within rounding; report best iterate
             x = u @ (ys * np.exp(t * gap)) @ dagger(u)
             p += delta
-            m_res = _residual_matrix(x)
+            m_res = residual_matrix(x)
             res = frob(m_res)
             steps.append(FlowStep(it, p, res, t))
     closed = orbit_closed(rho)

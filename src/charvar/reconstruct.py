@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, frob
+from .linalg import DEFAULT_TOL, dagger
 from .groups import DimensionMismatch, NotInGroup, RepTuple, quaternion_matrix, su
 from .invariants import SU2Rank2Coords, SU2Rank3Coords, gram, su2_rank3_coords
 from .semialgebraic import in_su2_rank2_image, in_su2_rank3_image
@@ -172,10 +172,25 @@ def su2_rank3_lift(
 # --- constructive K-conjugacy ------------------------------------------------
 
 
+def conjugacy_operator(a, b) -> np.ndarray:
+    """The (r n^2, n^2) matrix of X -> (X A_i - B_i X)_i on row-major vec(X).
+
+    Block i is I kron A_i^T - B_i kron I, written into its nonzero entries:
+    row (p, q) holds A_i[t, q] in column (p, t) and -B_i[p, s] in column (s, q).
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    r, n = a.shape[0], a.shape[-1]
+    m = np.zeros((r, n, n, n, n), dtype=complex)
+    diag = np.arange(n)
+    m[:, diag, :, diag, :] = np.swapaxes(a, -1, -2)
+    m[:, :, diag, :, diag] -= b
+    return m.reshape(r * n * n, n * n)
+
+
 def unitary_conjugacy(rho1: RepTuple, rho2: RepTuple, tol: float = DEFAULT_TOL):
     """Find k in SU(n) with k rho1 k^-1 = rho2 within 10*tol, or None.
 
-    Intertwiners X A_i = B_i X span the null space of X -> (X A_i - B_i X)_i.
+    Intertwiners X A_i = B_i X span the null space of ``conjugacy_operator``.
     A unitary k within eps on every component is a vector of norm sqrt(n)
     that this map sends to norm <= sqrt(r) eps, so no singular value below
     sqrt(r/n) eps means None.  Otherwise a fixed probe projected onto the
@@ -188,11 +203,7 @@ def unitary_conjugacy(rho1: RepTuple, rho2: RepTuple, tol: float = DEFAULT_TOL):
     if rho1.descriptor.family != "SU":
         raise NotInGroup("unitary_conjugacy expects unitary-valued tuples")
     n, eps = rho1.n, 10.0 * max(tol, 1e-9)
-    eye = np.eye(n)
-    # Row-major vec: vec(X A) = (I kron A^T) vec(X), vec(B X) = (B kron I) vec(X).
-    m = np.concatenate(
-        [np.kron(eye, a.T) - np.kron(b, eye) for a, b in zip(rho1.matrices, rho2.matrices)]
-    )
+    m = conjugacy_operator(rho1.matrices, rho2.matrices)
     # The QR factor tri keeps the singular values and right singular vectors
     # of m.  y minus its minimal-norm least-squares fit, singular values
     # <= bound cut, is y projected onto the right singular vectors below the
@@ -208,5 +219,5 @@ def unitary_conjugacy(rho1: RepTuple, rho2: RepTuple, tol: float = DEFAULT_TOL):
     u, _, wh = np.linalg.svd(g)
     k_mat = u @ wh
     k_mat = k_mat * np.exp(-1j * np.angle(np.linalg.det(k_mat)) / n)
-    err = max(frob(k_mat @ m1 @ k_mat.conj().T - m2) for m1, m2 in zip(rho1.matrices, rho2.matrices))
+    err = np.linalg.norm(k_mat @ rho1.matrices @ dagger(k_mat) - rho2.matrices, axis=(-2, -1)).max()
     return k_mat if err <= eps else None

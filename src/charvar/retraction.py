@@ -40,19 +40,20 @@ def phi(g, t: float, tol: float = DEFAULT_TOL) -> np.ndarray:
     return (u * s[..., None, :] ** (1.0 - t)) @ vh
 
 
-def retract_tuple(rho: RepTuple, t: float, tol: float = DEFAULT_TOL) -> RepTuple:
-    """Componentwise phi_t; at t=1 the result is SU(n)-valued.
+def retract_matrices(x, t: float, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """phi_t of each matrix of a stack x (..., n, n), divided by the principal
+    n-th root of its determinant: the SVD of a badly conditioned matrix can
+    move det(phi_t) off 1 by more than GROUP_TOL, though phi_t keeps it exactly."""
+    mats = phi(x, t, tol)
+    return mats / np.linalg.det(mats)[..., None, None] ** (1.0 / mats.shape[-1])
 
-    Each phi_t(X_i) is divided by the principal n-th root of its determinant:
-    the SVD of a badly conditioned X_i can move det(phi_t) off 1 by more than
-    GROUP_TOL, although phi_t keeps it in exact arithmetic.
-    """
-    mats = phi(rho.matrices, t, tol)
-    mats = mats / np.linalg.det(mats)[:, None, None] ** (1.0 / rho.n)
+
+def retract_tuple(rho: RepTuple, t: float, tol: float = DEFAULT_TOL) -> RepTuple:
+    """Componentwise phi_t (``retract_matrices``); at t=1 the result is SU(n)-valued."""
     desc = rho.descriptor
     if t == 1.0 and desc.family == "SL":
         desc = GroupDescriptor("SU", desc.n)
-    return RepTuple(desc, mats)
+    return RepTuple(desc, retract_matrices(rho.matrices, t, tol))
 
 
 @dataclass(frozen=True)

@@ -13,19 +13,21 @@ import time
 
 import numpy as np
 
-from .linalg import exp_herm, frob, haar_su
+from .linalg import dagger, exp_herm, haar_su
 from .groups import (
+    GROUP_TOL,
+    NotInGroup,
     RepTuple,
-    conjugate_tuple,
     quaternion_matrix,
     random_traceless_hermitian,
     sample_tuple,
     sl,
     su,
+    validate,
 )
 from .invariants import (
     SU2Rank2Coords,
-    all_words,
+    SU2Rank3Coords,
     fricke_rhs,
     pq,
     pq_from_traces,
@@ -41,14 +43,14 @@ from .invariants import (
     su3_minors,
     su3_trace_coords,
     su3_traces,
-    trace_word,
     u_coords,
     u_from_traces,
+    word_traces,
 )
-from .kempfness import kn_flow, kn_functional, moment_residual
+from .kempfness import kn_flow, kn_functional, moment_residual, residual_matrix
 from .poincare import baird_poly, surface_counterexample_polys
 from .reconstruct import su2_rank2_lift, su2_rank3_lift, unitary_conjugacy
-from .retraction import retract_tuple
+from .retraction import retract_matrices
 from .semialgebraic import ALCOVE_CORNERS, TETRAHEDRON_VERTICES, region_grid
 
 U_BOX = (-1.5, 3.0)
@@ -72,6 +74,19 @@ def _haar_pairs(n: int, count: int, rng) -> np.ndarray:
     return np.stack([haar_su(n, rng, count), haar_su(n, rng, count)], axis=1)
 
 
+def _in_group(x, d) -> np.ndarray:
+    """The stack x (..., n, n), after one check that every matrix is in the
+    group ``d``; raises NotInGroup as building each tuple would."""
+    if not np.all(validate(x, d, GROUP_TOL)):
+        raise NotInGroup(f"a stacked matrix is not {d}-valued within tol={GROUP_TOL:g}")
+    return x
+
+
+def _max_frob(x) -> float:
+    """Largest Frobenius norm among the matrices of a stack, 0 on an empty one."""
+    return float(np.linalg.norm(x, axis=(-2, -1)).max(initial=0.0))
+
+
 def _report(name, passed, elapsed, checks, **meta):
     out = {"suite": name, "passed": bool(passed), "elapsed_s": round(elapsed, 3)}
     out.update(meta)
@@ -83,7 +98,11 @@ def _report(name, passed, elapsed, checks, **meta):
 
 
 def verify_retraction(samples: int = 1000, seed: int = 0) -> dict:
-    """phi_1 lands in SU, phi is K-equivariant, and fixes SU tuples."""
+    """phi_1 lands in SU, phi is K-equivariant, and fixes SU tuples.
+
+    An SL draw interleaves Haar and Hermitian factors, so the SL tuples and
+    their conjugators are drawn one sample at a time; the rest works on stacks.
+    """
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     ts = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -91,31 +110,30 @@ def verify_retraction(samples: int = 1000, seed: int = 0) -> dict:
     worst_equiv = 0.0
     worst_fix = 0.0
     for n in (2, 3):
+        rhos, ks = [], []
         for _ in range(samples):
-            rho = sample_tuple(sl(n), 2, rng)
-            one = retract_tuple(rho, 1.0)
-            worst_unitary = max(
-                worst_unitary,
-                max(frob(m @ m.conj().T - np.eye(n)) for m in one.matrices),
-                max(abs(np.linalg.det(m) - 1.0) for m in one.matrices),
-            )
-            k = haar_su(n, rng)
-            conj = conjugate_tuple(k, rho)
-            for t in ts:
-                lhs = retract_tuple(conj, t)
-                rhs = conjugate_tuple(k, retract_tuple(rho, t))
-                worst_equiv = max(
-                    worst_equiv,
-                    max(frob(a - b) for a, b in zip(lhs.matrices, rhs.matrices)),
+            rhos.append(sample_tuple(sl(n), 2, rng).matrices)
+            ks.append(haar_su(n, rng))
+        x = np.array(rhos).reshape(samples, 2, n, n)
+        k = np.array(ks).reshape(samples, 1, n, n)
+        kinv = np.linalg.inv(k)
+        conj = _in_group(k @ x @ kinv, sl(n))
+        for t in ts:
+            d = su(n) if t == 1.0 else sl(n)
+            ret = _in_group(retract_matrices(x, t), d)
+            lhs = _in_group(retract_matrices(conj, t), d)
+            rhs = _in_group(k @ ret @ kinv, sl(n))
+            worst_equiv = max(worst_equiv, _max_frob(lhs - rhs))
+            if t == 1.0:
+                worst_unitary = max(
+                    worst_unitary,
+                    _max_frob(ret @ dagger(ret) - np.eye(n)),
+                    float(np.abs(np.linalg.det(ret) - 1.0).max(initial=0.0)),
                 )
-        for _ in range(20):
-            ku = sample_tuple(su(n), 2, rng)
-            for t in ts:
-                fixed = retract_tuple(ku, t)
-                worst_fix = max(
-                    worst_fix,
-                    max(frob(a - b) for a, b in zip(fixed.matrices, ku.matrices)),
-                )
+        ku = _in_group(haar_su(n, rng, 40).reshape(20, 2, n, n), su(n))
+        for t in ts:
+            fixed = _in_group(retract_matrices(ku, t), su(n))
+            worst_fix = max(worst_fix, _max_frob(fixed - ku))
     elapsed = time.perf_counter() - t0
     checks = {
         "max_unitary_defect_at_t1": worst_unitary,
@@ -198,24 +216,26 @@ def coplanar_su2_triple(rng) -> RepTuple:
 
 
 def verify_two_sheet(samples: int = 10_000, seed: int = 0) -> dict:
+    """Lift every sampled triple and compare its sheets; the lifts and sheet
+    conjugacy decisions are one per triple, the draws and round trips stacked."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
-    worst_rt = 0.0
+    coords = su2_a_coords(_in_group(haar_su(2, rng, 3 * samples).reshape(samples, 3, 2, 2), su(2)))
+    lifted, owner = [], []
     sheet_failures = 0
     checked_sheets = 0
-    for _ in range(samples):
-        rho = sample_tuple(su(2), 3, rng)
-        c = su2_rank3_coords(rho)
-        res = su2_rank3_lift(c)
-        best = np.inf
-        for lifted in res.tuples:
-            back = su2_rank3_coords(lifted)
-            best = min(best, float(np.max(np.abs(back.as_array() - c.as_array()))))
-        worst_rt = max(worst_rt, best)
+    for i, c in enumerate(coords.tolist()):
+        res = su2_rank3_lift(SU2Rank3Coords(*c))
+        lifted += [rho.matrices for rho in res.tuples]
+        owner += [i] * len(res.tuples)
         if res.t123 is not None and res.t123 > 1e-4 and len(res.tuples) == 2:
             checked_sheets += 1
             if unitary_conjugacy(res.tuples[0], res.tuples[1]) is not None:
                 sheet_failures += 1
+    err = np.abs(su2_a_coords(np.array(lifted).reshape(-1, 3, 2, 2)) - coords[owner]).max(axis=-1)
+    best = np.full(samples, np.inf)
+    np.minimum.at(best, owner, err)
+    worst_rt = float(best.max(initial=0.0))
 
     degen_worst = 0.0
     for _ in range(100):
@@ -227,13 +247,7 @@ def verify_two_sheet(samples: int = 10_000, seed: int = 0) -> dict:
         if k is None:
             degen_worst = np.inf
         else:
-            degen_worst = max(
-                degen_worst,
-                max(
-                    frob(k @ a @ k.conj().T - b)
-                    for a, b in zip(plus.matrices, minus.matrices)
-                ),
-            )
+            degen_worst = max(degen_worst, _max_frob(k @ plus.matrices @ dagger(k) - minus.matrices))
     elapsed = time.perf_counter() - t0
     checks = {
         "round_trip_max": worst_rt,
@@ -354,12 +368,17 @@ def verify_kempf_ness(samples: int = 10_000, seed: int = 0) -> dict:
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
 
-    # K-points are critical.
-    worst_res = 0.0
+    # K-points are critical.  The draws cycle through the cases; each case's
+    # draws are checked and their residuals computed as one stack.
+    cases = ((2, 2), (2, 3), (3, 2))
+    draws = {case: [] for case in cases}
     for i in range(samples):
-        n, r = ((2, 2), (2, 3), (3, 2))[i % 3]
-        rho = sample_tuple(su(n), r, rng)
-        worst_res = max(worst_res, moment_residual(rho).norm)
+        n, r = cases[i % 3]
+        draws[n, r].append(haar_su(n, rng, r))
+    worst_res = 0.0
+    for (n, r), mats in draws.items():
+        m = residual_matrix(_in_group(np.array(mats).reshape(-1, r, n, n), su(n)))
+        worst_res = max(worst_res, _max_frob(m))
 
     # Central-difference directional derivative vs 2 Re tr(H M).
     h = 1e-5
@@ -374,7 +393,7 @@ def verify_kempf_ness(samples: int = 10_000, seed: int = 0) -> dict:
         p_bwd = kn_functional(RepTuple(sl(n), e_minus @ rho.matrices @ e_plus))
         fd = (p_fwd - p_bwd) / (2.0 * h)
         exact = 2.0 * np.trace(H @ M).real
-        worst_fd = max(worst_fd, abs(fd - exact) / max(abs(exact), 1e-12))
+        worst_fd = max(worst_fd, float(abs(fd - exact) / max(abs(exact), 1e-12)))
 
     # Flows from conjugated-unitary tuples reach the minimum inside the orbit.
     flows = max(10, samples // 100)
@@ -391,10 +410,8 @@ def verify_kempf_ness(samples: int = 10_000, seed: int = 0) -> dict:
         if not trace.converged:
             not_converged += 1
         worst_p = max(worst_p, abs(trace.steps[-1].p - r * n))
-        for w in all_words(r, 3):
-            worst_word = max(
-                worst_word, abs(trace_word(out, w) - trace_word(rho, w))
-            )
+        before, after = word_traces(np.stack([rho.matrices, out.matrices]))
+        worst_word = max(worst_word, float(np.abs(after - before).max()))
     elapsed = time.perf_counter() - t0
     checks = {
         "max_unitary_residual": worst_res,

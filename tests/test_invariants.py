@@ -6,6 +6,8 @@ from charvar.invariants import (
     ComplexInput,
     SU2Rank3Coords,
     Word,
+    all_words,
+    evaluate_word,
     fricke_check,
     fricke_rhs,
     gram,
@@ -26,6 +28,7 @@ from charvar.invariants import (
     u_coords,
     u_from_traces,
     word_trace_table,
+    word_traces,
 )
 from charvar.linalg import haar_su
 from charvar.verify import canonical_su3_example, random_sl3
@@ -77,6 +80,37 @@ def test_word_trace_table_size():
     rho = sample_tuple(su(2), 2, rng)
     table = word_trace_table(rho, max_len=3)
     assert len(table) == 4 + 16 + 64
+    assert list(table) == [str(w) for w in all_words(2, 3)]
+
+
+@pytest.mark.parametrize("family", [su, sl])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_word_traces_match_trace_word(family, r):
+    rng = np.random.default_rng(30 + r)
+    for n in (1, 2, 3, 4):
+        tuples = [sample_tuple(family(n), r, rng) for _ in range(2)]
+        x = np.array([rho.matrices for rho in tuples])  # a leading stack axis
+        for max_len in (1, 2, 3, 4):
+            got = word_traces(x, max_len, family is su)
+            for i, rho in enumerate(tuples):
+                ref = np.array([trace_word(rho, w) for w in all_words(r, max_len)])
+                assert got[i].shape == ref.shape
+                assert np.max(np.abs(got[i] - ref)) < 1e-12 * max(1.0, np.max(np.abs(ref)))
+    with pytest.raises(ValueError):
+        word_traces(x, 0)
+
+
+def test_evaluate_word_inverts_each_generator_once(monkeypatch):
+    rng = np.random.default_rng(31)
+    calls = []
+    real = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(1) or real(a))
+    w = Word.parse("x1^-1 x2^-1 x1^-1 x2^-1 x1 x2")
+    sl_pair, su_pair = sample_tuple(sl(3), 2, rng), sample_tuple(su(3), 2, rng)
+    for rho in (sl_pair, su_pair):
+        ref = np.linalg.multi_dot([real(rho[0]), real(rho[1]), real(rho[0]), real(rho[1]), rho[0], rho[1]])
+        assert np.max(np.abs(evaluate_word(rho, w) - ref)) < 1e-12 * max(1.0, np.max(np.abs(ref)))
+    assert calls == [1]  # one stacked inversion for the SL pair, none for the SU pair
 
 
 # --- SU(2) coordinates --------------------------------------------------------

@@ -19,6 +19,7 @@ from charvar.kempfness import (
     kn_functional,
     moment_residual,
     orbit_closed,
+    residual_matrix,
 )
 from charvar.linalg import exp_herm, frob, haar_su
 
@@ -54,6 +55,15 @@ def test_moment_residual_values():
     assert frob(res.M - np.diag([1.0, -1.0])) < 1e-12
     assert frob(res.M - res.M.conj().T) < 1e-12
     assert abs(np.trace(res.M)) < 1e-12
+
+
+def test_stacked_residual_equals_moment_residual():
+    rng = np.random.default_rng(13)
+    for d, r in ((su(2), 3), (sl(2), 2), (sl(3), 2), (sl(4), 3)):
+        tuples = [sample_tuple(d, r, rng) for _ in range(10)]
+        m = residual_matrix(np.array([rho.matrices for rho in tuples]))
+        for i, rho in enumerate(tuples):
+            assert np.array_equal(m[i], moment_residual(rho).M)
 
 
 def test_moment_residual_directional_derivative():

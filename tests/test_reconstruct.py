@@ -14,6 +14,7 @@ from charvar.invariants import (
 from charvar.linalg import exp_herm, frob, haar_su
 from charvar.reconstruct import (
     NotInImage,
+    conjugacy_operator,
     su2_rank2_lift,
     su2_rank3_lift,
     unitary_conjugacy,
@@ -253,6 +254,17 @@ def test_rank3_lift_rejects_outside():
 
 
 # --- unitary conjugacy ---------------------------------------------------------
+
+
+def test_conjugacy_operator_equals_kron_reference():
+    rng = np.random.default_rng(40)
+    for n in range(1, 9):
+        eye = np.eye(n)
+        for r in (1, 2, 3):
+            a, b = rng.standard_normal((2, r, n, n)) + 1j * rng.standard_normal((2, r, n, n))
+            # Row-major vec: vec(X A) = (I kron A^T) vec(X), vec(B X) = (B kron I) vec(X).
+            ref = np.concatenate([np.kron(eye, ai.T) - np.kron(bi, eye) for ai, bi in zip(a, b)])
+            assert np.array_equal(conjugacy_operator(a, b), ref)
 
 
 def test_conjugacy_constructive_round_trip():

@@ -9,6 +9,7 @@ from charvar.retraction import (
     NotDiagonal,
     abelian_retract,
     phi,
+    retract_matrices,
     retract_tuple,
     retraction_path,
 )
@@ -81,6 +82,17 @@ def test_equivariance():
             lhs = retract_tuple(conjugate_tuple(k, rho), t)
             rhs = conjugate_tuple(k, retract_tuple(rho, t))
             assert max(frob(a - b) for a, b in zip(lhs.matrices, rhs.matrices)) < 1e-9
+
+
+def test_stacked_retraction_equals_retract_tuple():
+    rng = np.random.default_rng(12)
+    for d in (sl(2), sl(3), su(2), su(3)):
+        tuples = [sample_tuple(d, 2, rng) for _ in range(20)]
+        x = np.array([rho.matrices for rho in tuples])
+        for t in TS:
+            got = retract_matrices(x, t)
+            for i, rho in enumerate(tuples):
+                assert np.array_equal(got[i], retract_tuple(rho, t).matrices)
 
 
 def test_retract_tuple_keeps_det_on_badly_conditioned_input():
