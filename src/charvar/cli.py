@@ -33,7 +33,7 @@ from .invariants import (
 )
 from .kempfness import FLOW_MAX_ITER, FLOW_TOL, composite_retraction, kn_flow
 from .poincare import baird_poly, surface_counterexample_polys
-from .reconstruct import su2_rank2_lift, su2_rank3_lift, unitary_conjugacy
+from .reconstruct import conjugacy_decisions, su2_rank2_lift, su2_rank3_lift, unitary_pair
 from .retraction import retract_tuple
 from .semialgebraic import region_grid
 from .verify import SUITES, run_suite
@@ -192,15 +192,10 @@ def _scalar(v):
 def cmd_conjugacy(args) -> int:
     rho1 = _read_tuple(args.a)
     rho2 = _read_tuple(args.b)
-    k = unitary_conjugacy(rho1, rho2, args.tol)
+    (k,), (residual,) = conjugacy_decisions(*unitary_pair(rho1, rho2), args.tol)
     if k is None:
         _emit_json(args, {"conjugate": False, "k": None})
         return 1
-    from .linalg import frob
-
-    residual = max(
-        frob(k @ a @ k.conj().T - b) for a, b in zip(rho1.matrices, rho2.matrices)
-    )
     _emit_json(
         args,
         {

@@ -182,11 +182,11 @@ class Quaternion:
 def quaternion_matrix(a, b, c, d) -> np.ndarray:
     """The SU(2) matrix [[a+ib, c+id], [-c+id, a-ib]] of a + bi + cj + dk;
     components of shape (...) give a stack (..., 2, 2)."""
-    a, b, c, d = (np.asarray(x, dtype=float) for x in (a, b, c, d))
-    m = np.empty(np.broadcast_shapes(a.shape, b.shape, c.shape, d.shape) + (2, 2), dtype=complex)
-    m[..., 0, 0], m[..., 0, 1] = a + 1j * b, c + 1j * d
-    m[..., 1, 0], m[..., 1, 1] = -c + 1j * d, a - 1j * b
-    return m
+    # Written as real and imaginary parts, row by row, into a real array.
+    m = np.empty(np.broadcast(a, b, c, d).shape + (2, 4))
+    m[..., 0, 0], m[..., 0, 1], m[..., 0, 2], m[..., 0, 3] = a, b, c, d
+    m[..., 1, 0], m[..., 1, 1], m[..., 1, 2], m[..., 1, 3] = np.negative(c), d, a, np.negative(b)
+    return m.view(complex)
 
 
 def to_quaternion(g, tol: float = DEFAULT_TOL) -> Quaternion:

@@ -482,18 +482,22 @@ class MinorsRecord:
 
 
 def su3_minors(x) -> MinorsRecord:
+    """The minors of a 3x3 matrix as complex numbers, or of each matrix of a
+    stack (..., 3, 3) as arrays; ``relation_residual`` takes either."""
     x = cmat(x)
-    if x.shape != (3, 3):
-        raise ValueError("su3_minors expects a 3x3 matrix")
-    return MinorsRecord(
-        m1=complex(x[0, 0]),
-        m2=complex(x[1, 1]),
-        m3=complex(x[2, 2]),
-        mm1=complex(x[1, 1] * x[2, 2] - x[1, 2] * x[2, 1]),
-        mm2=complex(x[0, 0] * x[2, 2] - x[0, 2] * x[2, 0]),
-        mm3=complex(x[0, 0] * x[1, 1] - x[0, 1] * x[1, 0]),
-        m4=complex(x[0, 1] * x[1, 2] * x[2, 0]),
-    )
+    if x.shape[-2:] != (3, 3):
+        raise ValueError("su3_minors expects 3x3 matrices")
+    e = np.moveaxis(x, (-2, -1), (0, 1))  # e[i, j] is entry (i, j) of every matrix
+    m = np.stack([
+        e[0, 0],
+        e[1, 1],
+        e[2, 2],
+        e[1, 1] * e[2, 2] - e[1, 2] * e[2, 1],
+        e[0, 0] * e[2, 2] - e[0, 2] * e[2, 0],
+        e[0, 0] * e[1, 1] - e[0, 1] * e[1, 0],
+        e[0, 1] * e[1, 2] * e[2, 0],
+    ])
+    return MinorsRecord(*(m.tolist() if x.ndim == 2 else m))
 
 
 def relation_residual(m: MinorsRecord) -> complex:

@@ -19,8 +19,8 @@ import numpy as np
 
 from .linalg import DEFAULT_TOL, dagger
 from .groups import DimensionMismatch, NotInGroup, RepTuple, quaternion_matrix, su
-from .invariants import SU2Rank2Coords, SU2Rank3Coords, gram, su2_rank3_coords
-from .semialgebraic import in_su2_rank2_image, in_su2_rank3_image
+from .invariants import SU2Rank2Coords, SU2Rank3Coords, gram, su2_a_coords
+from .semialgebraic import su2_rank2_margins, su2_rank3_margins
 
 
 class NotInImage(ValueError):
@@ -44,80 +44,129 @@ class LiftResult:
     signs: tuple = ()
 
 
-def _sqrt_clamped(x: float, tol: float, what: str) -> float:
-    if x < -tol:
-        raise NotInImage(f"{what} = {x:.3e} is negative beyond tol={tol:g}")
-    return float(np.sqrt(max(x, 0.0)))
-
-
-def su2_rank2_lift(a: SU2Rank2Coords, tol: float = DEFAULT_TOL) -> LiftResult:
-    """Solve (a1, a2, a3) for a pair X1 = diag, X2 = a2 + b2 i + c2 j.
+def _rank2_lift(a1, a2, a3, tol: float) -> np.ndarray:
+    """Pairs X1 = a1 + b1 i, X2 = a2 + b2 i + c2 j lifting coordinates given as
+    floats, or as arrays of one shape (...): (2, ..., 2, 2), X1 then X2.
 
     b1 = sqrt(1-a1^2) and X2's imaginary part lies on the circle of radius
     beta = sqrt(1-a2^2): b2 = beta cos, c2 = beta sin with
     cos = (a3 - a1 a2)/(b1 beta) clipped to [-1, 1], so X2 is a unit
     quaternion however small b1 is.  When b1 beta <= tol (X1 or X2 central)
-    the angle is free and cos = 1 is taken.
+    the angle is free and cos = 1 is taken.  Any coordinates outside the
+    image raise NotInImage.
     """
-    if not in_su2_rank2_image(a, tol).inside:
+    margins = np.array(su2_rank2_margins(a1, a2, a3))
+    if not (margins >= -tol).all():
         raise NotInImage("coordinates fail the sigma-ball inequalities")
-    b1 = _sqrt_clamped(1.0 - a.a1**2, tol, "1-a1^2")
-    beta = _sqrt_clamped(1.0 - a.a2**2, tol, "1-a2^2")
-    cos = 1.0
-    if b1 * beta > tol:
-        cos = min(1.0, max(-1.0, (a.a3 - a.a1 * a.a2) / (b1 * beta)))
-    b2 = beta * cos
-    c2 = beta * np.sqrt(1.0 - cos**2)
-    mats = quaternion_matrix([a.a1, a.a2], [b1, b2], [0.0, c2], 0.0)
-    return LiftResult(
-        tuples=(RepTuple(su(2), mats),), unique=True, t123=None, signs=(1,)
-    )
+    b1, beta = np.sqrt(np.maximum(margins[:2], 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cos = np.where(b1 * beta > tol, np.minimum(np.maximum((a3 - a1 * a2) / (b1 * beta), -1.0), 1.0), 1.0)
+    b, c = np.array([b1, beta * cos]), np.array([0.0 * b1, beta * np.sqrt(1.0 - cos**2)])
+    return quaternion_matrix(np.array([a1, a2]), b, c, 0.0)
 
 
-def _generic_rank3_lift(a, r, s12: float, c3: float):
+def rank2_lift_matrices(c, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """The lifts (m, 2, 2, 2) of stacked (a1, a2, a3) rows c (m, 3); see ``_rank2_lift``."""
+    c = np.asarray(c, dtype=float)
+    return np.moveaxis(_rank2_lift(c[:, 0], c[:, 1], c[:, 2], tol), 0, 1)
+
+
+def su2_rank2_lift(a: SU2Rank2Coords, tol: float = DEFAULT_TOL) -> LiftResult:
+    """Solve (a1, a2, a3) for a pair X1 = diag, X2 = a2 + b2 i + c2 j (see ``_rank2_lift``)."""
+    mats = _rank2_lift(a.a1, a.a2, a.a3, tol)
+    return LiftResult(tuples=(RepTuple(su(2), mats),), unique=True, t123=None, signs=(1,))
+
+
+def _generic_rank3_lift(q, r, s12, c3):
     """Cholesky frame of the imaginary parts with leading pair s12 > tol.
 
-    ``a`` and ``r`` (nested lists) are the a_j and the Gram matrix in the
-    lift's ordering; ``c3`` is the signed j-component of the third imaginary
-    part, c3^2 = det(r)/s12 (the third Cholesky pivot of the Gram matrix).
+    ``r`` (m, 3, 3) is the Gram matrix in the lift's ordering and ``c3``
+    (m, 2) the signed j-component of the third imaginary part on each sheet,
+    c3^2 = det(r)/s12 (the third Cholesky pivot of the Gram matrix).  Writes
+    the (i, j, k) components of the imaginary parts into q[:, slot, sheet, 1:].
     """
-    r11 = r[0][0]
+    r11 = r[:, 0, 0]
     b1 = np.sqrt(r11)
-    b2 = r[0][1] / b1
     d2 = np.sqrt(s12) / b1
-    b3 = r[0][2] / b1
-    d3 = (r[1][2] * r11 - r[0][1] * r[0][2]) / (d2 * r11)
-    return quaternion_matrix(a, [b1, b2, b3], [0.0, 0.0, c3], [0.0, d2, d3])
+    q[:, 0, :, 1] = b1[:, None]
+    q[:, 1, :, 1] = (r[:, 0, 1] / b1)[:, None]
+    q[:, 2, :, 1] = (r[:, 0, 2] / b1)[:, None]
+    q[:, 2, :, 2] = c3
+    q[:, 1, :, 3] = d2[:, None]
+    q[:, 2, :, 3] = ((r[:, 1, 2] * r11 - r[:, 0, 1] * r[:, 0, 2]) / (d2 * r11))[:, None]
 
 
-def _diagonal_rank3_lift(c: SU2Rank3Coords, tol: float):
-    """All pairs reducible: simultaneously diagonal solution from the a_j.
+def _diagonal_rank3_lift(c, tol: float):
+    """All pairs reducible: simultaneously diagonal solution of one row c (6,).
 
     Imaginary parts are collinear; only the relative signs eps_j of the
     i-components remain, found by a search over the four combinations.
     """
-    a = [c.a1, c.a2, c.a3]
-    b = [np.sqrt(max(1.0 - x * x, 0.0)) for x in a]
-    target = np.array([c.a12, c.a13, c.a23])
+    a, target = c[:3], c[3:]
+    j, k = np.triu_indices(3, 1)  # the pairs 12, 13, 23
+    b = np.sqrt(np.maximum(1.0 - a * a, 0.0))
+    close = max(100 * tol, 1e-7)
     for e2 in (1.0, -1.0):
         for e3 in (1.0, -1.0):
-            eps = [1.0, e2, e3]
-            got = np.array(
-                [
-                    a[0] * a[1] + eps[0] * eps[1] * b[0] * b[1],
-                    a[0] * a[2] + eps[0] * eps[2] * b[0] * b[2],
-                    a[1] * a[2] + eps[1] * eps[2] * b[1] * b[2],
-                ]
-            )
-            if np.max(np.abs(got - target)) <= max(100 * tol, 1e-7):
-                return quaternion_matrix(a, np.multiply(eps, b), 0.0, 0.0)
-    return None
+            eps = np.array([1.0, e2, e3])
+            got = a[j] * a[k] + eps[j] * eps[k] * b[j] * b[k]
+            if np.max(np.abs(got - target)) <= close:
+                mats = quaternion_matrix(a, eps * b, 0.0, 0.0)
+                if np.max(np.abs(su2_a_coords(mats) - c)) > close:
+                    raise DegenerateUnhandled("diagonal fallback does not reproduce the coordinates")
+                return mats
+    raise DegenerateUnhandled("every pair is degenerate and the diagonal fallback failed")
 
 
 # Cyclic relabelings, one per leading pair in the order of gram()'s
 # (s12, s13, s23).  A cyclic relabeling keeps the sign of the triple product
 # of the imaginary parts, so ``sign`` names the same sheet in each of them.
-_CYCLIC = ((0, 1, 2), (2, 0, 1), (1, 2, 0))
+_CYCLIC = np.array([(0, 1, 2), (2, 0, 1), (1, 2, 0)])
+_SLOTS = np.argsort(_CYCLIC, axis=-1)  # where each input slot sits in the relabeling
+_SHEETS = np.array([1.0, -1.0])
+
+
+def rank3_lift_matrices(c, tol: float = DEFAULT_TOL):
+    """Both sheets of the lifts of stacked six-coordinates c (m, 6).
+
+    Returns ``(x, t123, unique, diagonal)``.  x (m, 2, 3, 2, 2) holds sheet
+    +1 then sheet -1 of each row; sheet s has triple product of the
+    quaternion imaginary parts of sign -s, and the sheets coincide where
+    the lift is unique: |t123| <= tol, or every pair is degenerate (all
+    s_ab <= tol; ``diagonal``), when the simultaneous-diagonal fallback
+    applies (a degenerate pair forces t123 = 0).  Otherwise each row is
+    framed in the cyclic relabeling whose leading pair has the largest
+    pairwise sigma.  Any row outside the image raises NotInImage.
+    """
+    c = np.asarray(c, dtype=float)
+    if not (su2_rank3_margins(c) >= -tol).all():
+        raise NotInImage("coordinates fail the rank-3 image inequalities")
+    if abs(c).max(initial=0.0) > 1.0 + tol:
+        raise NotInImage("coordinates leave [-1, 1]")
+    r, s, t123 = gram(c, tol)
+    rows = np.arange(len(c))
+    lead = s.argmax(axis=-1)
+    s_lead = s[rows, lead]
+    diagonal = s_lead <= tol
+    unique = (abs(t123) <= tol) | diagonal
+    det = np.linalg.det(r)
+    if (~unique & (det < -tol)).any():
+        raise NotInImage(f"det(r) = {det[~unique].min():.3e} is negative beyond tol={tol:g}")
+    p = _CYCLIC[lead]
+    # q[row, slot, sheet] holds the quaternion (a, b, c, d) of one matrix,
+    # built in the relabeled order and then moved back to the input slots.
+    q = np.zeros((len(c), 3, 2, 4))
+    with np.errstate(divide="ignore", invalid="ignore"):  # degenerate rows, replaced below
+        # |t123| <= tol: the unique sheet carries c3 = 0 exactly rather than
+        # the square root of rounding noise.
+        c3 = np.where(unique, 0.0, np.sqrt(np.maximum(det, 0.0)) / np.sqrt(s_lead))
+        _generic_rank3_lift(q, r[rows[:, None, None], p[:, :, None], p[:, None]], s_lead, c3[:, None] * _SHEETS)
+    q = q[rows[:, None], _SLOTS[lead]]
+    q[..., 0] = c[:, :3, None]
+    x = quaternion_matrix(q[..., 0], q[..., 1], q[..., 2], q[..., 3]).swapaxes(1, 2)
+    for i in diagonal.nonzero()[0]:
+        x[i] = _diagonal_rank3_lift(c[i], tol)
+    return x, t123, unique, diagonal
 
 
 def su2_rank3_lift(
@@ -126,98 +175,92 @@ def su2_rank3_lift(
     """Lift six a-coordinates to one SU(2) triple per requested sheet.
 
     Returns both sheets when ``sign`` is None and the lift is non-unique
-    (|t123| > tol).  Sheet ``s`` has triple product of the quaternion
-    imaginary parts of sign -s.  The frame is built in the cyclic relabeling
-    whose leading pair has the largest pairwise sigma; when every pair is
-    degenerate (all s_ab <= tol) the simultaneous-diagonal fallback applies.
-    A degenerate pair forces t123 = 0, so the lift is then unique.
+    (|t123| > tol), else sheet ``sign``; the diagonal fallback gives one
+    triple with sign 0 (see ``rank3_lift_matrices``).
     """
-    if not in_su2_rank3_image(c, tol).inside:
-        raise NotInImage("coordinates fail the rank-3 image inequalities")
-    coords = c.as_array()
-    if np.max(np.abs(coords)) > 1.0 + tol:
-        raise NotInImage("coordinates leave [-1, 1]")
-    r, s, t123 = gram(coords, tol)
-    t123 = float(t123)
-    unique = abs(t123) <= tol
+    if sign not in (None, 1, -1):
+        raise ValueError(f"sign must be 1, -1 or None, got {sign!r}")
+    x, t123, unique, diagonal = rank3_lift_matrices(c.as_array()[None], tol)
+    t123, unique = float(t123[0]), bool(unique[0])
+    if diagonal[0]:
+        return LiftResult(tuples=(RepTuple(su(2), x[0, 0]),), unique=True, t123=t123, signs=(0,))
     signs = (sign,) if sign is not None else ((1,) if unique else (1, -1))
-
-    lead = int(np.argmax(s))
-    s_lead = float(s[lead])
-    if s_lead > tol:
-        p = list(_CYCLIC[lead])
-        a, rp = coords[p].tolist(), r[p][:, p].tolist()
-        # |t123| <= tol: the unique sheet carries c3 = 0 exactly rather than
-        # the square root of rounding noise.
-        c3 = 0.0
-        if not unique:
-            c3 = _sqrt_clamped(float(np.linalg.det(r)), tol, "det(r)") / np.sqrt(s_lead)
-        slot_of = np.argsort(p)
-        out = []
-        for sg in signs:
-            mats = _generic_rank3_lift(a, rp, s_lead, sg * c3)
-            out.append(RepTuple(su(2), mats[slot_of]))
-        return LiftResult(tuples=tuple(out), unique=unique, t123=t123, signs=signs)
-
-    mats = _diagonal_rank3_lift(c, tol)
-    if mats is None:
-        raise DegenerateUnhandled("every pair is degenerate and the diagonal fallback failed")
-    rho = RepTuple(su(2), mats)
-    got = su2_rank3_coords(rho).as_array()
-    if np.max(np.abs(got - coords)) > max(100 * tol, 1e-7):
-        raise DegenerateUnhandled("diagonal fallback does not reproduce the coordinates")
-    return LiftResult(tuples=(rho,), unique=True, t123=t123, signs=(0,))
+    tuples = tuple(RepTuple(su(2), x[0, (1 - sg) // 2]) for sg in signs)
+    return LiftResult(tuples=tuples, unique=unique, t123=t123, signs=signs)
 
 
 # --- constructive K-conjugacy ------------------------------------------------
 
 
 def conjugacy_operator(a, b) -> np.ndarray:
-    """The (r n^2, n^2) matrix of X -> (X A_i - B_i X)_i on row-major vec(X).
+    """The (..., r n^2, n^2) matrices of X -> (X A_i - B_i X)_i on row-major vec(X),
+    for stacked tuples a, b (..., r, n, n).
 
     Block i is I kron A_i^T - B_i kron I, written into its nonzero entries:
     row (p, q) holds A_i[t, q] in column (p, t) and -B_i[p, s] in column (s, q).
     """
     a, b = np.asarray(a), np.asarray(b)
-    r, n = a.shape[0], a.shape[-1]
-    m = np.zeros((r, n, n, n, n), dtype=complex)
+    *lead, r, n, _ = a.shape
+    m = np.zeros((*lead, r, n, n, n, n), dtype=complex)
     diag = np.arange(n)
-    m[:, diag, :, diag, :] = np.swapaxes(a, -1, -2)
-    m[:, :, diag, :, diag] -= b
-    return m.reshape(r * n * n, n * n)
+    m[..., diag, :, diag, :] = np.swapaxes(a, -1, -2)
+    m[..., :, diag, :, diag] -= b
+    return m.reshape(*lead, r * n * n, n * n)
 
 
-def unitary_conjugacy(rho1: RepTuple, rho2: RepTuple, tol: float = DEFAULT_TOL):
-    """Find k in SU(n) with k rho1 k^-1 = rho2 within 10*tol, or None.
+def conjugacy_decisions(a, b, tol: float = DEFAULT_TOL):
+    """Decide K-conjugacy of stacked unitary pairs a, b (m, r, n, n) within 10*tol.
 
-    Intertwiners X A_i = B_i X span the null space of ``conjugacy_operator``.
-    A unitary k within eps on every component is a vector of norm sqrt(n)
-    that this map sends to norm <= sqrt(r) eps, so no singular value below
-    sqrt(r/n) eps means None.  Otherwise a fixed probe projected onto the
-    right singular vectors below that bound gives an intertwiner g = U S V*,
-    and its polar factor U V* is verified on every component.  Non-conjugate
-    tuples sharing a summand have only singular intertwiners and fail there.
+    Returns ``(k, err)``: k lists, per pair, a k in SU(n) with
+    k A_i k^-1 = B_i within 10*tol, or None; err (m,) holds each candidate's
+    verification residual max_i ||k A_i k^-1 - B_i||_F, inf where there is
+    no candidate.  Intertwiners X A_i = B_i X span the null space of
+    ``conjugacy_operator``.  A unitary k within eps on every component is a
+    vector of norm sqrt(n) that this map sends to norm <= sqrt(r) eps, so no
+    singular value below sqrt(r/n) eps means None.  Otherwise a fixed probe
+    projected onto the right singular vectors below that bound gives an
+    intertwiner g = U S V*, and its polar factor U V* is the candidate.
+    Non-conjugate tuples sharing a summand have only singular intertwiners
+    and fail the verification.
     """
+    a, b = np.asarray(a), np.asarray(b)
+    m, r, n = a.shape[0], a.shape[1], a.shape[-1]
+    eps = 10.0 * max(tol, 1e-9)
+    bound = np.sqrt(r / n) * eps
+    # The QR factors tri keep the singular values and right singular vectors
+    # of the operators.  y minus its minimal-norm least-squares fit, singular
+    # values <= bound cut, is y projected onto the right singular vectors
+    # below the bound; lstsq gives it without the workspace of forming the
+    # vectors.  numpy has no stacked lstsq, so the pairs below the bound
+    # take the projection, polar step and verification one at a time.
+    tri = np.linalg.qr(conjugacy_operator(a, b), mode="r")
+    s = np.linalg.svd(tri, compute_uv=False)
+    k, err = [None] * m, [np.inf] * m
+    for i, si in enumerate(s.tolist()):
+        if si[-1] > bound:
+            continue
+        # Fixed probe: the n x n matrix of quasi-random phases exp(2 pi i phi j^2).
+        y = np.exp(2j * np.pi * ((np.arange(n * n) ** 2 * 0.6180339887498949) % 1.0))
+        g = (y - np.linalg.lstsq(tri[i], tri[i] @ y, rcond=bound / max(si[0], bound))[0]).reshape(n, n)
+        u, _, wh = np.linalg.svd(g)
+        ki = u @ wh
+        ki = ki * np.exp(-1j * np.angle(np.linalg.det(ki)) / n)
+        err[i] = float(np.linalg.norm(ki @ a[i] @ dagger(ki) - b[i], axis=(-2, -1)).max())
+        if err[i] <= eps:
+            k[i] = ki
+    return k, np.array(err)
+
+
+def unitary_pair(rho1: RepTuple, rho2: RepTuple):
+    """Two SU tuples of one shape as a one-pair stack for ``conjugacy_decisions``."""
     if rho1.descriptor != rho2.descriptor or rho1.r != rho2.r:
         raise DimensionMismatch("tuples must share descriptor and rank")
     if rho1.descriptor.family != "SU":
         raise NotInGroup("unitary_conjugacy expects unitary-valued tuples")
-    n, eps = rho1.n, 10.0 * max(tol, 1e-9)
-    m = conjugacy_operator(rho1.matrices, rho2.matrices)
-    # The QR factor tri keeps the singular values and right singular vectors
-    # of m.  y minus its minimal-norm least-squares fit, singular values
-    # <= bound cut, is y projected onto the right singular vectors below the
-    # bound; lstsq gives it without the workspace of forming the vectors.
-    tri = np.linalg.qr(m, mode="r")
-    s = np.linalg.svd(tri, compute_uv=False)
-    bound = np.sqrt(rho1.r / n) * eps
-    if s[-1] > bound:
-        return None
-    # Fixed probe: the n x n matrix of quasi-random phases exp(2 pi i phi j^2).
-    y = np.exp(2j * np.pi * ((np.arange(n * n) ** 2 * 0.6180339887498949) % 1.0))
-    g = (y - np.linalg.lstsq(tri, tri @ y, rcond=bound / max(s[0], bound))[0]).reshape(n, n)
-    u, _, wh = np.linalg.svd(g)
-    k_mat = u @ wh
-    k_mat = k_mat * np.exp(-1j * np.angle(np.linalg.det(k_mat)) / n)
-    err = np.linalg.norm(k_mat @ rho1.matrices @ dagger(k_mat) - rho2.matrices, axis=(-2, -1)).max()
-    return k_mat if err <= eps else None
+    return rho1.matrices[None], rho2.matrices[None]
+
+
+def unitary_conjugacy(rho1: RepTuple, rho2: RepTuple, tol: float = DEFAULT_TOL):
+    """Find k in SU(n) with k rho1 k^-1 = rho2 within 10*tol, or None: one pair
+    through ``conjugacy_decisions``."""
+    return conjugacy_decisions(*unitary_pair(rho1, rho2), tol)[0][0]

@@ -57,16 +57,19 @@ def sigma(a: SU2Rank2Coords) -> float:
     return sigma3(a.a1, a.a2, a.a3)
 
 
+_RANK2_MARGINS = ("a1_bound", "a2_bound", "a3_bound", "sigma_lower", "sigma_upper")
+
+
+def su2_rank2_margins(a1, a2, a3):
+    """The margins of ``in_su2_rank2_image`` in its order, of floats or of stacked
+    arrays; both give the same bits, as squares are taken as products."""
+    s = sigma3(a1, a2, a3)
+    return 1.0 - a1 * a1, 1.0 - a2 * a2, 1.0 - a3 * a3, s, 1.0 - s
+
+
 def in_su2_rank2_image(a: SU2Rank2Coords, tol: float = DEFAULT_TOL) -> RegionVerdict:
     """a in [-1,1]^3 and sigma(a) in [0,1]; margins all >= 0 when satisfied."""
-    s = sigma(a)
-    margins = {
-        "a1_bound": 1.0 - a.a1**2,
-        "a2_bound": 1.0 - a.a2**2,
-        "a3_bound": 1.0 - a.a3**2,
-        "sigma_lower": s,
-        "sigma_upper": 1.0 - s,
-    }
+    margins = dict(zip(_RANK2_MARGINS, su2_rank2_margins(a.a1, a.a2, a.a3)))
     inside = all(v >= -tol for v in margins.values())
     return _verdict(margins, inside, tol)
 
@@ -97,17 +100,23 @@ def tetrahedron_check(th, tol: float = DEFAULT_TOL) -> RegionVerdict:
 # --- SU(2) rank 3 ------------------------------------------------------------
 
 
+# The coordinate triples (a_j, a_k, a_jk) of the four sigma-conditions: 12, 13, 23, off.
+_RANK3_TRIPLES = ((0, 1, 3), (0, 2, 4), (1, 2, 5), (3, 4, 5))
+_RANK3_MARGINS = tuple(f"{kind}_{pair}" for kind in ("sigma", "cap") for pair in ("12", "13", "23", "off"))
+
+
+def su2_rank3_margins(c):
+    """The margins of ``in_su2_rank3_image`` in its order over stacked coordinates c (..., 6)."""
+    a = np.asarray(c, dtype=float)[..., np.array(_RANK3_TRIPLES)]
+    s = sigma3(a[..., 0], a[..., 1], a[..., 2])
+    return np.concatenate([s, 1.0 - s], axis=-1)
+
+
 def in_su2_rank3_image(c: SU2Rank3Coords, tol: float = DEFAULT_TOL) -> RegionVerdict:
     """Four sigma-conditions of the rank-3 image, each in [0, 1]."""
-    sig = {
-        "sigma_12": sigma3(c.a1, c.a2, c.a12),
-        "sigma_13": sigma3(c.a1, c.a3, c.a13),
-        "sigma_23": sigma3(c.a2, c.a3, c.a23),
-        "sigma_off": sigma3(c.a12, c.a13, c.a23),
-    }
-    margins = dict(sig)
-    for name, v in sig.items():
-        margins[name.replace("sigma", "cap")] = 1.0 - v
+    a = (c.a1, c.a2, c.a3, c.a12, c.a13, c.a23)
+    sig = [sigma3(a[i], a[j], a[k]) for i, j, k in _RANK3_TRIPLES]
+    margins = dict(zip(_RANK3_MARGINS, sig + [1.0 - x for x in sig]))
     inside = all(v >= -tol for v in margins.values())
     return _verdict(margins, inside, tol)
 
@@ -234,6 +243,14 @@ _ALCOVE_TRIANGLE = (
 )
 
 
+def _sweep(pa, pb, pc, us):
+    """Degenerate bilinear sweep pa + u (pb - pa) + v (1 - u)(pc - pa) over the
+    (u, v) mesh of ``us``: (..., len(us), len(us), k) for vertices (..., k)."""
+    uu, vv = us[:, None, None], us[None, :, None]
+    pa, pb, pc = (np.asarray(x)[..., None, None, :] for x in (pa, pb, pc))
+    return pa + uu * (pb - pa) + vv * (1.0 - uu) * (pc - pa)
+
+
 def su3_alcove_grid(resolution: int):
     """(p1, p2, margin) rows sampling the alcove image of the SU(3) trace.
 
@@ -243,15 +260,11 @@ def su3_alcove_grid(resolution: int):
     """
     if resolution < 16:
         raise ValueError("resolution must be >= 16")
-    a, b, c = _ALCOVE_TRIANGLE
-    rows = []
-    us = np.linspace(0.0, 1.0, resolution)
-    for uu in us:
-        for vv in us:
-            lam = a + uu * (b - a) + vv * (1.0 - uu) * (c - a)
-            tau = np.exp(2j * np.pi * lam).sum()
-            rows.append((float(tau.real), float(tau.imag), su3_alcove_quartic(tau)))
-    return rows
+    lam = _sweep(*_ALCOVE_TRIANGLE, np.linspace(0.0, 1.0, resolution))
+    tau = np.exp(2j * np.pi * lam).sum(axis=-1).ravel().tolist()
+    # The margin is taken per row: numpy's stacked power and complex abs
+    # round differently from the scalar ones that su3_alcove_check uses.
+    return [(t.real, t.imag, su3_alcove_quartic(t)) for t in tau]
 
 
 def su2_tetrahedron_boundary_grid(resolution: int):
@@ -263,24 +276,15 @@ def su2_tetrahedron_boundary_grid(resolution: int):
     """
     if resolution < 16:
         raise ValueError("resolution must be >= 16")
-    m = resolution // 2
     # Faces as theta-triangles (vertices in theta coordinates).
-    faces = (
+    faces = np.array([
         ((0.0, 0.0, 0.0), (1.0, 0.0, 1.0), (0.0, 1.0, 1.0)),  # th1+th2-th3 = 0
         ((0.0, 0.0, 0.0), (1.0, 1.0, 0.0), (0.0, 1.0, 1.0)),  # th1+th3-th2 = 0
         ((0.0, 0.0, 0.0), (1.0, 1.0, 0.0), (1.0, 0.0, 1.0)),  # th2+th3-th1 = 0
         ((0.0, 1.0, 1.0), (1.0, 0.0, 1.0), (1.0, 1.0, 0.0)),  # th1+th2+th3 = 2
-    )
-    rows = []
-    us = np.linspace(0.0, 1.0, m)
-    for pa, pb, pc in faces:
-        pa, pb, pc = np.array(pa), np.array(pb), np.array(pc)
-        for uu in us:
-            for vv in us:
-                th = pa + uu * (pb - pa) + vv * (1.0 - uu) * (pc - pa)
-                a = np.cos(np.pi * th)
-                rows.append((float(a[0]), float(a[1]), float(a[2])))
-    return rows
+    ])
+    th = _sweep(faces[:, 0], faces[:, 1], faces[:, 2], np.linspace(0.0, 1.0, resolution // 2))
+    return list(map(tuple, np.cos(np.pi * th).reshape(-1, 3).tolist()))
 
 
 def region_grid(name: str, resolution: int):

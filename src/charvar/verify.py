@@ -26,8 +26,6 @@ from .groups import (
     validate,
 )
 from .invariants import (
-    SU2Rank2Coords,
-    SU2Rank3Coords,
     fricke_rhs,
     pq,
     pq_from_traces,
@@ -35,8 +33,6 @@ from .invariants import (
     sigma3,
     su2_a_coords,
     su2_commutator_re,
-    su2_rank2_coords,
-    su2_rank3_coords,
     su3_alcove_quartic,
     su3_delta,
     su3_disc,
@@ -49,7 +45,7 @@ from .invariants import (
 )
 from .kempfness import kn_flow, kn_functional, moment_residual, residual_matrix
 from .poincare import baird_poly, surface_counterexample_polys
-from .reconstruct import su2_rank2_lift, su2_rank3_lift, unitary_conjugacy
+from .reconstruct import conjugacy_decisions, rank2_lift_matrices, rank3_lift_matrices
 from .retraction import retract_matrices
 from .semialgebraic import ALCOVE_CORNERS, TETRAHEDRON_VERTICES, region_grid
 
@@ -168,15 +164,14 @@ def verify_fricke(samples: int = 10_000, seed: int = 0) -> dict:
 # --- criterion 3 -------------------------------------------------------------
 
 
-def sample_admissible_rank2(count: int, rng) -> list:
-    """Uniform rejection samples of (a1,a2,a3) with sigma in [0,1]."""
-    out = []
+def sample_admissible_rank2(count: int, rng) -> np.ndarray:
+    """Uniform rejection samples (count, 3) of (a1, a2, a3) with sigma in [0, 1]."""
+    out = np.empty((0, 3))
     while len(out) < count:
         a = rng.uniform(-1.0, 1.0, size=(4 * count, 3))
         s = sigma3(*a.T)
-        good = a[(s >= 0.0) & (s <= 1.0)]
-        out.extend(good[: count - len(out)])
-    return [SU2Rank2Coords(*map(float, row)) for row in out]
+        out = np.concatenate([out, a[(s >= 0.0) & (s <= 1.0)][: count - len(out)]])
+    return out
 
 
 def verify_sigma_ball(samples: int = 100_000, seed: int = 0) -> dict:
@@ -186,13 +181,9 @@ def verify_sigma_ball(samples: int = 100_000, seed: int = 0) -> dict:
     sig_min, sig_max = float(s.min()), float(s.max())
 
     lifts = max(1000, samples // 10)
-    worst_rt = 0.0
-    for c in sample_admissible_rank2(lifts, rng):
-        rho = su2_rank2_lift(c).tuples[0]
-        back = su2_rank2_coords(rho)
-        worst_rt = max(
-            worst_rt, float(np.max(np.abs(back.as_array() - c.as_array())))
-        )
+    c = sample_admissible_rank2(lifts, rng)
+    back = su2_a_coords(_in_group(rank2_lift_matrices(c), su(2)))
+    worst_rt = float(np.abs(back - c).max(initial=0.0))
     elapsed = time.perf_counter() - t0
     checks = {
         "sigma_min": sig_min,
@@ -207,53 +198,38 @@ def verify_sigma_ball(samples: int = 100_000, seed: int = 0) -> dict:
 # --- criterion 4 -------------------------------------------------------------
 
 
-def coplanar_su2_triple(rng) -> RepTuple:
-    """Triple whose quaternion imaginary parts share the (i, k)-plane: t123 = 0."""
-    draws = [(rng.uniform(0.2, np.pi - 0.2), rng.uniform(0.0, 2 * np.pi)) for _ in range(3)]
-    phi_a, psi = np.array(draws).T
+def coplanar_su2_triples(count: int, rng) -> np.ndarray:
+    """count triples (count, 3, 2, 2) whose quaternion imaginary parts share the
+    (i, k)-plane: t123 = 0.  Each matrix draws its polar then its azimuthal angle."""
+    phi_a, psi = np.moveaxis(rng.uniform((0.2, 0.0), (np.pi - 0.2, 2 * np.pi), size=(count, 3, 2)), -1, 0)
     s = np.sin(phi_a)
-    return RepTuple(su(2), quaternion_matrix(np.cos(phi_a), s * np.cos(psi), 0.0, s * np.sin(psi)))
+    return quaternion_matrix(np.cos(phi_a), s * np.cos(psi), 0.0, s * np.sin(psi))
 
 
 def verify_two_sheet(samples: int = 10_000, seed: int = 0) -> dict:
-    """Lift every sampled triple and compare its sheets; the lifts and sheet
-    conjugacy decisions are one per triple, the draws and round trips stacked."""
+    """Lift every sampled triple on both sheets, round-trip the lifts, and
+    decide every distinct sheet pair; all on stacks."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     coords = su2_a_coords(_in_group(haar_su(2, rng, 3 * samples).reshape(samples, 3, 2, 2), su(2)))
-    lifted, owner = [], []
-    sheet_failures = 0
-    checked_sheets = 0
-    for i, c in enumerate(coords.tolist()):
-        res = su2_rank3_lift(SU2Rank3Coords(*c))
-        lifted += [rho.matrices for rho in res.tuples]
-        owner += [i] * len(res.tuples)
-        if res.t123 is not None and res.t123 > 1e-4 and len(res.tuples) == 2:
-            checked_sheets += 1
-            if unitary_conjugacy(res.tuples[0], res.tuples[1]) is not None:
-                sheet_failures += 1
-    err = np.abs(su2_a_coords(np.array(lifted).reshape(-1, 3, 2, 2)) - coords[owner]).max(axis=-1)
-    best = np.full(samples, np.inf)
-    np.minimum.at(best, owner, err)
-    worst_rt = float(best.max(initial=0.0))
+    x, t123, unique, _ = rank3_lift_matrices(coords)
+    x = _in_group(x, su(2))
+    err = np.abs(su2_a_coords(x) - coords[:, None]).max(axis=-1).min(axis=-1)
+    worst_rt = float(err.max(initial=0.0))
+    distinct = ~unique & (t123 > 1e-4)
+    k, _ = conjugacy_decisions(x[distinct, 0], x[distinct, 1])
+    sheet_failures = sum(ki is not None for ki in k)
 
-    degen_worst = 0.0
-    for _ in range(100):
-        rho = coplanar_su2_triple(rng)
-        c = su2_rank3_coords(rho)
-        plus = su2_rank3_lift(c, sign=1).tuples[0]
-        minus = su2_rank3_lift(c, sign=-1).tuples[0]
-        k = unitary_conjugacy(plus, minus, tol=1e-9)
-        if k is None:
-            degen_worst = np.inf
-        else:
-            degen_worst = max(degen_worst, _max_frob(k @ plus.matrices @ dagger(k) - minus.matrices))
+    plane = _in_group(coplanar_su2_triples(100, rng), su(2))
+    x = _in_group(rank3_lift_matrices(su2_a_coords(plane))[0], su(2))
+    k, err = conjugacy_decisions(x[:, 0], x[:, 1], tol=1e-9)
+    degen_worst = float(np.where([ki is None for ki in k], np.inf, err).max())
     elapsed = time.perf_counter() - t0
     checks = {
         "round_trip_max": worst_rt,
-        "distinct_sheet_pairs_checked": checked_sheets,
+        "distinct_sheet_pairs_checked": int(distinct.sum()),
         "conjugate_sheet_failures": sheet_failures,
-        "coplanar_conjugacy_residual": float(degen_worst),
+        "coplanar_conjugacy_residual": degen_worst,
     }
     passed = worst_rt < 1e-9 and sheet_failures == 0 and degen_worst < 1e-8
     return _report("two-sheet", passed, elapsed, checks, samples=samples, seed=seed)
@@ -338,25 +314,27 @@ def verify_transpose(samples: int = 10_000, seed: int = 0) -> dict:
 # --- criterion 8 -------------------------------------------------------------
 
 
-def random_sl3(rng) -> np.ndarray:
-    """Ginibre matrix scaled by a principal cube root of its determinant."""
-    while True:
-        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+def random_sl3(count: int, rng) -> np.ndarray:
+    """count Ginibre matrices (count, 3, 3), each scaled by a principal cube
+    root of its determinant.  A draw with |det| <= 1e-6 is replaced by the
+    next one in the stream, as drawing one matrix at a time would."""
+    out = np.empty((0, 3, 3), dtype=complex)
+    while len(out) < count:
+        z = rng.standard_normal((count - len(out), 2, 3, 3))
+        a = z[:, 0] + 1j * z[:, 1]
         d = np.linalg.det(a)
-        if abs(d) > 1e-6:
-            return a / d ** (1.0 / 3.0)
+        keep = np.abs(d) > 1e-6
+        out = np.concatenate([out, a[keep] / (d[keep] ** (1.0 / 3.0))[:, None, None]])
+    return out
 
 
 def verify_minors(samples: int = 10_000, seed: int = 0) -> dict:
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(samples):
-        x = random_sl3(rng)
-        worst = max(worst, abs(relation_residual(su3_minors(x))))
+    worst = float(np.abs(relation_residual(su3_minors(random_sl3(samples, rng)))).max(initial=0.0))
     at_identity = relation_residual(su3_minors(np.eye(3)))
     elapsed = time.perf_counter() - t0
-    checks = {"max_residual": float(worst), "identity_residual": abs(at_identity)}
+    checks = {"max_residual": worst, "identity_residual": abs(at_identity)}
     passed = worst < 1e-9 and at_identity == 0
     return _report("minors", passed, elapsed, checks, samples=samples, seed=seed)
 
@@ -468,24 +446,19 @@ def verify_baird(samples: int = 10, seed: int = 0) -> dict:
 def verify_figures(samples: int = 64, seed: int = 0) -> dict:
     t0 = time.perf_counter()
     resolution = max(16, samples)
-    _, alcove_rows = region_grid("su3-alcove", resolution)
+    p1, p2, margin = np.array(region_grid("su3-alcove", resolution)[1]).T
     corner_margins = []
     for corner in ALCOVE_CORNERS:
-        hits = [
-            abs(m)
-            for (p1, p2, m) in alcove_rows
-            if abs(complex(p1, p2) - corner) < 1e-12
-        ]
-        corner_margins.append(min(hits) if hits else np.inf)
-    _, tet_rows = region_grid("su2-tetrahedron-boundary", resolution)
-    tet_set = set(tet_rows)
-    vertices_present = all(v in tet_set for v in TETRAHEDRON_VERTICES)
+        hits = np.abs(margin[np.hypot(p1 - corner.real, p2 - corner.imag) < 1e-12])
+        corner_margins.append(hits.min(initial=np.inf))
+    tet = np.array(region_grid("su2-tetrahedron-boundary", resolution)[1])
+    vertices_present = all(np.any(np.all(tet == v, axis=-1)) for v in TETRAHEDRON_VERTICES)
     elapsed = time.perf_counter() - t0
     checks = {
         "alcove_corner_margins": [float(x) for x in corner_margins],
         "tetrahedron_vertices_exact": vertices_present,
-        "alcove_rows": len(alcove_rows),
-        "tetrahedron_rows": len(tet_rows),
+        "alcove_rows": len(margin),
+        "tetrahedron_rows": len(tet),
     }
     passed = all(m < 1e-9 for m in corner_margins) and vertices_present
     return _report("figures", passed, elapsed, checks, resolution=resolution, seed=seed)

@@ -154,6 +154,23 @@ def test_conjugacy_command(capsys, tmp_path):
     assert json.loads(out)["conjugate"] is False
 
 
+def test_conjugacy_reports_the_library_residual(capsys, tmp_path):
+    from charvar.groups import conjugate_tuple, sample_tuple, su, tuple_to_json
+    from charvar.linalg import haar_su
+    from charvar.reconstruct import conjugacy_decisions
+
+    rng = np.random.default_rng(34)
+    rho = sample_tuple(su(3), 2, rng)
+    other = conjugate_tuple(haar_su(3, rng), rho)
+    for name, t in (("a", rho), ("b", other)):
+        (tmp_path / f"{name}.json").write_text(json.dumps(tuple_to_json(t)))
+    code, out = run_cli(capsys, "conjugacy", "--a", str(tmp_path / "a.json"),
+                        "--b", str(tmp_path / "b.json"), "--tol", "1e-9")
+    assert code == 0
+    _, err = conjugacy_decisions(rho.matrices[None], other.matrices[None], 1e-9)
+    assert json.loads(out)["residual"] == err[0]
+
+
 def test_trace_command(capsys, tmp_path):
     path = tmp_path / "t.json"
     run_cli(capsys, "sample", "--group", "SU", "--n", "2", "--r", "2", "--seed", "4",

@@ -308,7 +308,7 @@ def test_minors_identity_golden():
 
 def test_minors_inverse_property():
     rng = np.random.default_rng(11)
-    x = random_sl3(rng)
+    x = random_sl3(1, rng)[0]
     mx = su3_minors(x)
     mi = su3_minors(np.linalg.inv(x))
     assert abs(mi.m1 - mx.mm1) < 1e-10
@@ -318,14 +318,26 @@ def test_minors_inverse_property():
 def test_minors_relation_on_sl3():
     rng = np.random.default_rng(12)
     worst = 0.0
-    for _ in range(1000):
-        worst = max(worst, abs(relation_residual(su3_minors(random_sl3(rng)))))
+    for x in random_sl3(1000, rng):
+        worst = max(worst, abs(relation_residual(su3_minors(x))))
     assert worst < 1e-9
+
+
+def test_stacked_minors_match_each_matrix():
+    # Stacked complex products may round differently from scalar ones.
+    x = random_sl3(300, np.random.default_rng(14))
+    stacked, res = su3_minors(x), relation_residual(su3_minors(x))
+    for i, xi in enumerate(x):
+        one = su3_minors(xi)
+        assert all(isinstance(v, complex) for v in vars(one).values())
+        for name, v in vars(one).items():
+            assert abs(getattr(stacked, name)[i] - v) <= 1e-12 * max(1.0, abs(v))
+        assert abs(res[i] - relation_residual(one)) < 1e-11
 
 
 def test_minors_torus_invariance():
     rng = np.random.default_rng(13)
-    x = random_sl3(rng)
+    x = random_sl3(1, rng)[0]
     mu = np.exp(1j * rng.uniform(-np.pi, np.pi, 2))
     d = np.diag([mu[0], mu[1], 1.0 / (mu[0] * mu[1])])
     m1 = su3_minors(x)

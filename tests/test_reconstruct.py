@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from charvar.groups import RepTuple, conjugate_tuple, sample_tuple, su, to_quaternion
+from charvar.groups import RepTuple, conjugate_tuple, quaternion_matrix, sample_tuple, su, to_quaternion
 from charvar.invariants import (
     SU2Rank2Coords,
     SU2Rank3Coords,
     all_words,
     gram,
+    su2_a_coords,
     su2_rank2_coords,
     su2_rank3_coords,
     trace_word,
@@ -14,12 +15,15 @@ from charvar.invariants import (
 from charvar.linalg import exp_herm, frob, haar_su
 from charvar.reconstruct import (
     NotInImage,
+    conjugacy_decisions,
     conjugacy_operator,
+    rank2_lift_matrices,
+    rank3_lift_matrices,
     su2_rank2_lift,
     su2_rank3_lift,
     unitary_conjugacy,
 )
-from charvar.verify import coplanar_su2_triple, sample_admissible_rank2
+from charvar.verify import coplanar_su2_triples, sample_admissible_rank2
 
 QI = np.diag([1j, -1j])
 QJ = np.array([[0, 1], [-1, 0]], dtype=complex)
@@ -60,7 +64,8 @@ def test_rank2_lift_half_coords():
 def test_rank2_lift_round_trip_property():
     rng = np.random.default_rng(0)
     worst = 0.0
-    for c in sample_admissible_rank2(1000, rng):
+    for row in sample_admissible_rank2(1000, rng):
+        c = SU2Rank2Coords(*row)
         rho = su2_rank2_lift(c).tuples[0]
         assert rho.is_valid(1e-10)
         back = su2_rank2_coords(rho)
@@ -164,9 +169,8 @@ def test_rank3_two_sheets_not_conjugate():
 
 def test_rank3_coplanar_unique():
     rng = np.random.default_rng(4)
-    for _ in range(20):
-        rho = coplanar_su2_triple(rng)
-        c = su2_rank3_coords(rho)
+    for x in coplanar_su2_triples(20, rng):
+        c = su2_rank3_coords(RepTuple(su(2), x))
         plus = su2_rank3_lift(c, sign=1).tuples[0]
         minus = su2_rank3_lift(c, sign=-1).tuples[0]
         k = unitary_conjugacy(plus, minus, tol=1e-9)
@@ -251,6 +255,78 @@ def test_rank3_lift_small_leading_pair_stays_in_su2():
 def test_rank3_lift_rejects_outside():
     with pytest.raises(NotInImage):
         su2_rank3_lift(SU2Rank3Coords(1, -1, 1, 1, 1, 1))
+
+
+@pytest.mark.parametrize("sign", [0, 2, -2])
+def test_rank3_lift_rejects_unknown_sheet(sign):
+    with pytest.raises(ValueError, match="sign"):
+        su2_rank3_lift(SU2Rank3Coords(0, 0, 0, 0, 0, 0), sign=sign)
+
+
+# --- stacked lifts ---------------------------------------------------------------
+
+
+def _rank3_rows(rng):
+    """Haar and coplanar coordinates, then a degenerate (1,2) pair, a central
+    X1 and an all-degenerate (diagonal) triple."""
+    haar = su2_a_coords(haar_su(2, rng, 3 * 300).reshape(300, 3, 2, 2))
+    plane = su2_a_coords(coplanar_su2_triples(20, rng))
+    x, y = haar_su(2, rng), haar_su(2, rng)
+    diag = [np.diag([np.exp(1j * t), np.exp(-1j * t)]) for t in (0.4, 1.1, -0.7)]
+    special = su2_a_coords(np.array([(x, x, y), (np.eye(2), QI, QJ), diag]))
+    return np.concatenate([haar, plane, special])
+
+
+def test_rank3_stack_equals_scalar_lifts():
+    c = _rank3_rows(np.random.default_rng(50))
+    x, t123, unique, diagonal = rank3_lift_matrices(c)
+    assert set(np.argmax(gram(c)[1], axis=-1)) == {0, 1, 2}  # every relabeling is taken
+    assert np.flatnonzero(diagonal).tolist() == [len(c) - 1]
+    assert unique[300:].all() and np.all(t123[~unique] > 1e-9)
+    for i, row in enumerate(c.tolist()):
+        for sheet, sign in enumerate((1, -1)):
+            res = su2_rank3_lift(SU2Rank3Coords(*row), sign=sign)
+            assert (res.t123, res.unique) == (t123[i], unique[i])
+            assert np.array_equal(res.tuples[0].matrices, x[i, sheet])
+        if not unique[i]:
+            both = su2_rank3_lift(SU2Rank3Coords(*row)).tuples
+            assert np.array_equal(both[0].matrices, x[i, 0]) and np.array_equal(both[1].matrices, x[i, 1])
+
+
+def test_rank3_stack_rejects_one_row_outside():
+    c = _rank3_rows(np.random.default_rng(51))[:40]
+    c[17] = (1, -1, 1, 1, 1, 1)
+    with pytest.raises(NotInImage):
+        rank3_lift_matrices(c)
+
+
+def test_rank2_stack_equals_scalar_lifts():
+    rng = np.random.default_rng(52)
+    haar = su2_a_coords(haar_su(2, rng, 2 * 300).reshape(300, 2, 2, 2))
+    near = [_near_central(d).as_array() for d in (1e-2, 1e-4, 1e-6, 1e-8)]
+    fixed = [(0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (0.5, 0.5, 0.5), (1.0, 0.3, 0.3)]
+    c = np.concatenate([haar, near, fixed, sample_admissible_rank2(300, rng)])
+    x = rank2_lift_matrices(c)
+    for row, xi in zip(c.tolist(), x):
+        assert np.array_equal(su2_rank2_lift(SU2Rank2Coords(*row)).tuples[0].matrices, xi)
+
+
+def test_rank2_stack_rejects_one_row_outside():
+    c = sample_admissible_rank2(30, np.random.default_rng(53))
+    c[11] = (1, -1, 1)
+    with pytest.raises(NotInImage):
+        rank2_lift_matrices(c)
+
+
+def test_coplanar_triples_are_the_per_triple_draws():
+    r1, r2 = np.random.default_rng(54), np.random.default_rng(54)
+    angles = np.array([
+        [(r1.uniform(0.2, np.pi - 0.2), r1.uniform(0.0, 2 * np.pi)) for _ in range(3)] for _ in range(25)
+    ])
+    phi_a, psi = angles[..., 0], angles[..., 1]
+    ref = quaternion_matrix(np.cos(phi_a), np.sin(phi_a) * np.cos(psi), 0.0, np.sin(phi_a) * np.sin(psi))
+    assert np.array_equal(coplanar_su2_triples(25, r2), ref)
+    assert r1.uniform() == r2.uniform()  # the generator is left in the same state
 
 
 # --- unitary conjugacy ---------------------------------------------------------
@@ -414,3 +490,25 @@ def test_unitary_lemma_on_reducible_tuples():
         unitary_moved = RepTuple(su(2), moved.matrices)
         found = unitary_conjugacy(rho, unitary_moved)
         assert found is not None
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_conjugacy_decisions_match_pairwise(n):
+    # Cycling no (independent), yes (conjugated) and no (only the first
+    # matrices conjugate) pairs, decided as one stack and one pair at a time.
+    rng = np.random.default_rng(60 + n)
+    a, b = [], []
+    for i in range(12):
+        x, k = haar_su(n, rng, 2), haar_su(n, rng)
+        y = (haar_su(n, rng, 2), k @ x @ k.conj().T, np.stack([k @ x[0] @ k.conj().T, haar_su(n, rng)]))[i % 3]
+        a.append(x)
+        b.append(y)
+    a, b = np.array(a), np.array(b)
+    k, err = conjugacy_decisions(a, b)
+    assert [ki is not None for ki in k] == [i % 3 == 1 for i in range(12)]
+    for i, ki in enumerate(k):
+        ref = unitary_conjugacy(RepTuple(su(n), a[i]), RepTuple(su(n), b[i]))
+        assert (ki is None) == (ref is None)
+        if ki is not None:
+            assert np.array_equal(ki, ref)
+            assert err[i] == np.linalg.norm(ki @ a[i] @ ki.conj().T - b[i], axis=(-2, -1)).max() < 1e-8

@@ -288,6 +288,31 @@ def test_alcove_boundary_characterizes_eigenvalue_collision():
                 assert gap_min < 1e-4
 
 
+@pytest.mark.parametrize("resolution", [16, 17, 40])
+def test_region_grids_equal_the_pointwise_sweep(resolution):
+    # The grids as one point at a time; the stacked sweep keeps every bit.
+    us = np.linspace(0.0, 1.0, resolution)
+    a, b, c = np.zeros(3), np.array([1, 1, -2]) / 3.0, np.array([2, -1, -1]) / 3.0
+    alcove = []
+    for uu in us:
+        for vv in us:
+            tau = np.exp(2j * np.pi * (a + uu * (b - a) + vv * (1.0 - uu) * (c - a))).sum()
+            alcove.append((float(tau.real), float(tau.imag), su3_alcove_quartic(tau)))
+    assert np.array_equal(region_grid("su3-alcove", resolution)[1], alcove)
+    faces = (
+        ((0, 0, 0), (1, 0, 1), (0, 1, 1)),
+        ((0, 0, 0), (1, 1, 0), (0, 1, 1)),
+        ((0, 0, 0), (1, 1, 0), (1, 0, 1)),
+        ((0, 1, 1), (1, 0, 1), (1, 1, 0)),
+    )
+    tet = []
+    for pa, pb, pc in (np.array(f, dtype=float) for f in faces):
+        for uu in np.linspace(0.0, 1.0, resolution // 2):
+            for vv in np.linspace(0.0, 1.0, resolution // 2):
+                tet.append(tuple(np.cos(np.pi * (pa + uu * (pb - pa) + vv * (1.0 - uu) * (pc - pa))).tolist()))
+    assert region_grid("su2-tetrahedron-boundary", resolution)[1] == tet
+
+
 def test_region_grids():
     header, rows = region_grid("su3-alcove", 16)
     assert header == ["p1", "p2", "margin"]

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from charvar.verify import SUITES, run_suite
+import charvar.groups
+import charvar.verify
+from charvar.verify import SUITES, random_sl3, run_suite
 
 FIXED = ("su3-example", "baird", "figures")  # these take sizes, not sample counts
 
@@ -22,3 +24,60 @@ def test_reports_hold_plain_python_values(name):
     rep = run_suite(name, samples=None if name in FIXED else 30, seed=3)
     assert rep["passed"] is True
     _walk(rep, name)
+
+
+@pytest.mark.parametrize("name", ["two-sheet", "sigma-ball"])
+def test_stacked_suites_validate_once_per_stack(monkeypatch, name):
+    # The suites validate whole stacks, so the count does not grow with samples.
+    calls = []
+    real = charvar.groups.validate
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(charvar.groups, "validate", counting)
+    monkeypatch.setattr(charvar.verify, "validate", counting)
+    counts = []
+    for samples in (30, 300):
+        calls.clear()
+        assert run_suite(name, samples=samples, seed=5)["passed"]
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+
+
+def _one_sl3(rng):
+    """One matrix at a time, redrawing on |det| <= 1e-6: the stream random_sl3 keeps."""
+    while True:
+        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        d = np.linalg.det(a)
+        if abs(d) > 1e-6:
+            return a / d ** (1.0 / 3.0)
+
+
+class _SingularFirst:
+    """Generator stand-in whose first 18 normals are 0, so the first draw is rejected."""
+
+    def __init__(self, seed):
+        self.rng, self.zeroed = np.random.default_rng(seed), 18
+
+    def standard_normal(self, shape):
+        z = self.rng.standard_normal(shape)
+        k = min(self.zeroed, z.size)
+        z.reshape(-1)[:k] = 0.0
+        self.zeroed -= k
+        return z
+
+
+@pytest.mark.parametrize("make", [np.random.default_rng, _SingularFirst])
+def test_random_sl3_is_the_one_at_a_time_stream(make):
+    r1, r2 = make(7), make(7)
+    ref = np.array([_one_sl3(r1) for _ in range(200)])
+    assert np.array_equal(random_sl3(200, r2), ref)
+    assert np.array_equal(r1.standard_normal(2), r2.standard_normal(2))  # same generator state after
+
+
+@pytest.mark.parametrize("seed", [0, 101, 104, 109])
+def test_minors_suite_draws_reject_nothing(seed):
+    z = np.random.default_rng(seed).standard_normal((SUITES["minors"][1], 2, 3, 3))
+    assert np.all(np.abs(np.linalg.det(z[:, 0] + 1j * z[:, 1])) > 1e-6)
