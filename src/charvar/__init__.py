@@ -81,7 +81,6 @@ from .semialgebraic import (
 )
 from .reconstruct import (
     DegenerateSpectrum,
-    DegenerateUnhandled,
     LiftResult,
     NotInImage,
     su2_rank2_lift,

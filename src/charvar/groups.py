@@ -84,7 +84,7 @@ class RepTuple:
             raise DimensionMismatch(f"matrix shape {mats.shape[1:]} does not match {self.descriptor}")
         mats.setflags(write=False)
         object.__setattr__(self, "matrices", mats)
-        if not self.is_valid(GROUP_TOL):
+        if not self.is_valid():
             raise NotInGroup(f"tuple is not {self.descriptor}-valued within tol={GROUP_TOL:g}")
 
     @property
@@ -98,7 +98,7 @@ class RepTuple:
     def __getitem__(self, i) -> np.ndarray:
         return self.matrices[i]
 
-    def is_valid(self, tol: float = DEFAULT_TOL) -> bool:
+    def is_valid(self, tol: float = GROUP_TOL) -> bool:
         return bool(np.all(validate(self.matrices, self.descriptor, tol)))
 
     def __eq__(self, other):

@@ -1,9 +1,10 @@
 """Inverse problems: lift invariant coordinates back to explicit SU(2) tuples,
 and decide K-conjugacy of unitary tuples constructively.
 
-The rank-3 lift realizes the quaternion imaginary parts as a Cholesky frame
-of their Gram matrix; the two sheets differ in the sign of the j-component
-c3 of the third matrix, and coincide exactly when the normalized Gram
+The rank-3 lift realizes the quaternion imaginary parts as the eigen frame
+v = q sqrt(w) of their Gram matrix r = q diag(w) q^T, at every rank of r;
+the two sheets differ in the sign of the component along the eigenvector
+of the smallest eigenvalue, and coincide when the normalized Gram
 determinant t123 vanishes.
 
 Conjugacy uses the polar decomposition: if g A_i g^-1 = B_i for unitary
@@ -19,16 +20,12 @@ import numpy as np
 
 from .linalg import DEFAULT_TOL, dagger
 from .groups import DimensionMismatch, NotInGroup, RepTuple, quaternion_matrix, su
-from .invariants import SU2Rank2Coords, SU2Rank3Coords, gram, su2_a_coords
+from .invariants import SU2Rank2Coords, SU2Rank3Coords, gram
 from .semialgebraic import su2_rank2_margins, su2_rank3_margins
 
 
 class NotInImage(ValueError):
     """Coordinates violate the image inequalities beyond tolerance."""
-
-
-class DegenerateUnhandled(ValueError):
-    """Every pair is degenerate and the diagonal fallback fails."""
 
 
 class DegenerateSpectrum(ValueError):
@@ -77,66 +74,21 @@ def su2_rank2_lift(a: SU2Rank2Coords, tol: float = DEFAULT_TOL) -> LiftResult:
     return LiftResult(tuples=(RepTuple(su(2), mats),), unique=True, t123=None, signs=(1,))
 
 
-def _generic_rank3_lift(q, r, s12, c3):
-    """Cholesky frame of the imaginary parts with leading pair s12 > tol.
-
-    ``r`` (m, 3, 3) is the Gram matrix in the lift's ordering and ``c3``
-    (m, 2) the signed j-component of the third imaginary part on each sheet,
-    c3^2 = det(r)/s12 (the third Cholesky pivot of the Gram matrix).  Writes
-    the (i, j, k) components of the imaginary parts into q[:, slot, sheet, 1:].
-    """
-    r11 = r[:, 0, 0]
-    b1 = np.sqrt(r11)
-    d2 = np.sqrt(s12) / b1
-    q[:, 0, :, 1] = b1[:, None]
-    q[:, 1, :, 1] = (r[:, 0, 1] / b1)[:, None]
-    q[:, 2, :, 1] = (r[:, 0, 2] / b1)[:, None]
-    q[:, 2, :, 2] = c3
-    q[:, 1, :, 3] = d2[:, None]
-    q[:, 2, :, 3] = ((r[:, 1, 2] * r11 - r[:, 0, 1] * r[:, 0, 2]) / (d2 * r11))[:, None]
-
-
-def _diagonal_rank3_lift(c, tol: float):
-    """All pairs reducible: simultaneously diagonal solution of one row c (6,).
-
-    Imaginary parts are collinear; only the relative signs eps_j of the
-    i-components remain, found by a search over the four combinations.
-    """
-    a, target = c[:3], c[3:]
-    j, k = np.triu_indices(3, 1)  # the pairs 12, 13, 23
-    b = np.sqrt(np.maximum(1.0 - a * a, 0.0))
-    close = max(100 * tol, 1e-7)
-    for e2 in (1.0, -1.0):
-        for e3 in (1.0, -1.0):
-            eps = np.array([1.0, e2, e3])
-            got = a[j] * a[k] + eps[j] * eps[k] * b[j] * b[k]
-            if np.max(np.abs(got - target)) <= close:
-                mats = quaternion_matrix(a, eps * b, 0.0, 0.0)
-                if np.max(np.abs(su2_a_coords(mats) - c)) > close:
-                    raise DegenerateUnhandled("diagonal fallback does not reproduce the coordinates")
-                return mats
-    raise DegenerateUnhandled("every pair is degenerate and the diagonal fallback failed")
-
-
-# Cyclic relabelings, one per leading pair in the order of gram()'s
-# (s12, s13, s23).  A cyclic relabeling keeps the sign of the triple product
-# of the imaginary parts, so ``sign`` names the same sheet in each of them.
-_CYCLIC = np.array([(0, 1, 2), (2, 0, 1), (1, 2, 0)])
-_SLOTS = np.argsort(_CYCLIC, axis=-1)  # where each input slot sits in the relabeling
 _SHEETS = np.array([1.0, -1.0])
 
 
 def rank3_lift_matrices(c, tol: float = DEFAULT_TOL):
     """Both sheets of the lifts of stacked six-coordinates c (m, 6).
 
-    Returns ``(x, t123, unique, diagonal)``.  x (m, 2, 3, 2, 2) holds sheet
-    +1 then sheet -1 of each row; sheet s has triple product of the
-    quaternion imaginary parts of sign -s, and the sheets coincide where
-    the lift is unique: |t123| <= tol, or every pair is degenerate (all
-    s_ab <= tol; ``diagonal``), when the simultaneous-diagonal fallback
-    applies (a degenerate pair forces t123 = 0).  Otherwise each row is
-    framed in the cyclic relabeling whose leading pair has the largest
-    pairwise sigma.  Any row outside the image raises NotInImage.
+    Returns ``(x, t123, unique)``.  x (m, 2, 3, 2, 2) holds sheet +1 then
+    sheet -1 of each row.  The imaginary parts are the rows of v = q sqrt(w)
+    from the eigendecomposition r = q diag(w) q^T of their Gram matrix, at
+    any rank of r.  With q a rotation and v's columns taken as the (i, k, j)
+    components, sheet s multiplies the column of the smallest eigenvalue by
+    s and so has triple product of sign -s.  Where the lift is unique
+    (|t123| <= tol, or every pairwise sigma s_ab <= tol) both sheets are
+    sheet +1, its smallest column kept as computed, so every matrix stays in
+    SU(2).  Any row outside the image raises NotInImage.
     """
     c = np.asarray(c, dtype=float)
     if not (su2_rank3_margins(c) >= -tol).all():
@@ -144,29 +96,16 @@ def rank3_lift_matrices(c, tol: float = DEFAULT_TOL):
     if abs(c).max(initial=0.0) > 1.0 + tol:
         raise NotInImage("coordinates leave [-1, 1]")
     r, s, t123 = gram(c, tol)
-    rows = np.arange(len(c))
-    lead = s.argmax(axis=-1)
-    s_lead = s[rows, lead]
-    diagonal = s_lead <= tol
-    unique = (abs(t123) <= tol) | diagonal
-    det = np.linalg.det(r)
+    unique = (abs(t123) <= tol) | (s.max(axis=-1) <= tol)
+    w, q = np.linalg.eigh(r)
+    det = w.prod(axis=-1)
     if (~unique & (det < -tol)).any():
         raise NotInImage(f"det(r) = {det[~unique].min():.3e} is negative beyond tol={tol:g}")
-    p = _CYCLIC[lead]
-    # q[row, slot, sheet] holds the quaternion (a, b, c, d) of one matrix,
-    # built in the relabeled order and then moved back to the input slots.
-    q = np.zeros((len(c), 3, 2, 4))
-    with np.errstate(divide="ignore", invalid="ignore"):  # degenerate rows, replaced below
-        # |t123| <= tol: the unique sheet carries c3 = 0 exactly rather than
-        # the square root of rounding noise.
-        c3 = np.where(unique, 0.0, np.sqrt(np.maximum(det, 0.0)) / np.sqrt(s_lead))
-        _generic_rank3_lift(q, r[rows[:, None, None], p[:, :, None], p[:, None]], s_lead, c3[:, None] * _SHEETS)
-    q = q[rows[:, None], _SLOTS[lead]]
-    q[..., 0] = c[:, :3, None]
-    x = quaternion_matrix(q[..., 0], q[..., 1], q[..., 2], q[..., 3]).swapaxes(1, 2)
-    for i in diagonal.nonzero()[0]:
-        x[i] = _diagonal_rank3_lift(c[i], tol)
-    return x, t123, unique, diagonal
+    q[..., 0] *= np.linalg.det(q)[..., None]
+    v = (q * np.sqrt(np.maximum(w, 0.0))[..., None, :])[:, None]
+    flip = np.where(unique[:, None], 1.0, _SHEETS)[..., None]  # (m, sheet, 1)
+    x = quaternion_matrix(c[:, None, :3], flip * v[..., 0], v[..., 2], v[..., 1])
+    return x, t123, unique
 
 
 def su2_rank3_lift(
@@ -174,16 +113,14 @@ def su2_rank3_lift(
 ) -> LiftResult:
     """Lift six a-coordinates to one SU(2) triple per requested sheet.
 
-    Returns both sheets when ``sign`` is None and the lift is non-unique
-    (|t123| > tol), else sheet ``sign``; the diagonal fallback gives one
-    triple with sign 0 (see ``rank3_lift_matrices``).
+    Returns both sheets when ``sign`` is None and the lift is non-unique,
+    else sheet ``sign``; a unique lift gives the same triple for either
+    sign (see ``rank3_lift_matrices``).
     """
     if sign not in (None, 1, -1):
         raise ValueError(f"sign must be 1, -1 or None, got {sign!r}")
-    x, t123, unique, diagonal = rank3_lift_matrices(c.as_array()[None], tol)
+    x, t123, unique = rank3_lift_matrices(c.as_array()[None], tol)
     t123, unique = float(t123[0]), bool(unique[0])
-    if diagonal[0]:
-        return LiftResult(tuples=(RepTuple(su(2), x[0, 0]),), unique=True, t123=t123, signs=(0,))
     signs = (sign,) if sign is not None else ((1,) if unique else (1, -1))
     tuples = tuple(RepTuple(su(2), x[0, (1 - sg) // 2]) for sg in signs)
     return LiftResult(tuples=tuples, unique=unique, t123=t123, signs=signs)

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, cmat, frob, unitary_eig
-from .groups import GROUP_TOL, NotInGroup, RepTuple
+from .linalg import DEFAULT_TOL, cmat, unitary_eig
+from .groups import GROUP_TOL, NotInGroup, RepTuple, su, validate
 from .invariants import (
     ComplexInput,
     PQRecord,
@@ -114,9 +114,7 @@ def su2_rank3_margins(c):
 
 def in_su2_rank3_image(c: SU2Rank3Coords, tol: float = DEFAULT_TOL) -> RegionVerdict:
     """Four sigma-conditions of the rank-3 image, each in [0, 1]."""
-    a = (c.a1, c.a2, c.a3, c.a12, c.a13, c.a23)
-    sig = [sigma3(a[i], a[j], a[k]) for i, j, k in _RANK3_TRIPLES]
-    margins = dict(zip(_RANK3_MARGINS, sig + [1.0 - x for x in sig]))
+    margins = dict(zip(_RANK3_MARGINS, su2_rank3_margins(c.as_array()).tolist()))
     inside = all(v >= -tol for v in margins.values())
     return _verdict(margins, inside, tol)
 
@@ -201,7 +199,7 @@ class AlcovePoint:
 
 
 def alcove_lambda(k) -> AlcovePoint:
-    """Unique alcove representative of a unitary matrix's eigen-angles.
+    """Unique alcove representative of an SU(n) matrix's eigen-angles.
 
     Angles are taken in (-1/2, 1/2]; their sum is an integer m (det has unit
     modulus and the determinant of an SU matrix is 1), and shifting the m
@@ -210,8 +208,8 @@ def alcove_lambda(k) -> AlcovePoint:
     """
     k = cmat(k)
     n = k.shape[0]
-    if frob(k @ k.conj().T - np.eye(n)) > GROUP_TOL:
-        raise NotInGroup("alcove_lambda expects a unitary matrix")
+    if not validate(k, su(n), GROUP_TOL):
+        raise NotInGroup("alcove_lambda expects an SU(n) matrix")
     ang = np.angle(np.linalg.eigvals(k)) / (2.0 * np.pi)
     ang = np.where(ang <= -0.5, ang + 1.0, ang)
     ang = np.sort(ang)[::-1]

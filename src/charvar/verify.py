@@ -212,7 +212,7 @@ def verify_two_sheet(samples: int = 10_000, seed: int = 0) -> dict:
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     coords = su2_a_coords(_in_group(haar_su(2, rng, 3 * samples).reshape(samples, 3, 2, 2), su(2)))
-    x, t123, unique, _ = rank3_lift_matrices(coords)
+    x, t123, unique = rank3_lift_matrices(coords)
     x = _in_group(x, su(2))
     err = np.abs(su2_a_coords(x) - coords[:, None]).max(axis=-1).min(axis=-1)
     worst_rt = float(err.max(initial=0.0))

@@ -227,6 +227,15 @@ def test_rep_tuple_validated_at_construction():
         tuple_from_json(obj)
 
 
+def test_is_valid_defaults_to_the_construction_tolerance():
+    # A tuple that builds is valid by default: det and unitarity miss by 6e-9,
+    # inside GROUP_TOL = 1e-8 but outside DEFAULT_TOL = 1e-9.
+    x = (1.0 + 3e-9) * np.diag([1j, -1j])
+    rho = RepTuple(su(2), (x, np.eye(2)))
+    assert rho.is_valid()
+    assert not rho.is_valid(1e-9)
+
+
 def test_operations_trust_built_tuples(monkeypatch):
     """Operations never re-check group membership; only construction does."""
     import charvar.groups

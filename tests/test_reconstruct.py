@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from charvar.groups import RepTuple, conjugate_tuple, quaternion_matrix, sample_tuple, su, to_quaternion
+from charvar.groups import RepTuple, conjugate_tuple, quaternion_matrix, sample_tuple, su, to_quaternion, validate
 from charvar.invariants import (
     SU2Rank2Coords,
     SU2Rank3Coords,
@@ -182,9 +184,8 @@ def test_rank3_coplanar_unique():
         assert worst < 1e-8
 
 
-def test_rank3_lift_degenerate_pair_relabels():
-    # X1 = X2 makes the (1,2) pair reducible; the (1,3) pair is generic, so
-    # the lift must succeed through relabeling.
+def test_rank3_lift_degenerate_pair():
+    # X1 = X2 makes the (1,2) pair reducible while the (1,3) pair is generic.
     rng = np.random.default_rng(5)
     x = haar_su(2, rng)
     y = haar_su(2, rng)
@@ -198,7 +199,7 @@ def test_rank3_lift_degenerate_pair_relabels():
 
 def test_rank3_lift_central_first_component():
     # X1 = I makes pairs (1,2) and (1,3) reducible while (2,3) stays
-    # irreducible; only a relabeling with primary pair {2,3} can solve it.
+    # irreducible: the Gram matrix has a zero first row.
     rho = RepTuple(su(2), (np.eye(2, dtype=complex), QI, QJ))
     c = su2_rank3_coords(rho)
     res = su2_rank3_lift(c)
@@ -208,7 +209,8 @@ def test_rank3_lift_central_first_component():
     assert res.tuples[0].is_valid(1e-10)
 
 
-def test_rank3_lift_diagonal_fallback():
+def test_rank3_lift_collinear_imaginary_parts():
+    # Simultaneously diagonal: every pair is reducible, the Gram matrix has rank 1.
     phases = [0.4, 1.1, -0.7]
     mats = tuple(np.diag([np.exp(1j * t), np.exp(-1j * t)]) for t in phases)
     rho = RepTuple(su(2), mats)
@@ -221,7 +223,7 @@ def test_rank3_lift_diagonal_fallback():
 
 def test_rank3_sheet_orientation():
     # Sheet s has imaginary parts with triple product of sign -s, whichever
-    # cyclic relabeling the lift builds its frame in.
+    # pair has the largest sigma.
     rng = np.random.default_rng(12)
     leads = set()
     checked = 0
@@ -239,8 +241,8 @@ def test_rank3_sheet_orientation():
 
 
 def test_rank3_lift_small_leading_pair_stays_in_su2():
-    # s12 = 7e-9 but s13, s23 are large: a frame led by the (1,2) pair divided
-    # by d2 ~ 1e-4 and left det(X3) off by 2e-8.
+    # s12 = 7e-9 but s13, s23 are large: nothing may divide by the small
+    # pair's d2 ~ 1e-4, which left det(X3) off by 2e-8.
     c = SU2Rank3Coords(
         -0.46069663552728485, 0.14261376481037738, 0.4527235578241153,
         0.8127837353271695, -0.48130756226488036, -0.23950595641525668,
@@ -250,6 +252,77 @@ def test_rank3_lift_small_leading_pair_stays_in_su2():
         assert rho.is_valid(1e-12)
         back = su2_rank3_coords(rho)
         assert np.max(np.abs(back.as_array() - c.as_array())) < 1e-12
+
+
+def test_rank3_lift_near_coplanar_stays_in_su2():
+    # t123 = 4.4e-10 <= tol makes the lift unique; its smallest component
+    # must be kept, not set to 0, or det(X3) misses 1 by 2e-9.
+    c = SU2Rank3Coords(
+        0.8758499997103271, -0.6035966385059075, -0.12423061866984518,
+        -0.8706770369545914, -0.5518525452258887, 0.8631276013638045,
+    )
+    assert su2_rank3_lift(c).unique
+    for sign in (1, -1):
+        rho = su2_rank3_lift(c, sign=sign).tuples[0]
+        assert rho.is_valid(1e-12)
+        back = su2_rank3_coords(rho)
+        assert np.max(np.abs(back.as_array() - c.as_array())) < 1e-12
+
+
+def _spanning_triple(dim, central, log_t, seed):
+    """An SU(2) triple whose imaginary parts span ``dim`` axes of a random frame,
+    the matrices marked ``central`` (all of them at dim 0) being +-I.  With
+    ``log_t`` (dim 2), the third part tilts out of the plane so that
+    t123 <= 10^log_t."""
+    rng = np.random.default_rng(seed)
+    frame = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    phi = np.where(np.logical_or(central, dim == 0), rng.choice([0.0, np.pi], 3), rng.uniform(0.0, np.pi, 3))
+    u = rng.standard_normal((3, 3))
+    u[:, dim:] = 0.0
+    if log_t is not None:
+        psi = rng.uniform(0.0, 2 * np.pi, 3)
+        u = np.stack([np.cos(psi), np.sin(psi), np.zeros(3)], axis=-1)
+        tilt = min(1.0, np.sqrt(10.0**log_t) / abs(np.sin(psi[1] - psi[0])))
+        u[2] = np.sqrt(1.0 - tilt**2) * u[2] + tilt * np.array([0.0, 0.0, 1.0])
+    norm = np.linalg.norm(u, axis=-1, keepdims=True)
+    v = np.sin(phi)[:, None] * np.divide(u, norm, out=np.zeros_like(u), where=norm > 0) @ frame.T
+    return quaternion_matrix(np.cos(phi), v[:, 0], v[:, 1], v[:, 2])
+
+
+spanning_triples = st.one_of(
+    st.builds(
+        _spanning_triple,
+        dim=st.integers(0, 3),
+        central=st.lists(st.booleans(), min_size=3, max_size=3),
+        log_t=st.none(),
+        seed=st.integers(0, 2**32 - 1),
+    ),
+    st.builds(
+        _spanning_triple,
+        dim=st.just(2),
+        central=st.just([False] * 3),
+        log_t=st.floats(-18.0, -9.0),
+        seed=st.integers(0, 2**32 - 1),
+    ),
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(triple=spanning_triples)
+def test_rank3_lift_property_at_every_rank(triple):
+    assert validate(triple, su(2), 1e-14).all()
+    c = su2_a_coords(triple)
+    x, _, unique = rank3_lift_matrices(c[None])
+    x, unique = x[0], bool(unique[0])
+    assert validate(x, su(2), 1e-12).all()
+    assert np.abs(su2_a_coords(x) - c).max() < 1e-12
+    plus, minus = (su2_rank3_lift(SU2Rank3Coords(*c), sign=s).tuples[0].matrices for s in (1, -1))
+    if unique:
+        assert np.array_equal(plus, minus)
+    else:
+        # The imaginary parts (b, c, d) of sheet s have triple product of sign -s.
+        im = np.stack([x[:, :, 0, 0].imag, x[:, :, 0, 1].real, x[:, :, 0, 1].imag], axis=-1)
+        assert np.sign(np.linalg.det(im)).tolist() == [-1.0, 1.0]
 
 
 def test_rank3_lift_rejects_outside():
@@ -268,7 +341,7 @@ def test_rank3_lift_rejects_unknown_sheet(sign):
 
 def _rank3_rows(rng):
     """Haar and coplanar coordinates, then a degenerate (1,2) pair, a central
-    X1 and an all-degenerate (diagonal) triple."""
+    X1 and a triple of collinear imaginary parts."""
     haar = su2_a_coords(haar_su(2, rng, 3 * 300).reshape(300, 3, 2, 2))
     plane = su2_a_coords(coplanar_su2_triples(20, rng))
     x, y = haar_su(2, rng), haar_su(2, rng)
@@ -279,10 +352,9 @@ def _rank3_rows(rng):
 
 def test_rank3_stack_equals_scalar_lifts():
     c = _rank3_rows(np.random.default_rng(50))
-    x, t123, unique, diagonal = rank3_lift_matrices(c)
-    assert set(np.argmax(gram(c)[1], axis=-1)) == {0, 1, 2}  # every relabeling is taken
-    assert np.flatnonzero(diagonal).tolist() == [len(c) - 1]
+    x, t123, unique = rank3_lift_matrices(c)
     assert unique[300:].all() and np.all(t123[~unique] > 1e-9)
+    assert np.array_equal(x[unique, 0], x[unique, 1])
     for i, row in enumerate(c.tolist()):
         for sheet, sign in enumerate((1, -1)):
             res = su2_rank3_lift(SU2Rank3Coords(*row), sign=sign)

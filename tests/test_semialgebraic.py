@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from charvar.groups import RepTuple, sample_tuple, su
+from charvar.groups import NotInGroup, RepTuple, sample_tuple, su
 from charvar.invariants import (
     ComplexInput,
     SU2Rank2Coords,
@@ -246,6 +246,12 @@ def test_alcove_lambda_examples():
     w = np.exp(2j * np.pi / 3)
     lam = alcove_lambda(w * np.eye(3)).lam
     assert np.allclose(lam, (1 / 3, 1 / 3, -2 / 3), atol=1e-12)
+
+
+def test_alcove_lambda_rejects_unitary_outside_su():
+    # Unitary with det e^{0.9i}: not an SU(3) element, not the identity's point.
+    with pytest.raises(NotInGroup):
+        alcove_lambda(np.exp(0.3j) * np.eye(3))
 
 
 def test_alcove_lambda_invariants():
