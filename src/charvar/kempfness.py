@@ -227,7 +227,6 @@ def composite_retraction(
     t: float,
     tol: float = DEFAULT_TOL,
     max_iter: int = FLOW_MAX_ITER,
-    flow_tol: float = FLOW_TOL,
 ) -> CompositeResult:
     """Flow to the Kempf-Ness set, then retract: the invariant-level map Phi_t.
 
@@ -235,7 +234,7 @@ def composite_retraction(
     unitary input (or at t=0 on poly-stable input) the records agree.
     """
     before = invariant_record(rho, tol)
-    critical, trace = kn_flow(rho, max_iter=max_iter, tol=flow_tol)
+    critical, trace = kn_flow(rho, max_iter=max_iter)
     out = retract_tuple(critical, t, tol)
     after = invariant_record(out, tol)
     return CompositeResult(before=before, after=after, tuple=out, trace=trace)

@@ -1,9 +1,12 @@
 """Small dense complex linear algebra.
 
-Everything in the package funnels its eigenproblems through here: Hermitian
-eigendecompositions, fractional powers of positive matrices, the polar
-(Cartan) decomposition, Hermitian matrix exponentials, spectral
-decompositions of unitary matrices, and Haar sampling on SU(n).
+The package's shared spectral primitives: Hermitian eigendecompositions,
+fractional powers of positive matrices, the polar (Cartan) decomposition,
+Hermitian matrix exponentials, spectral decompositions of unitary matrices,
+and Haar sampling on SU(n).  Other modules call ``numpy.linalg`` directly
+for their own eigen- and singular-value problems: the flow's Newton steps,
+the lifts' Gram matrices, the conjugacy test, the alcove angles and the
+product chart.
 
 All functions are pure; randomness enters only through an explicitly passed
 ``numpy.random.Generator``.
@@ -77,16 +80,11 @@ def _spectral(u, f) -> np.ndarray:
     return (u * f[..., None, :]) @ dagger(u)
 
 
-def _positive_eig(p, tol: float):
+def psd_power(p, s: float, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Fractional power ``p**s`` of a positive-definite Hermitian matrix (or stack)."""
     w, u = herm_eig(p, tol)
     if w.min() <= tol:
         raise NotPositive(f"minimum eigenvalue {w.min():.3e} <= tol={tol:g}")
-    return w, u
-
-
-def psd_power(p, s: float, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Fractional power ``p**s`` of a positive-definite Hermitian matrix (or stack)."""
-    w, u = _positive_eig(p, tol)
     return _spectral(u, w**s)
 
 
@@ -94,16 +92,6 @@ def exp_herm(h, t: float = 1.0, tol: float = DEFAULT_TOL) -> np.ndarray:
     """``exp(t*h)`` for Hermitian ``h`` (or a stack), via eigendecomposition."""
     w, u = herm_eig(h, tol)
     return _spectral(u, np.exp(t * w))
-
-
-def log_pd(p, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Matrix logarithm of a positive-definite Hermitian matrix (or stack).
-
-    This is the only logarithm the package defines; general matrix logs are
-    out of scope.
-    """
-    w, u = _positive_eig(p, tol)
-    return _spectral(u, np.log(w))
 
 
 @dataclass(frozen=True)
@@ -167,7 +155,8 @@ def unitary_eig(u_mat):
     commute; ``v`` is taken from the Hermitian eigendecomposition of a
     generic real combination of the two, which keeps it exactly unitary and
     behaves gracefully on repeated eigenvalues.  Each matrix keeps the mixing
-    constant that diagonalises it best.
+    constant that diagonalises it best.  Nothing in the package calls it;
+    it is kept for the names in ``bench/``.
     """
     u = cmat(u_mat)
     eye = np.eye(u.shape[-1])

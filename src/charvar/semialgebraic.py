@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, cmat, unitary_eig
+from .linalg import DEFAULT_TOL, cmat
 from .groups import GROUP_TOL, NotInGroup, RepTuple, su, validate
 from .invariants import (
     ComplexInput,
@@ -167,21 +167,31 @@ def classify_B(rho: RepTuple, tol: float = DEFAULT_TOL) -> str:
 
 
 def product_condition(rho: RepTuple, tol: float = DEFAULT_TOL) -> RegionVerdict:
-    """Eigenvalue gaps of X1 and the cyclic-minor difference of conjugated X2.
+    """Eigenvalue gap of X1 and the cyclic minor of X2 in X1's eigenbasis, from traces.
 
-    After unitarily diagonalizing X1 and conjugating X2 accordingly, reports
-    min_{i<j} |lambda_i - lambda_j| and |x12 x23 x31 - x13 x21 x32|; inside
-    means both exceed tol (X1 interior to the alcove, pair in the product
-    chart).  Both margins are invariant under the residual torus action.
+    With lambda the eigenvalues of X1 and Y = X2 written in an eigenbasis of X1,
+    tr(X2 X1 X2 X1^2 X2) - tr(X2 X1^2 X2 X1 X2)
+    = -(l1 - l2)(l1 - l3)(l2 - l3) (y12 y23 y31 - y13 y32 y21),
+    so both margins come from ``eigvals`` and two word traces, with no
+    eigenvectors: min_{i<j} |lambda_i - lambda_j| and
+    |y12 y23 y31 - y13 y32 y21|.  Where the gap is <= tol the minor is
+    defined as 0.0, since Y then depends on the basis chosen.  Inside means
+    both exceed tol (X1 interior to the alcove, pair in the product chart).
+    Both margins are invariant under simultaneous conjugation.
     """
     if rho.n != 3 or rho.r != 2 or rho.descriptor.family != "SU":
         raise NotInGroup("product_condition expects an SU(3) pair")
-    vals, v = unitary_eig(rho[0])
-    y = v.conj().T @ rho[1] @ v
-    gaps = [abs(vals[i] - vals[j]) for i in range(3) for j in range(i + 1, 3)]
-    cyc = abs(y[0, 1] * y[1, 2] * y[2, 0] - y[0, 2] * y[1, 0] * y[2, 1])
-    margins = {"eig_gap": float(min(gaps)), "cyclic_minor": float(cyc)}
-    inside = margins["eig_gap"] > tol and margins["cyclic_minor"] > tol
+    x1, x2 = rho[0], rho[1]
+    lam = np.linalg.eigvals(x1)
+    diffs = lam[[0, 0, 1]] - lam[[1, 2, 2]]
+    gap = float(np.abs(diffs).min())
+    cyc = 0.0
+    if gap > tol:
+        x1sq = x1 @ x1
+        t = np.trace(x2 @ x1 @ x2 @ x1sq @ x2) - np.trace(x2 @ x1sq @ x2 @ x1 @ x2)
+        cyc = float(abs(t) / abs(np.prod(diffs)))
+    margins = {"eig_gap": gap, "cyclic_minor": cyc}
+    inside = gap > tol and cyc > tol
     return _verdict(margins, inside, tol)
 
 

@@ -450,3 +450,17 @@ def test_minors_relation_exact():
     assert residual != 0
     _, rem = sp.div(residual, x.det() - 1, *x)
     assert rem == 0
+
+
+def test_cyclic_minor_identity_exact():
+    """The trace difference behind product_condition's cyclic minor, on a diagonal
+    X1 and a generic X2, is minus the Vandermonde product times the minor."""
+    sp = pytest.importorskip("sympy")
+
+    l1, l2, l3 = sp.symbols("l1:4")
+    x1 = sp.diag(l1, l2, l3)
+    y = sp.Matrix(3, 3, sp.symbols("y0:9"))
+    diff = (y * x1 * y * x1**2 * y).trace() - (y * x1**2 * y * x1 * y).trace()
+    minor = y[0, 1] * y[1, 2] * y[2, 0] - y[0, 2] * y[2, 1] * y[1, 0]
+    vandermonde = (l1 - l2) * (l1 - l3) * (l2 - l3)
+    assert sp.expand(diff + vandermonde * minor) == 0

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from charvar.groups import NotInGroup, RepTuple, sample_tuple, su
 from charvar.invariants import (
@@ -237,6 +239,47 @@ def test_product_condition():
     rotated = RepTuple(su(3), (k @ np.diag([1j, 1j, -1.0]) @ k.conj().T, x2))
     v = product_condition(rotated)
     assert not v.inside and v.margins["eig_gap"] < 1e-10
+
+
+def _su3_pair(seed, angle=None):
+    """A Haar SU(3) pair, or with ``angle`` one whose X1 is diag(w, w, w^-2),
+    w = exp(2 pi i angle), which has a repeated eigenvalue."""
+    x1, x2 = haar_su(3, np.random.default_rng(seed), 2)
+    if angle is not None:
+        w = np.exp(2j * np.pi * angle)
+        x1 = np.diag([w, w, w**-2])
+    return RepTuple(su(3), (x1, x2))
+
+
+seeds = st.integers(0, 2**32 - 1)
+haar_su3_pairs = st.builds(_su3_pair, seed=seeds)
+su3_pairs = st.builds(_su3_pair, seed=seeds, angle=st.none() | st.floats(0.05, 0.3))
+
+
+def _margins_agree(a, b):
+    # 1e-12 absolute floor: eig_gap at a repeated eigenvalue is rounding noise.
+    return all(a[k] == pytest.approx(b[k], rel=1e-9, abs=1e-12) for k in a)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(rho=su3_pairs, seed=seeds)
+def test_product_condition_conjugation_invariant(rho, seed):
+    margins = product_condition(rho).margins
+    for k in haar_su(3, np.random.default_rng(seed), 5):
+        conj = RepTuple(su(3), tuple(k @ x @ k.conj().T for x in rho.matrices))
+        assert _margins_agree(product_condition(conj).margins, margins)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(rho=haar_su3_pairs)
+def test_product_condition_matches_eigenbasis_oracle(rho):
+    lam, v = np.linalg.eig(rho[0])
+    y = np.linalg.solve(v, rho[1] @ v)
+    oracle = {
+        "eig_gap": min(abs(lam[i] - lam[j]) for i in range(3) for j in range(i + 1, 3)),
+        "cyclic_minor": abs(y[0, 1] * y[1, 2] * y[2, 0] - y[0, 2] * y[2, 1] * y[1, 0]),
+    }
+    assert _margins_agree(product_condition(rho).margins, oracle)
 
 
 def test_alcove_lambda_examples():
