@@ -172,7 +172,8 @@ def product_condition(rho: RepTuple, tol: float = DEFAULT_TOL) -> RegionVerdict:
     With lambda the eigenvalues of X1 and Y = X2 written in an eigenbasis of X1,
     tr(X2 X1 X2 X1^2 X2) - tr(X2 X1^2 X2 X1 X2)
     = -(l1 - l2)(l1 - l3)(l2 - l3) (y12 y23 y31 - y13 y32 y21),
-    so both margins come from ``eigvals`` and two word traces, with no
+    and the same holds with X1 shifted by a scalar, so both margins come from
+    ``eigvals`` and two word traces in X1 - mean(lambda) and X2, with no
     eigenvectors: min_{i<j} |lambda_i - lambda_j| and
     |y12 y23 y31 - y13 y32 y21|.  Where the gap is <= tol the minor is
     defined as 0.0, since Y then depends on the basis chosen.  Inside means
@@ -187,8 +188,8 @@ def product_condition(rho: RepTuple, tol: float = DEFAULT_TOL) -> RegionVerdict:
     gap = float(np.abs(diffs).min())
     cyc = 0.0
     if gap > tol:
-        x1sq = x1 @ x1
-        t = np.trace(x2 @ x1 @ x2 @ x1sq @ x2) - np.trace(x2 @ x1sq @ x2 @ x1 @ x2)
+        a = x1 - lam.mean() * np.eye(3)  # same identity, traces shrink with the gaps
+        t = np.trace(x2 @ a @ x2 @ a @ a @ x2) - np.trace(x2 @ a @ a @ x2 @ a @ x2)
         cyc = float(abs(t) / abs(np.prod(diffs)))
     margins = {"eig_gap": gap, "cyclic_minor": cyc}
     inside = gap > tol and cyc > tol

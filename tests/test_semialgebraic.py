@@ -270,16 +270,39 @@ def test_product_condition_conjugation_invariant(rho, seed):
         assert _margins_agree(product_condition(conj).margins, margins)
 
 
-@settings(derandomize=True, max_examples=100, deadline=None)
-@given(rho=haar_su3_pairs)
-def test_product_condition_matches_eigenbasis_oracle(rho):
-    lam, v = np.linalg.eig(rho[0])
-    y = np.linalg.solve(v, rho[1] @ v)
-    oracle = {
+def _eigenbasis_margins(x1, x2):
+    lam, v = np.linalg.eig(x1)
+    y = np.linalg.solve(v, x2 @ v)
+    return {
         "eig_gap": min(abs(lam[i] - lam[j]) for i in range(3) for j in range(i + 1, 3)),
         "cyclic_minor": abs(y[0, 1] * y[1, 2] * y[2, 0] - y[0, 2] * y[2, 1] * y[1, 0]),
     }
-    assert _margins_agree(product_condition(rho).margins, oracle)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(rho=haar_su3_pairs)
+def test_product_condition_matches_eigenbasis_oracle(rho):
+    assert _margins_agree(product_condition(rho).margins, _eigenbasis_margins(*rho.matrices))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(seed=seeds, scale=st.floats(1e-4, 1e-3))
+def test_product_condition_near_central(seed, scale):
+    """X1 = k diag(exp(i scale (1, 2, -3))) k^* lies within 4 scale of the
+    identity.  The minor must still match the oracle for a Haar X2, and read
+    0 (outside) for X2 = k P k^*, which is reducible together with X1."""
+    k, x2 = haar_su(3, np.random.default_rng(seed), 2)
+    x1 = k @ np.diag(np.exp(1j * scale * np.array([1, 2, -3]))) @ k.conj().T
+    p = np.array([[0, 1, 0], [1, 0, 0], [0, 0, -1]], dtype=complex)
+    for x2, want_inside in ((x2, True), (k @ p @ k.conj().T, False)):
+        v = product_condition(RepTuple(su(3), (x1, x2)))
+        oracle = _eigenbasis_margins(x1, x2)
+        assert v.inside == want_inside
+        # Both routes lose about eps / eig_gap here: the eigenbasis itself is
+        # that ill-conditioned.
+        floor = 1e-14 / oracle["eig_gap"]
+        assert v.margins["eig_gap"] == pytest.approx(oracle["eig_gap"], rel=1e-9)
+        assert v.margins["cyclic_minor"] == pytest.approx(oracle["cyclic_minor"], rel=1e-9, abs=floor)
 
 
 def test_alcove_lambda_examples():
