@@ -54,6 +54,17 @@ def _default_tol() -> float:
     return tol
 
 
+def _positive_int(raw: str) -> int:
+    """argparse type for counts: a bad value is a usage error (exit 2)."""
+    try:
+        value = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _jsonable(v):
     if isinstance(v, complex):
         return [v.real, v.imag]
@@ -358,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="run a verification suite")
     sp.add_argument("suite", choices=sorted(SUITES) + ["all"])
-    sp.add_argument("--samples", type=int, default=None)
+    sp.add_argument("--samples", type=_positive_int, default=None)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", default=None)  # no --tol: the acceptance bounds are fixed
     sp.set_defaults(fn=cmd_verify)

@@ -236,13 +236,17 @@ def su3_alcove_quartic(tau):
 
 
 def su3_delta(P, Q):
-    """Delta = Q^2 + 12 P Q + 18 Q - 4 P^3 - 27; <= 0 on unitary pairs."""
-    return Q**2 + 12.0 * P * Q + 18.0 * Q - 4.0 * P**3 - 27.0
+    """Delta = Q^2 + 12 P Q + 18 Q - 4 P^3 - 27; <= 0 on unitary pairs.
+
+    The constants here and in su3_disc are integers, so exact (sympy) input
+    stays exact.
+    """
+    return Q**2 + 12 * P * Q + 18 * Q - 4 * P**3 - 27
 
 
 def su3_disc(P, Q):
     """Discriminant P^2 - 4Q of the commutator-trace relation t^2 - P t + Q."""
-    return P**2 - 4.0 * Q
+    return P**2 - 4 * Q
 
 
 # --- SU(2) coordinates -------------------------------------------------------

@@ -2,9 +2,11 @@
 
 The heavy 1e5-sample checks draw their Haar samples as stacks and evaluate
 the library's batch formulas (``charvar.invariants``) on them, the same code
-the scalar operations wrap.  The acceptance bounds are fixed constants.  Every
-suite returns a JSON-ready report dict with a ``passed`` flag, per-check
-values, and elapsed wall time.
+the scalar operations wrap.  The acceptance bounds are fixed constants.  Each
+``verify_*`` suite takes a sample count and a generator and returns
+``(passed, checks, meta)``; ``run_suite`` seeds the generator, times the call
+and builds the JSON-ready report: the suite name, the ``passed`` flag, the
+elapsed wall time, the meta sizes, the seed and the per-check values.
 """
 
 from __future__ import annotations
@@ -83,24 +85,15 @@ def _max_frob(x) -> float:
     return float(np.linalg.norm(x, axis=(-2, -1)).max(initial=0.0))
 
 
-def _report(name, passed, elapsed, checks, **meta):
-    out = {"suite": name, "passed": bool(passed), "elapsed_s": round(elapsed, 3)}
-    out.update(meta)
-    out["checks"] = checks
-    return out
-
-
 # --- criterion 1 -------------------------------------------------------------
 
 
-def verify_retraction(samples: int = 1000, seed: int = 0) -> dict:
+def verify_retraction(samples: int, rng: np.random.Generator) -> tuple[bool, dict, dict]:
     """phi_1 lands in SU, phi is K-equivariant, and fixes SU tuples.
 
     An SL draw interleaves Haar and Hermitian factors, so the SL tuples and
     their conjugators are drawn one sample at a time; the rest works on stacks.
     """
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(seed)
     ts = (0.0, 0.25, 0.5, 0.75, 1.0)
     worst_unitary = 0.0
     worst_equiv = 0.0
@@ -130,35 +123,24 @@ def verify_retraction(samples: int = 1000, seed: int = 0) -> dict:
         for t in ts:
             fixed = _in_group(retract_matrices(ku, t), su(n))
             worst_fix = max(worst_fix, _max_frob(fixed - ku))
-    elapsed = time.perf_counter() - t0
     checks = {
         "max_unitary_defect_at_t1": worst_unitary,
         "max_equivariance_residual": worst_equiv,
         "max_su_fix_residual": worst_fix,
     }
     passed = worst_unitary < 1e-10 and worst_equiv < 1e-9 and worst_fix < 1e-12
-    return _report("retraction", passed, elapsed, checks, samples=samples, seed=seed)
+    return passed, checks, {"samples": samples}
 
 
 # --- criterion 2 -------------------------------------------------------------
 
 
-def verify_fricke(samples: int = 10_000, seed: int = 0) -> dict:
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(seed)
+def verify_fricke(samples: int, rng: np.random.Generator) -> tuple[bool, dict, dict]:
     x = _haar_pairs(2, samples, rng)
     lhs = su2_commutator_re(x)
     rhs = fricke_rhs(*su2_a_coords(x).T)
     worst = float(np.max(np.abs(lhs - rhs)))
-    elapsed = time.perf_counter() - t0
-    return _report(
-        "fricke",
-        worst < 1e-12,
-        elapsed,
-        {"max_identity_residual": worst},
-        samples=samples,
-        seed=seed,
-    )
+    return worst < 1e-12, {"max_identity_residual": worst}, {"samples": samples}
 
 
 # --- criterion 3 -------------------------------------------------------------
@@ -174,9 +156,7 @@ def sample_admissible_rank2(count: int, rng) -> np.ndarray:
     return out
 
 
-def verify_sigma_ball(samples: int = 100_000, seed: int = 0) -> dict:
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(seed)
+def verify_sigma_ball(samples: int, rng: np.random.Generator) -> tuple[bool, dict, dict]:
     s = sigma3(*su2_a_coords(_haar_pairs(2, samples, rng)).T)
     sig_min, sig_max = float(s.min()), float(s.max())
 
@@ -184,7 +164,6 @@ def verify_sigma_ball(samples: int = 100_000, seed: int = 0) -> dict:
     c = sample_admissible_rank2(lifts, rng)
     back = su2_a_coords(_in_group(rank2_lift_matrices(c), su(2)))
     worst_rt = float(np.abs(back - c).max(initial=0.0))
-    elapsed = time.perf_counter() - t0
     checks = {
         "sigma_min": sig_min,
         "sigma_max": sig_max,
@@ -192,7 +171,7 @@ def verify_sigma_ball(samples: int = 100_000, seed: int = 0) -> dict:
         "lift_samples": lifts,
     }
     passed = sig_min >= -1e-9 and sig_max <= 1 + 1e-9 and worst_rt < 1e-10
-    return _report("sigma-ball", passed, elapsed, checks, samples=samples, seed=seed)
+    return passed, checks, {"samples": samples}
 
 
 # --- criterion 4 -------------------------------------------------------------
@@ -206,11 +185,9 @@ def coplanar_su2_triples(count: int, rng) -> np.ndarray:
     return quaternion_matrix(np.cos(phi_a), s * np.cos(psi), 0.0, s * np.sin(psi))
 
 
-def verify_two_sheet(samples: int = 10_000, seed: int = 0) -> dict:
+def verify_two_sheet(samples: int, rng: np.random.Generator) -> tuple[bool, dict, dict]:
     """Lift every sampled triple on both sheets, round-trip the lifts, and
     decide every distinct sheet pair; all on stacks."""
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(seed)
     coords = su2_a_coords(_in_group(haar_su(2, rng, 3 * samples).reshape(samples, 3, 2, 2), su(2)))
     x, t123, unique = rank3_lift_matrices(coords)
     x = _in_group(x, su(2))
@@ -224,7 +201,6 @@ def verify_two_sheet(samples: int = 10_000, seed: int = 0) -> dict:
     x = _in_group(rank3_lift_matrices(su2_a_coords(plane))[0], su(2))
     k, err = conjugacy_decisions(x[:, 0], x[:, 1], tol=1e-9)
     degen_worst = float(np.where([ki is None for ki in k], np.inf, err).max())
-    elapsed = time.perf_counter() - t0
     checks = {
         "round_trip_max": worst_rt,
         "distinct_sheet_pairs_checked": int(distinct.sum()),
@@ -232,15 +208,13 @@ def verify_two_sheet(samples: int = 10_000, seed: int = 0) -> dict:
         "coplanar_conjugacy_residual": degen_worst,
     }
     passed = worst_rt < 1e-9 and sheet_failures == 0 and degen_worst < 1e-8
-    return _report("two-sheet", passed, elapsed, checks, samples=samples, seed=seed)
+    return passed, checks, {"samples": samples}
 
 
 # --- criterion 5 -------------------------------------------------------------
 
 
-def verify_su3_membership(samples: int = 100_000, seed: int = 0) -> dict:
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(seed)
+def verify_su3_membership(samples: int, rng: np.random.Generator) -> tuple[bool, dict, dict]:
     t = su3_trace_coords(_haar_pairs(3, samples, rng))
     # Unitary input: the imaginary parts of P, Q and u are rounding.
     worst_quartic = float(su3_alcove_quartic(t[:, 0:8:2]).max())
@@ -250,7 +224,6 @@ def verify_su3_membership(samples: int = 100_000, seed: int = 0) -> dict:
     u_lo, u_hi = float(u[:, 0:8:2].min()), float(u[:, 0:8:2].max())
     um_lo, um_hi = float(u[:, 1:8:2].min()), float(u[:, 1:8:2].max())
     u5 = u[:, 8]
-    elapsed = time.perf_counter() - t0
     checks = {
         "max_single_factor_quartic": worst_quartic,
         "max_delta": worst_delta,
@@ -267,14 +240,13 @@ def verify_su3_membership(samples: int = 100_000, seed: int = 0) -> dict:
         and um_hi <= U5_BOX + 1e-9
         and abs(u5).max() <= U5_BOX + 1e-9
     )
-    return _report("su3-membership", passed, elapsed, checks, samples=samples, seed=seed)
+    return passed, checks, {"samples": samples}
 
 
 # --- criterion 6 -------------------------------------------------------------
 
 
-def verify_su3_example(samples: int = 1, seed: int = 0) -> dict:
-    t0 = time.perf_counter()
+def verify_su3_example(samples: int, rng: np.random.Generator) -> tuple[bool, dict, dict]:
     rho = canonical_su3_example()
     t = su3_traces(rho)
     u = u_coords(t, unitary=True)
@@ -283,7 +255,6 @@ def verify_su3_example(samples: int = 1, seed: int = 0) -> dict:
     u5_err = abs(u.u5 - U5_BOX)
     disc_err = abs(su3_disc(rec.P, rec.Q) + 27.0)
     delta = su3_delta(rec.P, rec.Q)
-    elapsed = time.perf_counter() - t0
     checks = {
         "max_first_eight_u": float(eight),
         "u5_minus_3sqrt3_over_2": float(u5_err),
@@ -291,24 +262,21 @@ def verify_su3_example(samples: int = 1, seed: int = 0) -> dict:
         "delta": float(delta),
     }
     passed = eight < 1e-12 and u5_err < 1e-12 and disc_err < 1e-12 and abs(delta) < 1e-12
-    return _report("su3-example", passed, elapsed, checks, seed=seed)
+    return passed, checks, {}
 
 
 # --- criterion 7 -------------------------------------------------------------
 
 
-def verify_transpose(samples: int = 10_000, seed: int = 0) -> dict:
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(seed)
+def verify_transpose(samples: int, rng: np.random.Generator) -> tuple[bool, dict, dict]:
     x = _haar_pairs(3, samples, rng)
     u = u_from_traces(su3_trace_coords(x)).real
     ut = u_from_traces(su3_trace_coords(np.swapaxes(x, -1, -2))).real
     worst_eight = float(np.max(np.abs(u[:, :8] - ut[:, :8])))
     worst_u5 = float(np.max(np.abs(u[:, 8] + ut[:, 8])))
-    elapsed = time.perf_counter() - t0
     checks = {"max_first_eight_change": worst_eight, "max_u5_sum": worst_u5}
     passed = worst_eight < 1e-10 and worst_u5 < 1e-10
-    return _report("transpose", passed, elapsed, checks, samples=samples, seed=seed)
+    return passed, checks, {"samples": samples}
 
 
 # --- criterion 8 -------------------------------------------------------------
@@ -328,24 +296,18 @@ def random_sl3(count: int, rng) -> np.ndarray:
     return out
 
 
-def verify_minors(samples: int = 10_000, seed: int = 0) -> dict:
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(seed)
+def verify_minors(samples: int, rng: np.random.Generator) -> tuple[bool, dict, dict]:
     worst = float(np.abs(relation_residual(su3_minors(random_sl3(samples, rng)))).max(initial=0.0))
     at_identity = relation_residual(su3_minors(np.eye(3)))
-    elapsed = time.perf_counter() - t0
     checks = {"max_residual": worst, "identity_residual": abs(at_identity)}
     passed = worst < 1e-9 and at_identity == 0
-    return _report("minors", passed, elapsed, checks, samples=samples, seed=seed)
+    return passed, checks, {"samples": samples}
 
 
 # --- criterion 9 -------------------------------------------------------------
 
 
-def verify_kempf_ness(samples: int = 10_000, seed: int = 0) -> dict:
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(seed)
-
+def verify_kempf_ness(samples: int, rng: np.random.Generator) -> tuple[bool, dict, dict]:
     # K-points are critical.  The draws cycle through the cases; each case's
     # draws are checked and their residuals computed as one stack.
     cases = ((2, 2), (2, 3), (3, 2))
@@ -390,7 +352,6 @@ def verify_kempf_ness(samples: int = 10_000, seed: int = 0) -> dict:
         worst_p = max(worst_p, abs(trace.steps[-1].p - r * n))
         before, after = word_traces(np.stack([rho.matrices, out.matrices]))
         worst_word = max(worst_word, float(np.abs(after - before).max()))
-    elapsed = time.perf_counter() - t0
     checks = {
         "max_unitary_residual": worst_res,
         "max_fd_relative_error": worst_fd,
@@ -406,14 +367,13 @@ def verify_kempf_ness(samples: int = 10_000, seed: int = 0) -> dict:
         and worst_word < 1e-8
         and not_converged == 0
     )
-    return _report("kempf-ness", passed, elapsed, checks, samples=samples, seed=seed)
+    return passed, checks, {"samples": samples}
 
 
 # --- criterion 10 ------------------------------------------------------------
 
 
-def verify_baird(samples: int = 10, seed: int = 0) -> dict:
-    t0 = time.perf_counter()
+def verify_baird(samples: int, rng: np.random.Generator) -> tuple[bool, dict, dict]:
     rmax = max(3, samples)
     polys = {}
     ok = True
@@ -432,19 +392,17 @@ def verify_baird(samples: int = 10, seed: int = 0) -> dict:
         and cb[6] == 1 and ch[6] == 2
         and cb[:4] == ch[:4]
     )
-    elapsed = time.perf_counter() - t0
     checks = {
         "polys": polys,
         "surface_polys_differ_at_t4_t5_t6": diffs_ok,
     }
-    return _report("baird", ok and diffs_ok, elapsed, checks, rmax=rmax, seed=seed)
+    return ok and diffs_ok, checks, {"rmax": rmax}
 
 
 # --- criterion 11 ------------------------------------------------------------
 
 
-def verify_figures(samples: int = 64, seed: int = 0) -> dict:
-    t0 = time.perf_counter()
+def verify_figures(samples: int, rng: np.random.Generator) -> tuple[bool, dict, dict]:
     resolution = max(16, samples)
     p1, p2, margin = np.array(region_grid("su3-alcove", resolution)[1]).T
     corner_margins = []
@@ -453,7 +411,6 @@ def verify_figures(samples: int = 64, seed: int = 0) -> dict:
         corner_margins.append(hits.min(initial=np.inf))
     tet = np.array(region_grid("su2-tetrahedron-boundary", resolution)[1])
     vertices_present = all(np.any(np.all(tet == v, axis=-1)) for v in TETRAHEDRON_VERTICES)
-    elapsed = time.perf_counter() - t0
     checks = {
         "alcove_corner_margins": [float(x) for x in corner_margins],
         "tetrahedron_vertices_exact": vertices_present,
@@ -461,7 +418,7 @@ def verify_figures(samples: int = 64, seed: int = 0) -> dict:
         "tetrahedron_rows": len(tet),
     }
     passed = all(m < 1e-9 for m in corner_margins) and vertices_present
-    return _report("figures", passed, elapsed, checks, resolution=resolution, seed=seed)
+    return passed, checks, {"resolution": resolution}
 
 
 SUITES = {
@@ -480,7 +437,15 @@ SUITES = {
 
 
 def run_suite(name: str, samples: int | None = None, seed: int = 0) -> dict:
+    """Run one suite on ``default_rng(seed)`` and report it; ``samples=None``
+    takes the suite's default from ``SUITES``."""
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     fn, default_samples = SUITES[name]
-    return fn(samples=samples if samples is not None else default_samples, seed=seed)
+    samples = default_samples if samples is None else samples
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
+    t0 = time.perf_counter()
+    passed, checks, meta = fn(samples, np.random.default_rng(seed))
+    head = {"suite": name, "passed": bool(passed), "elapsed_s": round(time.perf_counter() - t0, 3)}
+    return {**head, **meta, "seed": seed, "checks": checks}

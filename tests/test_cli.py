@@ -241,6 +241,16 @@ def test_verify_has_no_tol(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [["retraction", "--samples", "-5"], ["fricke", "--samples", "0"]])
+def test_verify_rejects_empty_runs(capsys, argv):
+    # A run that checks nothing must not report a pass; argparse refuses it.
+    with pytest.raises(SystemExit) as exc:
+        main(["verify"] + argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "--samples: must be at least 1" in captured.err and "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -20,6 +20,8 @@ from charvar.invariants import (
     su2_commutator_re,
     su2_rank2_coords,
     su2_rank3_coords,
+    su3_delta,
+    su3_disc,
     su3_minors,
     su3_trace_coords,
     su3_traces,
@@ -464,3 +466,20 @@ def test_cyclic_minor_identity_exact():
     minor = y[0, 1] * y[1, 2] * y[2, 0] - y[0, 2] * y[2, 1] * y[1, 0]
     vandermonde = (l1 - l2) * (l1 - l3) * (l2 - l3)
     assert sp.expand(diff + vandermonde * minor) == 0
+
+
+def test_canonical_su3_example_exact():
+    """The canonical SU(3) pair in exact arithmetic, omega = e^{2 pi i/3}: the
+    library's trace, P/Q, disc and Delta formulas give P^2 - 4Q = -27, Delta = 0."""
+    sp = pytest.importorskip("sympy")
+
+    w = sp.expand_complex(sp.exp(2 * sp.pi * sp.I / 3))
+    x1 = sp.Matrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+    x2 = sp.diag(w, sp.conjugate(w), 1)
+    x = np.array([x1.tolist(), x2.tolist()], dtype=object)
+    assert np.allclose(x.astype(complex), canonical_su3_example().matrices, atol=1e-15)
+
+    P, Q = pq_from_traces(su3_trace_coords(x))  # object arrays: the sympy traces
+    assert sp.simplify(P) == -3 and sp.simplify(Q) == 9
+    assert sp.simplify(su3_disc(P, Q)) == -27
+    assert sp.simplify(su3_delta(P, Q)) == 0

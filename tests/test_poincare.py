@@ -35,6 +35,21 @@ def test_degree_observation():
         assert baird_poly(r).degree == 3 * r - 3
 
 
+def test_closed_form_exact():
+    """Each expansion equals sympy's cancellation of the docstring's closed form."""
+    sp = pytest.importorskip("sympy")
+
+    t = sp.symbols("t")
+    for r in range(1, 13):
+        closed = (
+            1 + t
+            - t * (1 + t**3) ** r / (1 - t**4)
+            + t**3 / 2 * ((1 + t) ** r / (1 - t**2) - (1 - t) ** r / (1 + t**2))
+        )
+        expected = sp.Poly(sp.cancel(closed), t).all_coeffs()[::-1]
+        assert baird_poly(r).coefficients == tuple(expected), r
+
+
 def test_rank_validation():
     with pytest.raises(ValueError):
         baird_poly(0)

@@ -5,7 +5,9 @@ import charvar.groups
 import charvar.verify
 from charvar.verify import SUITES, random_sl3, run_suite
 
-FIXED = ("su3-example", "baird", "figures")  # these take sizes, not sample counts
+# The suites that take sizes, not sample counts, and the size each reports;
+# every other suite reports "samples".
+SIZED = {"su3-example": set(), "baird": {"rmax"}, "figures": {"resolution"}}
 
 
 def _walk(value, path):
@@ -20,10 +22,31 @@ def _walk(value, path):
 
 
 @pytest.mark.parametrize("name", sorted(SUITES))
-def test_reports_hold_plain_python_values(name):
-    rep = run_suite(name, samples=None if name in FIXED else 30, seed=3)
-    assert rep["passed"] is True
+def test_reports_hold_plain_python_values(monkeypatch, name):
+    rep = run_suite(name, samples=None if name in SIZED else 30, seed=3)
+    assert rep["passed"] is True and rep["suite"] == name
+    assert set(rep) == {"suite", "passed", "elapsed_s", "seed", "checks"} | SIZED.get(name, {"samples"})
     _walk(rep, name)
+
+    # samples=None hands the suite the default that SUITES pairs it with.
+    seen = []
+
+    def record(samples, rng):
+        seen.append(samples)
+        return True, {}, {}
+
+    default = SUITES[name][1]
+    monkeypatch.setitem(SUITES, name, (record, default))
+    run_suite(name)
+    assert seen == [default]
+
+
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_empty_runs_are_rejected(name):
+    for samples in (0, -1):
+        with pytest.raises(ValueError, match="at least 1"):
+            run_suite(name, samples=samples)
+    assert run_suite(name, samples=1)["passed"]  # the smallest run, as the benchmark warms up
 
 
 @pytest.mark.parametrize("name", ["two-sheet", "sigma-ball"])
