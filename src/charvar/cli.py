@@ -29,14 +29,26 @@ from .invariants import (
     SU2Rank3Coords,
     Word,
     invariant_record,
+    pq,
+    su2_rank2_coords,
+    su2_rank3_coords,
+    su3_traces,
     trace_word,
+    u_coords,
 )
 from .kempfness import FLOW_MAX_ITER, FLOW_TOL, composite_retraction, kn_flow
 from .poincare import baird_poly, surface_counterexample_polys
 from .reconstruct import conjugacy_decisions, su2_rank2_lift, su2_rank3_lift, unitary_pair
 from .retraction import retract_tuple
-from .semialgebraic import region_grid
-from .verify import SUITES, run_suite
+from .semialgebraic import (
+    classify_B,
+    in_S_plus,
+    in_su2_rank2_image,
+    in_su2_rank3_image,
+    region_grid,
+    su3_alcove_check,
+)
+from .verify import SIZED, SUITES, run_suite
 
 DEFAULT_TOL_ENV = "CHARVAR_TOL"
 
@@ -207,29 +219,13 @@ def cmd_conjugacy(args) -> int:
     if k is None:
         _emit_json(args, {"conjugate": False, "k": None})
         return 1
-    _emit_json(
-        args,
-        {
-            "conjugate": True,
-            "residual": residual,
-            "k": [[[z.real, z.imag] for z in row] for row in k],
-        },
-    )
+    _emit_json(args, {"conjugate": True, "residual": residual, "k": k.tolist()})
     return 0
 
 
 def cmd_membership(args) -> int:
     """Case-appropriate membership verdicts for a tuple, as verdict JSON."""
     rho = _read_tuple(args.input)
-    from .invariants import pq, su2_rank2_coords, su2_rank3_coords, su3_traces, u_coords
-    from .semialgebraic import (
-        classify_B,
-        in_S_plus,
-        in_su2_rank2_image,
-        in_su2_rank3_image,
-        su3_alcove_check,
-    )
-
     case = (rho.r, rho.n, rho.descriptor.family)
     if case == (2, 2, "SU"):
         out = {"su2-rank2-image": in_su2_rank2_image(su2_rank2_coords(rho), args.tol).to_json()}
@@ -279,7 +275,9 @@ def cmd_verify(args) -> int:
     reports = []
     ok = True
     for name in names:
-        rep = run_suite(name, samples=args.samples, seed=args.seed)
+        # Under "all", --samples is a Monte Carlo count; the sized suites keep their defaults.
+        samples = None if args.suite == "all" and name in SIZED else args.samples
+        rep = run_suite(name, samples=samples, seed=args.seed)
         ok = ok and rep["passed"]
         print(f"[{'PASS' if rep['passed'] else 'FAIL'}] {name} ({rep['elapsed_s']}s)", file=sys.stderr)
         # stdout report stays byte-deterministic given --seed

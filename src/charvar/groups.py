@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, check_invertible, cmat, dagger, exp_herm, haar_su
+from .linalg import DEFAULT_TOL, check_invertible, cmat, dagger, exp_herm, haar_from_normals, haar_su
 
 GROUP_TOL = 1e-8  # how far a RepTuple's matrices may miss their group
 
@@ -127,22 +127,28 @@ def conjugate_tuple(g, rho: RepTuple, tol: float = DEFAULT_TOL) -> RepTuple:
     return RepTuple(sl(rho.n), mats)
 
 
+def hermitian_from_normals(g) -> np.ndarray:
+    """Traceless Hermitian parts of the Ginibre matrices with real then imaginary parts g (..., 2, n, n)."""
+    a = g[..., 0, :, :] + 1j * g[..., 1, :, :]
+    h = (a + dagger(a)) / 2.0
+    return h - (np.trace(h, axis1=-2, axis2=-1) / h.shape[-1])[..., None, None] * np.eye(h.shape[-1])
+
+
+def sl_from_normals(g) -> np.ndarray:
+    """SL(n,C) matrices k exp(H) from normals g (..., 2, 2, n, n): the block of k, then of H."""
+    return haar_from_normals(g[..., 0, :, :, :]) @ exp_herm(hermitian_from_normals(g[..., 1, :, :, :]))
+
+
 def random_traceless_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:
     """Hermitian part of a complex Ginibre matrix, projected traceless."""
-    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    h = (a + a.conj().T) / 2.0
-    h -= (np.trace(h) / n) * np.eye(n)
-    return h
+    return hermitian_from_normals(rng.standard_normal((2, n, n)))
 
 
 def sample_tuple(d: GroupDescriptor, r: int, rng: np.random.Generator) -> RepTuple:
-    """Random tuple: Haar factors for SU, Haar times exp(Hermitian) for SL."""
+    """Random tuple, one normal draw: Haar factors for SU, Haar times exp(Hermitian) for SL."""
     if r < 1:
         raise ValueError("rank must be >= 1")
-    if d.family == "SU":
-        return RepTuple(d, haar_su(d.n, rng, r))
-    # Each Haar factor is drawn before its Hermitian one, so SL draws stay one at a time.
-    mats = [haar_su(d.n, rng) @ exp_herm(random_traceless_hermitian(d.n, rng)) for _ in range(r)]
+    mats = haar_su(d.n, rng, r) if d.family == "SU" else sl_from_normals(rng.standard_normal((r, 2, 2, d.n, d.n)))
     return RepTuple(d, mats)
 
 

@@ -117,25 +117,24 @@ def polar(g, tol: float = DEFAULT_TOL) -> PolarParts:
     return PolarParts(k=u @ vh, p=(p + dagger(p)) / 2.0)
 
 
-def haar_su(n: int, rng: np.random.Generator, count: int | None = None) -> np.ndarray:
-    """One Haar-distributed SU(n) matrix, or a (count, n, n) stack of them.
-
-    Ginibre sample, QR, then column phases fixed so R has positive diagonal
-    (the unique QR decomposition; Mezzadri, arXiv:math-ph/0609050), then
-    divided by the principal n-th root of the determinant.  The Gaussians are
-    drawn as (count, 2, n, n), real then imaginary part per matrix, so a
-    stack consumes the generator exactly as ``count`` single draws do.
-    Deterministic given the generator state.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    g = rng.standard_normal((1 if count is None else count, 2, n, n))
-    z = (g[:, 0] + 1j * g[:, 1]) / np.sqrt(2.0)
+def haar_from_normals(g) -> np.ndarray:
+    """Haar SU(n) matrices, a pure map of normals g (..., 2, n, n) (real, imaginary part):
+    Ginibre QR with R's diagonal made positive (Mezzadri, arXiv:math-ph/0609050), then
+    division by the principal n-th root of the determinant."""
+    z = (g[..., 0, :, :] + 1j * g[..., 1, :, :]) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
     d = np.diagonal(r, axis1=-2, axis2=-1)
     safe = np.where(np.abs(d) > 0, d, 1.0)
-    q = q * (safe / np.abs(safe))[:, None, :]
-    q = q * np.exp(-1j * np.angle(np.linalg.det(q)) / n)[:, None, None]
+    q = q * (safe / np.abs(safe))[..., None, :]
+    return q * np.exp(-1j * np.angle(np.linalg.det(q)) / z.shape[-1])[..., None, None]
+
+
+def haar_su(n: int, rng: np.random.Generator, count: int | None = None) -> np.ndarray:
+    """One Haar SU(n) matrix, or a (count, n, n) stack, from one (count, 2, n, n) normal draw.
+    A single draw is a one-matrix stack: LAPACK on a 2-D block can differ in the last bit."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    q = haar_from_normals(rng.standard_normal((1 if count is None else count, 2, n, n)))
     return q[0] if count is None else q
 
 

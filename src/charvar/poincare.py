@@ -1,14 +1,14 @@
 """Exact expansion of the Poincare polynomial of the rank-r SL(2,C) quotient.
 
-All arithmetic is over ``fractions.Fraction``; floating point is forbidden
-here because the final step is an exact polynomial division whose remainder
-must vanish identically.
+All arithmetic is over Python integers; floating point is forbidden here
+because the final step is an exact polynomial division whose remainder must
+vanish identically.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import comb
 
 
 class NonPolynomial(ValueError):
@@ -51,93 +51,32 @@ class IntPolynomial:
         return " + ".join(terms) if terms else "0"
 
 
-def _trim(p):
-    while len(p) > 1 and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _padd(a, b):
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] += c
-    return _trim(out)
-
-
-def _pmul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    return _trim(out)
-
-
-def _pscale(a, s):
-    return _trim([c * s for c in a])
-
-
-def _ppow(a, k):
-    out = [Fraction(1)]
-    for _ in range(k):
-        out = _pmul(out, a)
-    return out
-
-
-def _pdivmod(num, den):
-    num = list(num)
-    q = [Fraction(0)] * max(len(num) - len(den) + 1, 1)
-    lead = den[-1]
-    for i in range(len(num) - len(den), -1, -1):
-        coeff = num[i + len(den) - 1] / lead
-        q[i] = coeff
-        if coeff:
-            for j, c in enumerate(den):
-                num[i + j] -= coeff * c
-    return _trim(q), _trim(num)
-
-
-def _F(*ints):
-    return [Fraction(v) for v in ints]
-
-
 def baird_poly(r: int) -> IntPolynomial:
     """Poincare polynomial of the rank-r SL(2,C) quotient, expanded exactly.
 
     1 + t - t(1+t^3)^r/(1-t^4) + (t^3/2)((1+t)^r/(1-t^2) - (1-t)^r/(1+t^2)),
-    combined over the common denominator 2(1-t^4) and divided exactly.
-    Raises NonPolynomial if the division leaves a remainder (a transcription
-    error, not a math fact).
+    combined over the common denominator 2(1-t^4): the numerator
+    2(1+t)(1-t^4) - 2t(1+t^3)^r + t^3(1+t)^r(1+t^2) - t^3(1-t)^r(1-t^2) is
+    divided by 1 - t^4 through the running sum q_i = num_i + q_(i-4), then
+    halved.  Raises NonPolynomial if the division leaves a remainder or an odd
+    coefficient (a transcription error, not a math fact).
     """
     if r < 1:
         raise ValueError("rank must be >= 1")
-    one_plus_t = _F(1, 1)
-    one_minus_t = _F(1, -1)
-    one_plus_t2 = _F(1, 0, 1)
-    one_minus_t2 = _F(1, 0, -1)
-    one_minus_t4 = _F(1, 0, 0, 0, -1)
-    t1 = _F(0, 1)
-    t3 = _F(0, 0, 0, 1)
-
-    # numerator of P over D = 2 (1 - t^4):
-    num = _pscale(_pmul(one_plus_t, one_minus_t4), 2)              # 2(1+t)(1-t^4)
-    num = _padd(num, _pscale(_pmul(t1, _ppow(_F(1, 0, 0, 1), r)), -2))  # -2t(1+t^3)^r
-    num = _padd(num, _pmul(t3, _pmul(_ppow(one_plus_t, r), one_plus_t2)))
-    num = _padd(num, _pscale(_pmul(t3, _pmul(_ppow(one_minus_t, r), one_minus_t2)), -1))
-    den = _pscale(one_minus_t4, 2)
-
-    q, rem = _pdivmod(num, den)
-    if any(c != 0 for c in rem):
-        raise NonPolynomial(f"division remainder {rem} for r={r}")
-    coeffs = []
-    for c in q:
-        if c.denominator != 1:
-            raise NonPolynomial(f"non-integer coefficient {c} for r={r}")
-        coeffs.append(int(c))
-    return IntPolynomial(tuple(coeffs) if coeffs else (0,))
+    num = [2, 2, 0, 0, -2, -2] + [0] * (3 * r)  # 2(1+t)(1-t^4), room up to degree 3r+5
+    for k in range(r + 1):
+        c, sign = comb(r, k), (-1) ** k
+        num[3 * k + 1] -= 2 * c  # -2t(1+t^3)^r
+        num[k + 3] += c - sign * c  # t^3 (1+t)^r, then -t^3 (1-t)^r
+        num[k + 5] += c + sign * c  # their t^2 (1+t)^r and t^2 (1-t)^r parts
+    q = num  # num / (1 - t^4) as a power series, in place
+    for i in range(4, len(q)):
+        q[i] += q[i - 4]
+    if any(q[-4:]):  # four vanishing coefficients past num's degree end the series
+        raise NonPolynomial(f"division remainder {q[-4:]} for r={r}")
+    if any(c % 2 for c in q):
+        raise NonPolynomial(f"odd coefficient in 2P for r={r}")
+    return IntPolynomial(tuple(c // 2 for c in q[:-4]))
 
 
 def surface_counterexample_polys():

@@ -1,9 +1,9 @@
 """Batch verification suites.
 
-The heavy 1e5-sample checks draw their Haar samples as stacks and evaluate
-the library's batch formulas (``charvar.invariants``) on them, the same code
-the scalar operations wrap.  The acceptance bounds are fixed constants.  Each
-``verify_*`` suite takes a sample count and a generator and returns
+The heavy 1e5-sample checks draw each stack as one normal block, mapped by
+``haar_from_normals`` or ``sl_from_normals``, and evaluate the batch formulas
+of ``charvar.invariants`` on it.  The acceptance bounds are fixed constants.
+Each ``verify_*`` suite takes a sample count and a generator and returns
 ``(passed, checks, meta)``; ``run_suite`` seeds the generator, times the call
 and builds the JSON-ready report: the suite name, the ``passed`` flag, the
 elapsed wall time, the meta sizes, the seed and the per-check values.
@@ -15,7 +15,7 @@ import time
 
 import numpy as np
 
-from .linalg import dagger, exp_herm, haar_su
+from .linalg import dagger, exp_herm, haar_from_normals, haar_su
 from .groups import (
     GROUP_TOL,
     NotInGroup,
@@ -24,6 +24,7 @@ from .groups import (
     random_traceless_hermitian,
     sample_tuple,
     sl,
+    sl_from_normals,
     su,
     validate,
 )
@@ -89,22 +90,16 @@ def _max_frob(x) -> float:
 
 
 def verify_retraction(samples: int, rng: np.random.Generator) -> tuple[bool, dict, dict]:
-    """phi_1 lands in SU, phi is K-equivariant, and fixes SU tuples.
-
-    An SL draw interleaves Haar and Hermitian factors, so the SL tuples and
-    their conjugators are drawn one sample at a time; the rest works on stacks.
-    """
+    """phi_1 lands in SU, phi is K-equivariant, and fixes SU tuples.  Each sample
+    is an SL pair, then a Haar conjugator: one (samples, 5, 2, n, n) draw per n."""
     ts = (0.0, 0.25, 0.5, 0.75, 1.0)
     worst_unitary = 0.0
     worst_equiv = 0.0
     worst_fix = 0.0
     for n in (2, 3):
-        rhos, ks = [], []
-        for _ in range(samples):
-            rhos.append(sample_tuple(sl(n), 2, rng).matrices)
-            ks.append(haar_su(n, rng))
-        x = np.array(rhos).reshape(samples, 2, n, n)
-        k = np.array(ks).reshape(samples, 1, n, n)
+        z = rng.standard_normal((samples, 5, 2, n, n))
+        x = sl_from_normals(z[:, :4].reshape(samples, 2, 2, 2, n, n))
+        k = haar_from_normals(z[:, 4:])
         kinv = np.linalg.inv(k)
         conj = _in_group(k @ x @ kinv, sl(n))
         for t in ts:
@@ -308,16 +303,16 @@ def verify_minors(samples: int, rng: np.random.Generator) -> tuple[bool, dict, d
 
 
 def verify_kempf_ness(samples: int, rng: np.random.Generator) -> tuple[bool, dict, dict]:
-    # K-points are critical.  The draws cycle through the cases; each case's
-    # draws are checked and their residuals computed as one stack.
+    # K-points are critical.  Sample i draws case i % 3 as Haar (r, 2, n, n)
+    # normals; the cycles are one block, zero-padded after a partial last cycle.
     cases = ((2, 2), (2, 3), (3, 2))
-    draws = {case: [] for case in cases}
-    for i in range(samples):
-        n, r = cases[i % 3]
-        draws[n, r].append(haar_su(n, rng, r))
+    edges = np.cumsum([0] + [2 * r * n * n for n, r in cases])  # 0, 16, 40, 76 normals
+    z = rng.standard_normal(samples // 3 * edges[-1] + edges[samples % 3])
+    z = np.pad(z, (0, edges[-1] - edges[samples % 3])).reshape(-1, edges[-1])
     worst_res = 0.0
-    for (n, r), mats in draws.items():
-        m = residual_matrix(_in_group(np.array(mats).reshape(-1, r, n, n), su(n)))
+    for j, (n, r) in enumerate(cases):
+        block = z[: len(range(j, samples, 3)), edges[j] : edges[j + 1]]
+        m = residual_matrix(_in_group(haar_from_normals(block.reshape(-1, r, 2, n, n)), su(n)))
         worst_res = max(worst_res, _max_frob(m))
 
     # Central-difference directional derivative vs 2 Re tr(H M).
@@ -434,6 +429,9 @@ SUITES = {
     "baird": (verify_baird, 10),
     "figures": (verify_figures, 64),
 }
+
+# The suites whose size is no Monte Carlo count, with the report key of that size.
+SIZED = {"su3-example": None, "baird": "rmax", "figures": "resolution"}
 
 
 def run_suite(name: str, samples: int | None = None, seed: int = 0) -> dict:

@@ -234,6 +234,18 @@ def test_verify_command(capsys):
     assert out2 == out
 
 
+def test_verify_all_samples_sizes_only_monte_carlo_suites(capsys):
+    # Under "all", --samples is a Monte Carlo count: baird and figures keep their sizes.
+    code, out = run_cli(capsys, "verify", "all", "--samples", "2")
+    reps = {rep["suite"]: rep for rep in json.loads(out)}
+    assert code == 0 and all(rep["passed"] for rep in reps.values())
+    assert reps["baird"]["rmax"] == 10 and reps["figures"]["resolution"] == 64
+    assert reps["fricke"]["samples"] == reps["kempf-ness"]["samples"] == 2
+    # A single sized suite still takes its size from --samples.
+    code, out = run_cli(capsys, "verify", "baird", "--samples", "4")
+    assert json.loads(out)["rmax"] == 4
+
+
 def test_verify_has_no_tol(capsys):
     # The acceptance bounds are fixed; a --tol flag would be ignored.
     with pytest.raises(SystemExit) as exc:

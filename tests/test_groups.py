@@ -14,6 +14,7 @@ from charvar.groups import (
     conjugate_tuple,
     from_quaternion,
     quaternion_matrix,
+    random_traceless_hermitian,
     sample_tuple,
     sl,
     su,
@@ -24,7 +25,7 @@ from charvar.groups import (
 )
 from charvar.invariants import fricke_check, su2_rank2_coords, su2_rank3_coords, su3_traces
 from charvar.kempfness import kn_flow, kn_functional, moment_residual
-from charvar.linalg import Singular, frob, haar_su, unitary_eig
+from charvar.linalg import Singular, exp_herm, frob, haar_su, unitary_eig
 from charvar.reconstruct import unitary_conjugacy
 from charvar.semialgebraic import classify_B, product_condition
 
@@ -158,7 +159,7 @@ def test_sample_tuple():
     a = sample_tuple(sl(3), 2, rng1)
     b = sample_tuple(sl(3), 2, rng2)
     assert all(np.array_equal(x, y) for x, y in zip(a.matrices, b.matrices))
-    # An SU tuple is one stacked Haar draw, equal to r single draws, and it
+    # A tuple is one stacked draw, bitwise equal to r single draws, and it
     # leaves the generator where the single draws do.
     for n in (1, 2, 3, 5):
         rng1, rng2 = np.random.default_rng(n), np.random.default_rng(n)
@@ -166,6 +167,24 @@ def test_sample_tuple():
         single = [haar_su(n, rng2) for _ in range(4)]
         assert all(np.array_equal(x, y) for x, y in zip(stacked.matrices, single))
         assert rng1.random() == rng2.random()
+        stacked = sample_tuple(sl(n), 4, rng1)
+        single = [_one_sl(n, rng2) for _ in range(4)]
+        assert np.array_equal(stacked.matrices, np.array(single))
+        assert np.array_equal(random_traceless_hermitian(n, rng1), _one_traceless_hermitian(n, rng2))
+        assert rng1.standard_normal(3).tolist() == rng2.standard_normal(3).tolist()
+
+
+def _one_traceless_hermitian(n, rng):
+    """Two (n, n) normal draws, real then imaginary part, made Hermitian and traceless."""
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    h = (a + a.conj().T) / 2.0
+    return h - (np.trace(h) / n) * np.eye(n)
+
+
+def _one_sl(n, rng):
+    """One SL(n, C) matrix drawn on its own: the Haar factor, then the Hermitian one."""
+    k = haar_su(n, rng)
+    return k @ exp_herm(_one_traceless_hermitian(n, rng))
 
 
 def test_rep_tuple_immutability():

@@ -2,13 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from charvar.poincare import (
-    IntPolynomial,
-    _pdivmod,
-    _pmul,
-    baird_poly,
-    surface_counterexample_polys,
-)
+from charvar.poincare import IntPolynomial, baird_poly, surface_counterexample_polys
 
 
 def test_low_rank_values():
@@ -74,12 +68,3 @@ def test_int_polynomial_repr_and_trim():
     assert str(p) == "1 + 2t^2"
     assert p(2) == 9
 
-
-def test_polynomial_division_helper():
-    # (t^2 - 1) / (t - 1) = t + 1 exactly
-    num = [Fraction(-1), Fraction(0), Fraction(1)]
-    den = [Fraction(-1), Fraction(1)]
-    q, rem = _pdivmod(num, den)
-    assert q == [Fraction(1), Fraction(1)]
-    assert all(c == 0 for c in rem)
-    assert _pmul([Fraction(1), Fraction(1)], [Fraction(-1), Fraction(1)]) == num

@@ -3,11 +3,9 @@ import pytest
 
 import charvar.groups
 import charvar.verify
-from charvar.verify import SUITES, random_sl3, run_suite
-
-# The suites that take sizes, not sample counts, and the size each reports;
-# every other suite reports "samples".
-SIZED = {"su3-example": set(), "baird": {"rmax"}, "figures": {"resolution"}}
+from charvar.groups import random_traceless_hermitian
+from charvar.linalg import haar_su
+from charvar.verify import SIZED, SUITES, random_sl3, run_suite
 
 
 def _walk(value, path):
@@ -25,7 +23,7 @@ def _walk(value, path):
 def test_reports_hold_plain_python_values(monkeypatch, name):
     rep = run_suite(name, samples=None if name in SIZED else 30, seed=3)
     assert rep["passed"] is True and rep["suite"] == name
-    assert set(rep) == {"suite", "passed", "elapsed_s", "seed", "checks"} | SIZED.get(name, {"samples"})
+    assert set(rep) == {"suite", "passed", "elapsed_s", "seed", "checks"} | {SIZED.get(name, "samples")} - {None}
     _walk(rep, name)
 
     # samples=None hands the suite the default that SUITES pairs it with.
@@ -90,6 +88,48 @@ class _SingularFirst:
         z.reshape(-1)[:k] = 0.0
         self.zeroed -= k
         return z
+
+
+class _CountingNormals:
+    """Generator stand-in that counts its standard_normal calls."""
+
+    def __init__(self, seed):
+        self.rng, self.calls = np.random.default_rng(seed), 0
+
+    def standard_normal(self, shape):
+        self.calls += 1
+        return self.rng.standard_normal(shape)
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+@pytest.mark.parametrize("name", ["retraction", "kempf-ness"])
+def test_stacked_suites_draw_once_per_stack(name):
+    # The SL pairs, conjugators and Kempf-Ness residual samples are one block
+    # each, so the number of normal draws does not grow with samples.
+    counts = []
+    for samples in (30, 300):
+        rng = _CountingNormals(5)
+        assert SUITES[name][0](samples, rng)[0]
+        counts.append(rng.calls)
+    assert counts[0] == counts[1] > 0
+
+
+@pytest.mark.parametrize("samples", [1, 2, 7])
+def test_retraction_draws_the_per_sample_stream(samples):
+    # Per n: each sample's SL pair (Haar, then Hermitian, per matrix) and its
+    # conjugator, then the 40 Haar matrices of the fixed-point check.
+    rng1, rng2 = np.random.default_rng(samples), np.random.default_rng(samples)
+    assert SUITES["retraction"][0](samples, rng1)[0]
+    for n in (2, 3):
+        for _ in range(samples):
+            for _ in range(2):
+                haar_su(n, rng2)
+                random_traceless_hermitian(n, rng2)
+            haar_su(n, rng2)
+        haar_su(n, rng2, 40)
+    assert rng1.standard_normal(3).tolist() == rng2.standard_normal(3).tolist()
 
 
 @pytest.mark.parametrize("make", [np.random.default_rng, _SingularFirst])
