@@ -36,11 +36,12 @@ from .invariants import (
     trace_word,
     u_coords,
 )
-from .kempfness import FLOW_MAX_ITER, FLOW_TOL, composite_retraction, kn_flow
+from .kempfness import FLOW_MAX_ITER, FLOW_TOL, check_flow_params, composite_retraction, kn_flow
 from .poincare import baird_poly, surface_counterexample_polys
 from .reconstruct import conjugacy_decisions, su2_rank2_lift, su2_rank3_lift, unitary_pair
 from .retraction import retract_tuple
 from .semialgebraic import (
+    MIN_RESOLUTION,
     classify_B,
     in_S_plus,
     in_su2_rank2_image,
@@ -66,15 +67,36 @@ def _default_tol() -> float:
     return tol
 
 
-def _positive_int(raw: str) -> int:
-    """argparse type for counts: a bad value is a usage error (exit 2)."""
-    try:
-        value = int(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """argparse type for counts of at least ``low``: a bad value is a usage error (exit 2)."""
+
+    def parse(raw: str) -> int:
+        try:
+            value = int(raw)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1)
+
+
+def _flow_param(name: str, convert):
+    """argparse type for the flow parameter ``name``, checked by ``check_flow_params``."""
+
+    def parse(raw: str):
+        try:
+            value = convert(raw)
+            check_flow_params(**{name: value})
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+
+    return parse
 
 
 def _jsonable(v):
@@ -305,8 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sample", help="sample a random representation tuple")
     sp.add_argument("--group", choices=("SU", "SL"), required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--r", type=int, required=True)
+    sp.add_argument("--n", type=_positive_int, required=True)
+    sp.add_argument("--r", type=_positive_int, required=True)
     sp.add_argument("--seed", type=int, default=0)
     common(sp, input_arg=False, tol_arg=False)
     sp.set_defaults(fn=cmd_sample)
@@ -326,15 +348,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_retract)
 
     sp = sub.add_parser("flow", help="run the Kempf-Ness descent")
-    sp.add_argument("--max-iter", type=int, default=FLOW_MAX_ITER)
-    sp.add_argument("--flow-tol", type=float, default=FLOW_TOL)
+    sp.add_argument("--max-iter", type=_flow_param("max_iter", int), default=FLOW_MAX_ITER)
+    sp.add_argument("--flow-tol", type=_flow_param("tol", float), default=FLOW_TOL)
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     common(sp, tol_arg=False)
     sp.set_defaults(fn=cmd_flow)
 
     sp = sub.add_parser("composite", help="flow to critical set, then retract")
     sp.add_argument("--t", type=float, required=True)
-    sp.add_argument("--max-iter", type=int, default=FLOW_MAX_ITER)
+    sp.add_argument("--max-iter", type=_flow_param("max_iter", int), default=FLOW_MAX_ITER)
     common(sp)
     sp.set_defaults(fn=cmd_composite)
 
@@ -355,12 +377,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("region", help="emit figure-data grids as CSV")
     sp.add_argument("--name", required=True)
-    sp.add_argument("--resolution", type=int, default=64)
+    sp.add_argument("--resolution", type=_int_at_least(MIN_RESOLUTION), default=64)
     common(sp, input_arg=False, tol_arg=False)
     sp.set_defaults(fn=cmd_region)
 
     sp = sub.add_parser("poincare", help="expand the rank-r Poincare polynomial")
-    sp.add_argument("--r", type=int, default=3)
+    sp.add_argument("--r", type=_positive_int, default=3)
     sp.add_argument("--surface", action="store_true", help="print the surface-group constants")
     common(sp, input_arg=False, tol_arg=False)
     sp.set_defaults(fn=cmd_poincare)

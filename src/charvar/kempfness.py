@@ -16,6 +16,7 @@ the trace form (a, b) -> tr(ab) is nondegenerate on it (Dickson).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -60,9 +61,14 @@ class MomentResidual:
     norm: float
 
 
+def functional_values(x) -> np.ndarray:
+    """sum_i tr(X_i X_i*) of stacked tuples x (..., r, n, n)."""
+    return np.trace(x @ dagger(x), axis1=-2, axis2=-1).real.sum(axis=-1)
+
+
 def kn_functional(rho: RepTuple) -> float:
     """sum_i tr(X_i X_i*) >= 0; equals r*n exactly on unitary tuples."""
-    return float(np.trace(rho.matrices @ dagger(rho.matrices), axis1=-2, axis2=-1).real.sum())
+    return float(functional_values(rho.matrices))
 
 
 def residual_matrix(x) -> np.ndarray:
@@ -98,6 +104,21 @@ def _herm_basis(n: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
+def _basis_factors(n: int):
+    """The basis E_k laid out for _newton_direction, read-only.
+
+    rows (n^3, n): rows @ X stacks every E_k X.  cols (n, n^3): X @ cols
+    stacks every X E_k.  flat (n^2, 2n^2): row k holds the real and imaginary
+    parts of E_k's entries, interleaved as a complex array's float view.
+    """
+    e = _herm_basis(n)
+    out = (e.reshape(-1, n), np.ascontiguousarray(e.transpose(1, 0, 2).reshape(n, -1)), e.reshape(n * n, -1).view(float))
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
 def _newton_direction(x: np.ndarray, m: np.ndarray) -> np.ndarray:
     """The Hermitian A minimising the second-order model of A -> p(e^A x e^-A) at A = 0.
 
@@ -105,18 +126,20 @@ def _newton_direction(x: np.ndarray, m: np.ndarray) -> np.ndarray:
     4 Re <[E_k, X_i], [E_l, X_i]> summed over i, so A = -sum_k (H^+ g)_k E_k.
     The identity and the tuple's stabiliser span the Hessian's null space and
     the gradient is orthogonal to them; eigenvalues below _PINV_RCOND of the
-    largest are dropped.
+    largest are dropped.  Both are formed in real arithmetic on float views
+    (tr(E_k M) = Re <E_k, M> as M is Hermitian), with the factors 2 and 4
+    folded into one -1/2.  Broadcasts over stacks x (..., r, n, n), m (..., n, n).
     """
-    n = x.shape[-1]
-    e = _herm_basis(n)
-    comm = (e[:, None] @ x - x @ e[:, None]).reshape(n * n, -1)  # row k: [E_k, X_i] over i
-    hess = 4.0 * (comm @ dagger(comm)).real
-    e = e.reshape(n * n, n * n)
-    grad = 2.0 * (e @ m.T.ravel()).real  # tr(E_k M)
-    lam, v = np.linalg.eigh(hess)
-    keep = lam > _PINV_RCOND * lam[-1]
-    coef = v[:, keep] @ ((grad @ v[:, keep]) / lam[keep])
-    return -(coef @ e).reshape(n, n)
+    *lead, r, n, _ = x.shape
+    rows, cols, flat = _basis_factors(n)
+    ex = (rows @ x).reshape(*lead, r, n * n, n, n)
+    xe = (x @ cols).reshape(*lead, r, n, n * n, n).swapaxes(-3, -2)
+    comm = (ex - xe).swapaxes(-4, -3).reshape(*lead, n * n, -1).view(float)  # row k: [E_k, X_i] over i
+    lam, v = np.linalg.eigh(comm @ comm.swapaxes(-1, -2))
+    keep = lam > _PINV_RCOND * lam[..., -1:]
+    grad = -0.5 * (np.ascontiguousarray(m).reshape(*lead, 1, n * n).view(float) @ flat.T)
+    coef = ((grad @ v) / np.where(keep, lam, np.inf)[..., None, :]) @ v.swapaxes(-1, -2)
+    return (coef @ flat).view(complex).reshape(m.shape)
 
 
 def orbit_closed(rho: RepTuple) -> bool:
@@ -161,57 +184,116 @@ def orbit_closed(rho: RepTuple) -> bool:
     return bool(s[-1] > _CLOSED_RATIO * s[0])
 
 
+def check_flow_params(max_iter: int = 0, tol: float = 0.0) -> None:
+    """Raise ValueError unless ``max_iter >= 0`` and ``tol`` is finite and >= 0."""
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be >= 0, got {max_iter}")
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
+
+
+def _sum_squares(a) -> np.ndarray:
+    """Sum of the squared real and imaginary parts of the entries of each a[i], a (m, ...)."""
+    v = np.ascontiguousarray(a).reshape(len(a), math.prod(a.shape[1:])).view(float)
+    return (v * v).sum(axis=1)
+
+
+def _halvings(q, gap, delta) -> tuple:
+    """Per row, the first t of 1, 1/2, 1/4, ... (_MAX_HALVINGS trials) at which the
+    decrement sum_jk Q_jk expm1(2t (w_j - w_k)) is negative, given ``delta`` at
+    t = 1, and that decrement; t is 0 on a row where every trial failed."""
+    t = np.ones(len(q))
+    pending = ~(delta < 0.0)
+    for _ in range(_MAX_HALVINGS - 1):
+        t = np.where(pending, 0.5 * t, t)
+        delta = np.where(pending, (q * np.expm1(2.0 * t[:, None, None] * gap)).sum(axis=(1, 2)), delta)
+        pending = ~(delta < 0.0)
+        if not pending.any():
+            break
+    return np.where(pending, 0.0, t), delta
+
+
+def flow_matrices(x, max_iter: int = FLOW_MAX_ITER, tol: float = FLOW_TOL) -> tuple:
+    """Geodesic Newton descent of the norm functional on a stack x (m, r, n, n).
+
+    Each iteration conjugates every live row by e^{tA}, A its Newton
+    direction (_newton_direction: one stacked ``eigh`` of the Hessians),
+    trying t = 1 and halving t per row (at most _MAX_HALVINGS trials) until
+    the functional decreases.  The step is applied in A's eigenbasis, where
+    it is the entrywise scaling Y_jk -> Y_jk e^{t (w_j - w_k)}, and the
+    decrement sum_jk Q_jk expm1(2t (w_j - w_k)), Q = sum_i |Y_i|^2, is
+    evaluated exactly, so the accept/halve decision keeps its true sign even
+    once the decrement is far below the resolution of the functional itself.
+
+    A row stops on its own when its residual norm drops to ``tol``, when no
+    trial step decreases its functional (critical within rounding: it keeps
+    its last iterate), or after ``max_iter`` iterations.  A stopped row is
+    copied out and dropped from the working stack, so its matrices are not
+    touched again.  Returns the flowed stack and, per row, the tuple of its
+    FlowStep rows, the input as iteration 0.  Raises ValueError on a
+    negative ``max_iter`` or on a ``tol`` that is negative or not finite.
+    """
+    check_flow_params(max_iter, tol)
+    out = np.array(x, dtype=complex)
+    if out.ndim != 4:
+        raise ValueError(f"expected a stack of tuples (m, r, n, n), got shape {out.shape}")
+    m_res = residual_matrix(out)
+    res = np.sqrt(_sum_squares(m_res))
+    p = _sum_squares(out)
+    steps = [[FlowStep(0, a, b, 0.0)] for a, b in zip(p.tolist(), res.tolist())]
+    rows = np.flatnonzero(res > tol) if max_iter else np.arange(0)
+    xs = out  # the live rows; each step makes a new array, so nothing writes to out through xs
+    if len(rows) < len(out):
+        xs, p, m_res = out[rows], p[rows], m_res[rows]
+    it = 0
+    with np.errstate(over="ignore", invalid="ignore"):  # an overlong step reads inf/nan: halve
+        while len(rows):
+            it += 1
+            w, u = np.linalg.eigh(_newton_direction(xs, m_res))
+            gap = w[:, :, None] - w[:, None, :]
+            u, uh = u[:, None], dagger(u)[:, None]
+            ys = uh @ xs @ u
+            q = (ys.real**2 + ys.imag**2).sum(axis=1)
+            delta = (q * np.expm1(2.0 * gap)).sum(axis=(1, 2))
+            if delta.max() < 0.0:  # every row takes t = 1, the usual case
+                t, scale = [1.0] * len(rows), np.exp(gap)
+            else:
+                t, delta = _halvings(q, gap, delta)
+                ok = t > 0.0
+                if not ok.all():  # no trial step decreased the functional: keep the iterate
+                    out[rows[~ok]] = xs[~ok]
+                    rows, xs, p, u, uh, ys, gap, t, delta = (a[ok] for a in (rows, xs, p, u, uh, ys, gap, t, delta))
+                t, scale = t.tolist(), np.exp(t[:, None, None] * gap)
+            xs = u @ (ys * scale[:, None]) @ uh
+            p = p + delta
+            m_res = residual_matrix(xs)
+            res = np.sqrt(_sum_squares(m_res)).tolist()
+            for row, a, b, c in zip(rows.tolist(), p.tolist(), res, t):
+                steps[row].append(FlowStep(it, a, b, c))
+            live = [b > tol and it < max_iter for b in res]
+            if not all(live):
+                stop = np.logical_not(live)
+                out[rows[stop]] = xs[stop]
+                rows, xs, p, m_res = (a[live] for a in (rows, xs, p, m_res))
+    return out, [tuple(s) for s in steps]
+
+
 def kn_flow(
     rho: RepTuple,
     max_iter: int = FLOW_MAX_ITER,
     tol: float = FLOW_TOL,
 ) -> tuple:
-    """Geodesic Newton descent of the norm functional inside the orbit.
+    """The Newton flow of ``flow_matrices`` on one tuple, with its trace.
 
-    Each iteration conjugates by e^{tA}, A the Newton direction of
-    _newton_direction, starting from t = 1 and halving t (at most
-    _MAX_HALVINGS times) until the functional decreases.  The step is applied
-    in A's eigenbasis, where it is the entrywise scaling
-    Y_jk -> Y_jk e^{t (w_j - w_k)}, and the functional decrement
-    sum_jk Q_jk expm1(2t (w_j - w_k)), Q = sum_i |Y_i|^2, is evaluated
-    exactly, so the accept/halve decision keeps its true sign even once the
-    decrement is far below the resolution of the functional itself.  Stops
-    when the residual norm drops to ``tol``, when no step decreases the
-    functional, or after ``max_iter`` iterations.  ``converged`` is True only
-    if the residual reached ``tol`` and the input's orbit is closed
-    (``orbit_closed``): on a non-closed orbit the residual can still reach
-    ``tol`` as the flow nears the orbit closure, but no point of the orbit is
-    critical.
+    ``converged`` is True only if the residual reached ``tol`` and the
+    input's orbit is closed (``orbit_closed``): on a non-closed orbit the
+    residual can still reach ``tol`` as the flow nears the orbit closure, but
+    no point of the orbit is critical.
     """
-    x = rho.matrices
-    p = kn_functional(rho)
-    m_res = residual_matrix(x)
-    res = frob(m_res)
-    steps = [FlowStep(0, p, res, 0.0)]
-    it = 0
-    with np.errstate(over="ignore", invalid="ignore"):  # an overlong step reads inf/nan: halve
-        while res > tol and it < max_iter:
-            it += 1
-            w, u = np.linalg.eigh(_newton_direction(x, m_res))
-            gap = w[:, None] - w[None, :]
-            ys = dagger(u) @ x @ u
-            q = (ys.real**2 + ys.imag**2).sum(axis=0)
-            t = 1.0
-            for _ in range(_MAX_HALVINGS):
-                delta = float(np.sum(q * np.expm1(2.0 * t * gap)))
-                if delta < 0.0:
-                    break
-                t *= 0.5
-            else:
-                break  # critical within rounding; report best iterate
-            x = u @ (ys * np.exp(t * gap)) @ dagger(u)
-            p += delta
-            m_res = residual_matrix(x)
-            res = frob(m_res)
-            steps.append(FlowStep(it, p, res, t))
+    x, (steps,) = flow_matrices(rho.matrices[None], max_iter, tol)
     closed = orbit_closed(rho)
-    out = RepTuple(rho.descriptor, x)
-    return out, FlowTrace(steps=tuple(steps), converged=bool(res <= tol and closed), orbit_closed=closed)
+    trace = FlowTrace(steps=steps, converged=bool(steps[-1].residual <= tol and closed), orbit_closed=closed)
+    return RepTuple(rho.descriptor, x[0]), trace
 
 
 @dataclass(frozen=True)

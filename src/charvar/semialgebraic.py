@@ -252,6 +252,9 @@ _ALCOVE_TRIANGLE = (
 )
 
 
+MIN_RESOLUTION = 16  # the coarsest grid the figure-data functions accept
+
+
 def _sweep(pa, pb, pc, us):
     """Degenerate bilinear sweep pa + u (pb - pa) + v (1 - u)(pc - pa) over the
     (u, v) mesh of ``us``: (..., len(us), len(us), k) for vertices (..., k)."""
@@ -267,8 +270,8 @@ def su3_alcove_grid(resolution: int):
     whose corner rows are exactly the three central elements tau = 3, 3w,
     3w^2, where the quartic margin vanishes.  resolution^2 rows.
     """
-    if resolution < 16:
-        raise ValueError("resolution must be >= 16")
+    if resolution < MIN_RESOLUTION:
+        raise ValueError(f"resolution must be >= {MIN_RESOLUTION}")
     lam = _sweep(*_ALCOVE_TRIANGLE, np.linspace(0.0, 1.0, resolution))
     tau = np.exp(2j * np.pi * lam).sum(axis=-1).ravel().tolist()
     # The margin is taken per row: numpy's stacked power and complex abs
@@ -283,8 +286,8 @@ def su2_tetrahedron_boundary_grid(resolution: int):
     barycentric grids; all four non-smooth vertices of the a-surface appear
     exactly.  4*(resolution//2)^2 rows (resolution^2 when even).
     """
-    if resolution < 16:
-        raise ValueError("resolution must be >= 16")
+    if resolution < MIN_RESOLUTION:
+        raise ValueError(f"resolution must be >= {MIN_RESOLUTION}")
     # Faces as theta-triangles (vertices in theta coordinates).
     faces = np.array([
         ((0.0, 0.0, 0.0), (1.0, 0.0, 1.0), (0.0, 1.0, 1.0)),  # th1+th2-th3 = 0

@@ -20,9 +20,8 @@ from .groups import (
     GROUP_TOL,
     NotInGroup,
     RepTuple,
+    hermitian_from_normals,
     quaternion_matrix,
-    random_traceless_hermitian,
-    sample_tuple,
     sl,
     sl_from_normals,
     su,
@@ -46,11 +45,11 @@ from .invariants import (
     u_from_traces,
     word_traces,
 )
-from .kempfness import kn_flow, kn_functional, moment_residual, residual_matrix
+from .kempfness import FLOW_TOL, flow_matrices, functional_values, orbit_closed, residual_matrix
 from .poincare import baird_poly, surface_counterexample_polys
 from .reconstruct import conjugacy_decisions, rank2_lift_matrices, rank3_lift_matrices
 from .retraction import retract_matrices
-from .semialgebraic import ALCOVE_CORNERS, TETRAHEDRON_VERTICES, region_grid
+from .semialgebraic import ALCOVE_CORNERS, MIN_RESOLUTION, TETRAHEDRON_VERTICES, region_grid
 
 U_BOX = (-1.5, 3.0)
 U5_BOX = 3.0 * np.sqrt(3.0) / 2.0
@@ -302,6 +301,53 @@ def verify_minors(samples: int, rng: np.random.Generator) -> tuple[bool, dict, d
 # --- criterion 9 -------------------------------------------------------------
 
 
+def _fd_worst(rng) -> float:
+    """Central-difference directional derivatives of the functional against
+    2 Re tr(H M): the largest relative error.  Per sample, n, an SL pair's
+    normals, then H's; mapped and evaluated as one stack per n."""
+    h = 1e-5
+    worst = 0.0
+    sls, hs = {2: [], 3: []}, {2: [], 3: []}
+    for _ in range(100):
+        n = 2 if rng.uniform() < 0.5 else 3
+        sls[n].append(rng.standard_normal((2, 2, 2, n, n)))
+        hs[n].append(rng.standard_normal((2, n, n)))
+    for n in (2, 3):
+        if sls[n]:
+            x = _in_group(sl_from_normals(np.array(sls[n])), sl(n))
+            H = hermitian_from_normals(np.array(hs[n]))
+            e_plus, e_minus = exp_herm(H, h)[:, None], exp_herm(H, -h)[:, None]
+            fd = functional_values(_in_group(e_plus @ x @ e_minus, sl(n)))
+            fd = (fd - functional_values(_in_group(e_minus @ x @ e_plus, sl(n)))) / (2.0 * h)
+            exact = 2.0 * np.trace(H @ residual_matrix(x), axis1=-2, axis2=-1).real
+            worst = max(worst, float(np.max(abs(fd - exact) / np.maximum(abs(exact), 1e-12))))
+    return worst
+
+
+def _flow_checks(flows: int, rng) -> tuple:
+    """Flows from conjugated-unitary pairs g k g^-1: the largest functional gap
+    to 2n, the largest trace-word drift and the count not converged.  Per flow,
+    g's normals, then k's, n alternating; one flow_matrices call per n."""
+    gs, ks = {2: [], 3: []}, {2: [], 3: []}
+    for i in range(flows):
+        n = (2, 3)[i % 2]
+        gs[n].append(rng.standard_normal((2, 2, n, n)))
+        ks[n].append(rng.standard_normal((2, 2, n, n)))
+    worst_p = worst_word = 0.0
+    not_converged = 0
+    for n in (2, 3):
+        g = sl_from_normals(np.array(gs[n]))
+        x = g[:, None] @ haar_from_normals(np.array(ks[n])) @ np.linalg.inv(g)[:, None]
+        out, steps = flow_matrices(x)
+        for rho, trace in zip(x, steps):
+            closed = orbit_closed(RepTuple(sl(n), rho))
+            not_converged += not (trace[-1].residual <= FLOW_TOL and closed)
+            worst_p = max(worst_p, abs(trace[-1].p - 2 * n))
+        before, after = word_traces(np.stack([x, out]))
+        worst_word = max(worst_word, float(np.abs(after - before).max()))
+    return worst_p, worst_word, not_converged
+
+
 def verify_kempf_ness(samples: int, rng: np.random.Generator) -> tuple[bool, dict, dict]:
     # K-points are critical.  Sample i draws case i % 3 as Haar (r, 2, n, n)
     # normals; the cycles are one block, zero-padded after a partial last cycle.
@@ -314,39 +360,9 @@ def verify_kempf_ness(samples: int, rng: np.random.Generator) -> tuple[bool, dic
         block = z[: len(range(j, samples, 3)), edges[j] : edges[j + 1]]
         m = residual_matrix(_in_group(haar_from_normals(block.reshape(-1, r, 2, n, n)), su(n)))
         worst_res = max(worst_res, _max_frob(m))
-
-    # Central-difference directional derivative vs 2 Re tr(H M).
-    h = 1e-5
-    worst_fd = 0.0
-    for _ in range(100):
-        n = 2 if rng.uniform() < 0.5 else 3
-        rho = sample_tuple(sl(n), 2, rng)
-        H = random_traceless_hermitian(n, rng)
-        M = moment_residual(rho).M
-        e_plus, e_minus = exp_herm(H, h), exp_herm(H, -h)
-        p_fwd = kn_functional(RepTuple(sl(n), e_plus @ rho.matrices @ e_minus))
-        p_bwd = kn_functional(RepTuple(sl(n), e_minus @ rho.matrices @ e_plus))
-        fd = (p_fwd - p_bwd) / (2.0 * h)
-        exact = 2.0 * np.trace(H @ M).real
-        worst_fd = max(worst_fd, float(abs(fd - exact) / max(abs(exact), 1e-12)))
-
-    # Flows from conjugated-unitary tuples reach the minimum inside the orbit.
+    worst_fd = _fd_worst(rng)
     flows = max(10, samples // 100)
-    worst_p = 0.0
-    worst_word = 0.0
-    not_converged = 0
-    for i in range(flows):
-        n, r = ((2, 2), (3, 2))[i % 2]
-        g = sample_tuple(sl(n), 1, rng)[0]
-        ks = haar_su(n, rng, r)
-        gi = np.linalg.inv(g)
-        rho = RepTuple(sl(n), g @ ks @ gi)
-        out, trace = kn_flow(rho)
-        if not trace.converged:
-            not_converged += 1
-        worst_p = max(worst_p, abs(trace.steps[-1].p - r * n))
-        before, after = word_traces(np.stack([rho.matrices, out.matrices]))
-        worst_word = max(worst_word, float(np.abs(after - before).max()))
+    worst_p, worst_word, not_converged = _flow_checks(flows, rng)
     checks = {
         "max_unitary_residual": worst_res,
         "max_fd_relative_error": worst_fd,
@@ -398,7 +414,7 @@ def verify_baird(samples: int, rng: np.random.Generator) -> tuple[bool, dict, di
 
 
 def verify_figures(samples: int, rng: np.random.Generator) -> tuple[bool, dict, dict]:
-    resolution = max(16, samples)
+    resolution = max(MIN_RESOLUTION, samples)
     p1, p2, margin = np.array(region_grid("su3-alcove", resolution)[1]).T
     corner_margins = []
     for corner in ALCOVE_CORNERS:

@@ -289,3 +289,36 @@ def test_tol_env_override(capsys, monkeypatch):
     monkeypatch.setenv("CHARVAR_TOL", "junk")
     with pytest.raises(SystemExit):
         build_parser()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["flow", "--flow-tol", "nan"],
+        ["flow", "--flow-tol", "-1e-9"],
+        ["flow", "--flow-tol", "inf"],
+        ["flow", "--max-iter", "-3"],
+        ["composite", "--t", "1", "--max-iter", "-1"],
+        ["sample", "--group", "SU", "--n", "0", "--r", "2"],
+        ["sample", "--group", "SL", "--n", "2", "--r", "0"],
+        ["poincare", "--r", "0"],
+        ["region", "--name", "su3-alcove", "--resolution", "1"],
+        ["region", "--name", "su3-alcove", "--resolution", "15"],
+    ],
+)
+def test_bad_parameters_are_usage_errors(capsys, argv):
+    # Rejected while parsing, before any input is read: exit 2 and nothing on stdout.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "Traceback" not in captured.err
+
+
+def test_flow_max_iter_zero_returns_the_input(capsys, tmp_path):
+    path = tmp_path / "t.json"
+    run_cli(capsys, "sample", "--group", "SL", "--n", "2", "--r", "2", "--seed", "4", "--out", str(path))
+    code, out = run_cli(capsys, "flow", "--max-iter", "0", "--flow-tol", "0", "--input", str(path))
+    obj = json.loads(out)
+    assert code == 0 and obj["iterations"] == 0 and obj["converged"] is False
+    assert obj["tuple"] == json.loads(path.read_text())

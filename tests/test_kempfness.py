@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from charvar.groups import (
     NotInGroup,
@@ -13,8 +15,10 @@ from charvar.groups import (
 from charvar.invariants import all_words, trace_word
 from charvar.kempfness import (
     FLOW_TOL,
+    _MAX_HALVINGS,
     _newton_direction,
     composite_retraction,
+    flow_matrices,
     kn_flow,
     kn_functional,
     moment_residual,
@@ -315,3 +319,123 @@ def test_flow_iterations_bounded_on_closed_orbits():
         assert trace.converged
         assert trace.steps[-1].iter <= 50, (n, r, i)
         assert all(0.0 < s.step <= 1.0 for s in trace.steps[1:])
+
+
+# --- the stacked flow ----------------------------------------------------------
+
+
+def _reference_flow(x, max_iter=10_000, tol=FLOW_TOL):
+    """The flow one tuple at a time, as a plain loop: (matrices, iterations, step lengths)."""
+    m = residual_matrix(x)
+    steps = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        while frob(m) > tol and len(steps) < max_iter:
+            w, u = np.linalg.eigh(_newton_direction(x, m))
+            gap = w[:, None] - w[None, :]
+            ys = u.conj().T @ x @ u
+            q = (ys.real**2 + ys.imag**2).sum(axis=0)
+            t = 1.0
+            for _ in range(_MAX_HALVINGS):
+                if np.sum(q * np.expm1(2.0 * t * gap)) < 0.0:
+                    break
+                t *= 0.5
+            else:
+                break
+            x = u @ (ys * np.exp(t * gap)) @ u.conj().T
+            m = residual_matrix(x)
+            steps.append(t)
+    return x, len(steps), steps
+
+
+def _closed_stack(n, r, count, rng):
+    """count conjugated SU tuples g k g^-1, |log g| = 0.3, 0.8, 1.3, ..."""
+    return np.array([_conjugated(_stretched(n, 0.3 + 0.5 * i, rng), haar_su(n, rng, r)).matrices for i in range(count)])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("r", [2, 3])
+def test_stacked_flow_rows_match_single_flows(n, r):
+    x = _closed_stack(n, r, 6, np.random.default_rng(30 + 10 * n + r))
+    out, steps = flow_matrices(x)
+    for i, rho in enumerate(x):
+        single, trace = kn_flow(RepTuple(sl(n), rho))
+        ref, iters, ts = _reference_flow(rho)
+        assert steps[i] == trace.steps
+        assert steps[i][-1].iter == iters and [s.step for s in steps[i][1:]] == ts
+        assert np.abs(out[i] - single.matrices).max() <= 1e-12
+        assert np.abs(out[i] - ref).max() <= 1e-12
+        assert trace.converged
+
+
+def test_stacked_flow_mixed_rows():
+    # An SU pair, a conjugated SU pair and a unipotent pair: critical at the
+    # start, a closed orbit, and an orbit that is not closed.
+    rng = np.random.default_rng(31)
+    unipotent = [np.array([[1, 1], [0, 1]], dtype=complex), np.eye(2, dtype=complex)]
+    rows = [
+        haar_su(2, rng, 2),
+        _conjugated(_stretched(2, 1.2, rng), haar_su(2, rng, 2)).matrices,
+        _conjugated(_stretched(2, 1.0, rng), unipotent).matrices,
+    ]
+    x = np.array(rows)
+    out, steps = flow_matrices(x)
+    assert np.array_equal(out[0], x[0]) and len(steps[0]) == 1  # untouched after 0 iterations
+    for i, rho in enumerate(rows):  # each row flows as it does alone
+        alone, (trace,) = flow_matrices(rho[None])
+        assert steps[i] == trace
+        assert np.abs(out[i] - alone[0]).max() <= 1e-12
+    _, trace = kn_flow(RepTuple(sl(2), rows[2]))
+    assert trace.steps[-1].residual <= FLOW_TOL
+    assert trace.converged is False and trace.orbit_closed is False
+    x_before = x.copy()
+    flow_matrices(x)
+    assert np.array_equal(x, x_before)  # the input stack is not written to
+
+
+def test_stacked_flow_stops_rows_at_max_iter():
+    x = _closed_stack(3, 2, 4, np.random.default_rng(32))
+    out, steps = flow_matrices(x, max_iter=2)
+    assert [s[-1].iter for s in steps] == [2, 2, 2, 2]
+    out0, steps0 = flow_matrices(x, max_iter=0)
+    assert np.array_equal(out0, x) and all(len(s) == 1 for s in steps0)
+
+
+def test_stacked_flow_rows_stall_on_their_own():
+    # At tol = 0 an SU tuple's residual is rounding: each row steps until no
+    # halving lowers the functional, then stops without a further row.
+    x = haar_su(3, np.random.default_rng(34), 8).reshape(4, 2, 3, 3)
+    out, steps = flow_matrices(x, max_iter=1000, tol=0.0)
+    assert all(s[-1].iter < 1000 and s[-1].residual > 0.0 for s in steps)
+    assert len({s[-1].iter for s in steps}) > 1
+    for i in range(4):
+        alone, (trace,) = flow_matrices(x[i : i + 1], max_iter=1000, tol=0.0)
+        assert np.array_equal(out[i], alone[0]) and steps[i] == trace
+    assert np.abs(out - x).max() < 1e-12
+
+
+@pytest.mark.parametrize("kwargs", [{"max_iter": -1}, {"tol": -1e-9}, {"tol": np.nan}, {"tol": np.inf}])
+def test_flow_rejects_bad_parameters(kwargs):
+    x = haar_su(2, np.random.default_rng(33), 2)
+    with pytest.raises(ValueError):
+        flow_matrices(x[None], **kwargs)
+    with pytest.raises(ValueError):
+        kn_flow(RepTuple(su(2), x), **kwargs)
+
+
+def test_flow_matrices_takes_stacks_only():
+    x = haar_su(2, np.random.default_rng(35), 2)
+    with pytest.raises(ValueError, match="stack of tuples"):
+        flow_matrices(x)
+    out, steps = flow_matrices(x[:0].reshape(0, 2, 2, 2))
+    assert out.shape == (0, 2, 2, 2) and steps == []
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(n=st.integers(2, 5), r=st.integers(1, 3), count=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+def test_stacked_flow_equals_per_row_flows(n, r, count, seed):
+    x = _closed_stack(n, r, count, np.random.default_rng(seed))
+    out, steps = flow_matrices(x)
+    for i in range(count):
+        alone, (trace,) = flow_matrices(x[i : i + 1])
+        assert np.array_equal(out[i], alone[0])
+        assert steps[i] == trace

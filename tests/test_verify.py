@@ -3,8 +3,9 @@ import pytest
 
 import charvar.groups
 import charvar.verify
-from charvar.groups import random_traceless_hermitian
-from charvar.linalg import haar_su
+from charvar.groups import RepTuple, random_traceless_hermitian, sample_tuple, sl
+from charvar.kempfness import kn_functional, moment_residual
+from charvar.linalg import exp_herm, haar_su
 from charvar.verify import SIZED, SUITES, random_sl3, run_suite
 
 
@@ -129,6 +130,36 @@ def test_retraction_draws_the_per_sample_stream(samples):
                 random_traceless_hermitian(n, rng2)
             haar_su(n, rng2)
         haar_su(n, rng2, 40)
+    assert rng1.standard_normal(3).tolist() == rng2.standard_normal(3).tolist()
+
+
+@pytest.mark.parametrize("samples", [1, 7, 200])
+def test_kempf_ness_draws_the_per_sample_stream(samples):
+    # The residual samples (case i % 3), then the finite-difference loop one
+    # sample at a time, then each flow's g and Haar tuple, n alternating.
+    rng1, rng2 = np.random.default_rng(samples), np.random.default_rng(samples)
+    passed, checks, _ = SUITES["kempf-ness"][0](samples, rng1)
+    assert passed
+    for i in range(samples):
+        n, r = ((2, 2), (2, 3), (3, 2))[i % 3]
+        haar_su(n, rng2, r)
+    h = 1e-5
+    worst_fd = 0.0
+    for _ in range(100):
+        n = 2 if rng2.uniform() < 0.5 else 3
+        rho = sample_tuple(sl(n), 2, rng2)
+        H = random_traceless_hermitian(n, rng2)
+        M = moment_residual(rho).M
+        e_plus, e_minus = exp_herm(H, h), exp_herm(H, -h)
+        p_fwd = kn_functional(RepTuple(sl(n), e_plus @ rho.matrices @ e_minus))
+        p_bwd = kn_functional(RepTuple(sl(n), e_minus @ rho.matrices @ e_plus))
+        exact = 2.0 * np.trace(H @ M).real
+        worst_fd = max(worst_fd, float(abs((p_fwd - p_bwd) / (2.0 * h) - exact) / max(abs(exact), 1e-12)))
+    assert checks["max_fd_relative_error"] == worst_fd
+    for i in range(checks["flows"]):
+        n, r = ((2, 2), (3, 2))[i % 2]
+        sample_tuple(sl(n), 1, rng2)
+        haar_su(n, rng2, r)
     assert rng1.standard_normal(3).tolist() == rng2.standard_normal(3).tolist()
 
 
