@@ -30,6 +30,7 @@ from .groups import (
     cartan,
     conjugate_tuple,
     from_quaternion,
+    in_group,
     sample_tuple,
     sl,
     su,

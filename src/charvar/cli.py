@@ -17,6 +17,7 @@ import sys
 import numpy as np
 
 from . import __version__
+from .linalg import DEFAULT_TOL
 from .groups import (
     GroupDescriptor,
     RepTuple,
@@ -57,7 +58,7 @@ DEFAULT_TOL_ENV = "CHARVAR_TOL"
 def _default_tol() -> float:
     raw = os.environ.get(DEFAULT_TOL_ENV)
     if raw is None:
-        return 1e-9
+        return DEFAULT_TOL
     try:
         tol = float(raw)
     except ValueError:
@@ -170,7 +171,7 @@ def cmd_trace(args) -> int:
 
 def cmd_retract(args) -> int:
     rho = _read_tuple(args.input)
-    _emit_json(args, tuple_to_json(retract_tuple(rho, args.t, args.tol)))
+    _emit_json(args, tuple_to_json(retract_tuple(rho, args.t)))
     return 0
 
 
@@ -344,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("retract", help="apply the retraction at time t")
     sp.add_argument("--t", type=float, required=True)
-    common(sp)
+    common(sp, tol_arg=False)
     sp.set_defaults(fn=cmd_retract)
 
     sp = sub.add_parser("flow", help="run the Kempf-Ness descent")

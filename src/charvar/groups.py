@@ -3,9 +3,9 @@
 A representation of the rank-r free group is stored as the images of the
 generators, one read-only (r, n, n) complex array, with a descriptor saying
 which group they live in (SU(n) or SL(n,C)).  Tuples are immutable values,
-checked against their group once, when built, by one ``validate`` call on the
-stack within GROUP_TOL; every operation trusts the tuples it is given, works
-on the whole stack and returns fresh ones.
+checked against their group once, when built, by ``in_group`` on the stack;
+every operation trusts the tuples it is given, works on the whole stack and
+returns fresh ones.
 """
 
 from __future__ import annotations
@@ -67,6 +67,14 @@ def validate(g, d: GroupDescriptor, tol: float = DEFAULT_TOL):
     return ok
 
 
+def in_group(x, d: GroupDescriptor):
+    """The stack x (..., n, n), after one check that every matrix lies in the
+    group ``d`` within GROUP_TOL; raises NotInGroup otherwise."""
+    if not np.all(validate(x, d, GROUP_TOL)):
+        raise NotInGroup(f"not {d}-valued within tol={GROUP_TOL:g}")
+    return x
+
+
 @dataclass(frozen=True, eq=False)
 class RepTuple:
     """Value equality (same descriptor, equal matrices); unhashable, like the arrays it holds."""
@@ -83,9 +91,7 @@ class RepTuple:
         if mats.shape[1:] != (self.descriptor.n, self.descriptor.n):
             raise DimensionMismatch(f"matrix shape {mats.shape[1:]} does not match {self.descriptor}")
         mats.setflags(write=False)
-        object.__setattr__(self, "matrices", mats)
-        if not self.is_valid():
-            raise NotInGroup(f"tuple is not {self.descriptor}-valued within tol={GROUP_TOL:g}")
+        object.__setattr__(self, "matrices", in_group(mats, self.descriptor))
 
     @property
     def r(self) -> int:
@@ -195,19 +201,15 @@ def quaternion_matrix(a, b, c, d) -> np.ndarray:
     return m.view(complex)
 
 
-def to_quaternion(g, tol: float = DEFAULT_TOL) -> Quaternion:
+def to_quaternion(g) -> Quaternion:
     """SU(2) matrix [[a+ib, c+id], [-c+id, a-ib]] -> unit quaternion a+bi+cj+dk."""
-    g = cmat(g)
-    if not validate(g, su(2), tol):
-        raise NotInGroup("to_quaternion expects an SU(2) matrix")
+    g = in_group(cmat(g), su(2))
     alpha, beta = g[0, 0], g[0, 1]
     return Quaternion(alpha.real, alpha.imag, beta.real, beta.imag)
 
 
-def from_quaternion(q: Quaternion, tol: float = DEFAULT_TOL) -> np.ndarray:
-    if abs(q.norm() - 1.0) > tol:
-        raise NotInGroup(f"quaternion norm {q.norm():.6g} is not 1 within tol={tol:g}")
-    return quaternion_matrix(q.a, q.b, q.c, q.d)
+def from_quaternion(q: Quaternion) -> np.ndarray:
+    return in_group(quaternion_matrix(q.a, q.b, q.c, q.d), su(2))
 
 
 # --- JSON wire format -------------------------------------------------------

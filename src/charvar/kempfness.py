@@ -47,7 +47,7 @@ class FlowStep:
 class FlowTrace:
     steps: tuple
     converged: bool  # residual <= tol on an input whose orbit is closed
-    orbit_closed: bool  # orbit_closed() of the flow's input
+    orbit_closed: bool  # orbit_closed_matrices() of the flow's input
 
     def to_csv_rows(self):
         yield ("iter", "p", "residual", "step")
@@ -142,8 +142,8 @@ def _newton_direction(x: np.ndarray, m: np.ndarray) -> np.ndarray:
     return (coef @ flat).view(complex).reshape(m.shape)
 
 
-def orbit_closed(rho: RepTuple) -> bool:
-    """Whether the orbit of ``rho`` under simultaneous conjugation is closed.
+def orbit_closed_matrices(x) -> bool:
+    """Whether the orbit of the tuple x (r, n, n) under simultaneous conjugation is closed.
 
     Grows an orthonormal basis of the algebra the X_i generate by closing {I}
     under right multiplication by the X_i.  Each round multiplies the
@@ -160,8 +160,7 @@ def orbit_closed(rho: RepTuple) -> bool:
     cond(g)^2 * eps against true directions of about cond(g)^-2, which
     _SPAN_TOL ~ sqrt(eps) keeps apart up to cond(g) ~ 1e3.
     """
-    x = rho.matrices
-    n = rho.n
+    n = x.shape[-1]
     floor = _SPAN_TOL * np.linalg.norm(x, axis=(1, 2)).max()
     rest = np.eye(n * n, dtype=complex)  # orthonormal rows spanning the complement
     found = []
@@ -182,6 +181,11 @@ def orbit_closed(rho: RepTuple) -> bool:
     gram = basis @ basis.reshape(k, n, n).transpose(0, 2, 1).reshape(k, n * n).T
     s = np.linalg.svd(gram, compute_uv=False)
     return bool(s[-1] > _CLOSED_RATIO * s[0])
+
+
+def orbit_closed(rho: RepTuple) -> bool:
+    """Whether the orbit of ``rho`` under simultaneous conjugation is closed (``orbit_closed_matrices``)."""
+    return orbit_closed_matrices(rho.matrices)
 
 
 def check_flow_params(max_iter: int = 0, tol: float = 0.0) -> None:
@@ -229,14 +233,19 @@ def flow_matrices(x, max_iter: int = FLOW_MAX_ITER, tol: float = FLOW_TOL) -> tu
     trial step decreases its functional (critical within rounding: it keeps
     its last iterate), or after ``max_iter`` iterations.  A stopped row is
     copied out and dropped from the working stack, so its matrices are not
-    touched again.  Returns the flowed stack and, per row, the tuple of its
-    FlowStep rows, the input as iteration 0.  Raises ValueError on a
-    negative ``max_iter`` or on a ``tol`` that is negative or not finite.
+    touched again.  Returns the flowed stack and, per row, its FlowTrace:
+    the FlowStep rows, the input as iteration 0, and whether it converged,
+    that is, reached ``tol`` on an input whose orbit is closed
+    (``orbit_closed_matrices``).  On a non-closed orbit the residual can
+    still reach ``tol`` as the flow nears the orbit closure, but no point of
+    the orbit is critical.  Raises ValueError on a negative ``max_iter`` or
+    on a ``tol`` that is negative or not finite.
     """
     check_flow_params(max_iter, tol)
     out = np.array(x, dtype=complex)
     if out.ndim != 4:
         raise ValueError(f"expected a stack of tuples (m, r, n, n), got shape {out.shape}")
+    closed = [orbit_closed_matrices(a) for a in out]
     m_res = residual_matrix(out)
     res = np.sqrt(_sum_squares(m_res))
     p = _sum_squares(out)
@@ -275,7 +284,7 @@ def flow_matrices(x, max_iter: int = FLOW_MAX_ITER, tol: float = FLOW_TOL) -> tu
                 stop = np.logical_not(live)
                 out[rows[stop]] = xs[stop]
                 rows, xs, p, m_res = (a[live] for a in (rows, xs, p, m_res))
-    return out, [tuple(s) for s in steps]
+    return out, [FlowTrace(tuple(s), bool(s[-1].residual <= tol and c), c) for s, c in zip(steps, closed)]
 
 
 def kn_flow(
@@ -283,16 +292,8 @@ def kn_flow(
     max_iter: int = FLOW_MAX_ITER,
     tol: float = FLOW_TOL,
 ) -> tuple:
-    """The Newton flow of ``flow_matrices`` on one tuple, with its trace.
-
-    ``converged`` is True only if the residual reached ``tol`` and the
-    input's orbit is closed (``orbit_closed``): on a non-closed orbit the
-    residual can still reach ``tol`` as the flow nears the orbit closure, but
-    no point of the orbit is critical.
-    """
-    x, (steps,) = flow_matrices(rho.matrices[None], max_iter, tol)
-    closed = orbit_closed(rho)
-    trace = FlowTrace(steps=steps, converged=bool(steps[-1].residual <= tol and closed), orbit_closed=closed)
+    """The Newton flow of ``flow_matrices`` on one tuple, with its FlowTrace."""
+    x, (trace,) = flow_matrices(rho.matrices[None], max_iter, tol)
     return RepTuple(rho.descriptor, x[0]), trace
 
 
@@ -312,11 +313,12 @@ def composite_retraction(
 ) -> CompositeResult:
     """Flow to the Kempf-Ness set, then retract: the invariant-level map Phi_t.
 
-    Reports the case-appropriate invariant record before and after; on
-    unitary input (or at t=0 on poly-stable input) the records agree.
+    Reports the case-appropriate invariant record before and after, ``tol``
+    being their cut (``invariant_record``); on unitary input (or at t=0 on
+    poly-stable input) the records agree.
     """
     before = invariant_record(rho, tol)
     critical, trace = kn_flow(rho, max_iter=max_iter)
-    out = retract_tuple(critical, t, tol)
+    out = retract_tuple(critical, t)
     after = invariant_record(out, tol)
     return CompositeResult(before=before, after=after, tuple=out, trace=trace)

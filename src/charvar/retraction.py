@@ -16,6 +16,8 @@ import numpy as np
 from .linalg import DEFAULT_TOL, Singular, check_invertible, cmat
 from .groups import GroupDescriptor, RepTuple
 
+_EPS = np.finfo(float).eps
+
 
 class NotDiagonal(ValueError):
     """Matrix expected diagonal has off-diagonal mass."""
@@ -40,20 +42,22 @@ def phi(g, t: float, tol: float = DEFAULT_TOL) -> np.ndarray:
     return (u * s[..., None, :] ** (1.0 - t)) @ vh
 
 
-def retract_matrices(x, t: float, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """phi_t of each matrix of a stack x (..., n, n), divided by the principal
-    n-th root of its determinant: the SVD of a badly conditioned matrix can
-    move det(phi_t) off 1 by more than GROUP_TOL, though phi_t keeps it exactly."""
-    mats = phi(x, t, tol)
+def retract_matrices(x, t: float) -> np.ndarray:
+    """phi_t of each matrix of a group-valued stack x (..., n, n), divided by
+    the principal n-th root of its determinant: the SVD of a badly conditioned
+    matrix can move det(phi_t) off 1 by more than GROUP_TOL, though phi_t keeps
+    it exactly.  A determinant-1 matrix is invertible, so Singular is raised
+    only where it is singular to working precision (s_min <= eps * s_max)."""
+    mats = phi(x, t, _EPS)
     return mats / np.linalg.det(mats)[..., None, None] ** (1.0 / mats.shape[-1])
 
 
-def retract_tuple(rho: RepTuple, t: float, tol: float = DEFAULT_TOL) -> RepTuple:
+def retract_tuple(rho: RepTuple, t: float) -> RepTuple:
     """Componentwise phi_t (``retract_matrices``); at t=1 the result is SU(n)-valued."""
     desc = rho.descriptor
     if t == 1.0 and desc.family == "SL":
         desc = GroupDescriptor("SU", desc.n)
-    return RepTuple(desc, retract_matrices(rho.matrices, t, tol))
+    return RepTuple(desc, retract_matrices(rho.matrices, t))
 
 
 @dataclass(frozen=True)
@@ -70,8 +74,8 @@ class RetractionPath:
             raise ValueError("path times must strictly increase from 0 to 1")
 
 
-def retraction_path(rho: RepTuple, ts, tol: float = DEFAULT_TOL) -> RetractionPath:
-    return RetractionPath(tuple((float(t), retract_tuple(rho, float(t), tol)) for t in ts))
+def retraction_path(rho: RepTuple, ts) -> RetractionPath:
+    return RetractionPath(tuple((float(t), retract_tuple(rho, float(t))) for t in ts))
 
 
 def abelian_retract(diagonals, t: float, tol: float = DEFAULT_TOL) -> list:

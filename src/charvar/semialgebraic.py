@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import DEFAULT_TOL, cmat
-from .groups import GROUP_TOL, NotInGroup, RepTuple, su, validate
+from .groups import NotInGroup, RepTuple, in_group, su
 from .invariants import (
     ComplexInput,
     PQRecord,
@@ -219,8 +219,7 @@ def alcove_lambda(k) -> AlcovePoint:
     """
     k = cmat(k)
     n = k.shape[0]
-    if not validate(k, su(n), GROUP_TOL):
-        raise NotInGroup("alcove_lambda expects an SU(n) matrix")
+    in_group(k, su(n))
     ang = np.angle(np.linalg.eigvals(k)) / (2.0 * np.pi)
     ang = np.where(ang <= -0.5, ang + 1.0, ang)
     ang = np.sort(ang)[::-1]

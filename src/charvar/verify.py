@@ -16,17 +16,7 @@ import time
 import numpy as np
 
 from .linalg import dagger, exp_herm, haar_from_normals, haar_su
-from .groups import (
-    GROUP_TOL,
-    NotInGroup,
-    RepTuple,
-    hermitian_from_normals,
-    quaternion_matrix,
-    sl,
-    sl_from_normals,
-    su,
-    validate,
-)
+from .groups import RepTuple, hermitian_from_normals, in_group, quaternion_matrix, sl, sl_from_normals, su
 from .invariants import (
     fricke_rhs,
     pq,
@@ -45,7 +35,7 @@ from .invariants import (
     u_from_traces,
     word_traces,
 )
-from .kempfness import FLOW_TOL, flow_matrices, functional_values, orbit_closed, residual_matrix
+from .kempfness import flow_matrices, functional_values, residual_matrix
 from .poincare import baird_poly, surface_counterexample_polys
 from .reconstruct import conjugacy_decisions, rank2_lift_matrices, rank3_lift_matrices
 from .retraction import retract_matrices
@@ -72,14 +62,6 @@ def _haar_pairs(n: int, count: int, rng) -> np.ndarray:
     return np.stack([haar_su(n, rng, count), haar_su(n, rng, count)], axis=1)
 
 
-def _in_group(x, d) -> np.ndarray:
-    """The stack x (..., n, n), after one check that every matrix is in the
-    group ``d``; raises NotInGroup as building each tuple would."""
-    if not np.all(validate(x, d, GROUP_TOL)):
-        raise NotInGroup(f"a stacked matrix is not {d}-valued within tol={GROUP_TOL:g}")
-    return x
-
-
 def _max_frob(x) -> float:
     """Largest Frobenius norm among the matrices of a stack, 0 on an empty one."""
     return float(np.linalg.norm(x, axis=(-2, -1)).max(initial=0.0))
@@ -100,12 +82,12 @@ def verify_retraction(samples: int, rng: np.random.Generator) -> tuple[bool, dic
         x = sl_from_normals(z[:, :4].reshape(samples, 2, 2, 2, n, n))
         k = haar_from_normals(z[:, 4:])
         kinv = np.linalg.inv(k)
-        conj = _in_group(k @ x @ kinv, sl(n))
+        conj = in_group(k @ x @ kinv, sl(n))
         for t in ts:
             d = su(n) if t == 1.0 else sl(n)
-            ret = _in_group(retract_matrices(x, t), d)
-            lhs = _in_group(retract_matrices(conj, t), d)
-            rhs = _in_group(k @ ret @ kinv, sl(n))
+            ret = in_group(retract_matrices(x, t), d)
+            lhs = in_group(retract_matrices(conj, t), d)
+            rhs = in_group(k @ ret @ kinv, sl(n))
             worst_equiv = max(worst_equiv, _max_frob(lhs - rhs))
             if t == 1.0:
                 worst_unitary = max(
@@ -113,9 +95,9 @@ def verify_retraction(samples: int, rng: np.random.Generator) -> tuple[bool, dic
                     _max_frob(ret @ dagger(ret) - np.eye(n)),
                     float(np.abs(np.linalg.det(ret) - 1.0).max(initial=0.0)),
                 )
-        ku = _in_group(haar_su(n, rng, 40).reshape(20, 2, n, n), su(n))
+        ku = in_group(haar_su(n, rng, 40).reshape(20, 2, n, n), su(n))
         for t in ts:
-            fixed = _in_group(retract_matrices(ku, t), su(n))
+            fixed = in_group(retract_matrices(ku, t), su(n))
             worst_fix = max(worst_fix, _max_frob(fixed - ku))
     checks = {
         "max_unitary_defect_at_t1": worst_unitary,
@@ -156,7 +138,7 @@ def verify_sigma_ball(samples: int, rng: np.random.Generator) -> tuple[bool, dic
 
     lifts = max(1000, samples // 10)
     c = sample_admissible_rank2(lifts, rng)
-    back = su2_a_coords(_in_group(rank2_lift_matrices(c), su(2)))
+    back = su2_a_coords(in_group(rank2_lift_matrices(c), su(2)))
     worst_rt = float(np.abs(back - c).max(initial=0.0))
     checks = {
         "sigma_min": sig_min,
@@ -182,17 +164,17 @@ def coplanar_su2_triples(count: int, rng) -> np.ndarray:
 def verify_two_sheet(samples: int, rng: np.random.Generator) -> tuple[bool, dict, dict]:
     """Lift every sampled triple on both sheets, round-trip the lifts, and
     decide every distinct sheet pair; all on stacks."""
-    coords = su2_a_coords(_in_group(haar_su(2, rng, 3 * samples).reshape(samples, 3, 2, 2), su(2)))
+    coords = su2_a_coords(in_group(haar_su(2, rng, 3 * samples).reshape(samples, 3, 2, 2), su(2)))
     x, t123, unique = rank3_lift_matrices(coords)
-    x = _in_group(x, su(2))
+    x = in_group(x, su(2))
     err = np.abs(su2_a_coords(x) - coords[:, None]).max(axis=-1).min(axis=-1)
     worst_rt = float(err.max(initial=0.0))
     distinct = ~unique & (t123 > 1e-4)
     k, _ = conjugacy_decisions(x[distinct, 0], x[distinct, 1])
     sheet_failures = sum(ki is not None for ki in k)
 
-    plane = _in_group(coplanar_su2_triples(100, rng), su(2))
-    x = _in_group(rank3_lift_matrices(su2_a_coords(plane))[0], su(2))
+    plane = in_group(coplanar_su2_triples(100, rng), su(2))
+    x = in_group(rank3_lift_matrices(su2_a_coords(plane))[0], su(2))
     k, err = conjugacy_decisions(x[:, 0], x[:, 1], tol=1e-9)
     degen_worst = float(np.where([ki is None for ki in k], np.inf, err).max())
     checks = {
@@ -314,11 +296,11 @@ def _fd_worst(rng) -> float:
         hs[n].append(rng.standard_normal((2, n, n)))
     for n in (2, 3):
         if sls[n]:
-            x = _in_group(sl_from_normals(np.array(sls[n])), sl(n))
+            x = in_group(sl_from_normals(np.array(sls[n])), sl(n))
             H = hermitian_from_normals(np.array(hs[n]))
             e_plus, e_minus = exp_herm(H, h)[:, None], exp_herm(H, -h)[:, None]
-            fd = functional_values(_in_group(e_plus @ x @ e_minus, sl(n)))
-            fd = (fd - functional_values(_in_group(e_minus @ x @ e_plus, sl(n)))) / (2.0 * h)
+            fd = functional_values(in_group(e_plus @ x @ e_minus, sl(n)))
+            fd = (fd - functional_values(in_group(e_minus @ x @ e_plus, sl(n)))) / (2.0 * h)
             exact = 2.0 * np.trace(H @ residual_matrix(x), axis1=-2, axis2=-1).real
             worst = max(worst, float(np.max(abs(fd - exact) / np.maximum(abs(exact), 1e-12))))
     return worst
@@ -337,12 +319,11 @@ def _flow_checks(flows: int, rng) -> tuple:
     not_converged = 0
     for n in (2, 3):
         g = sl_from_normals(np.array(gs[n]))
-        x = g[:, None] @ haar_from_normals(np.array(ks[n])) @ np.linalg.inv(g)[:, None]
-        out, steps = flow_matrices(x)
-        for rho, trace in zip(x, steps):
-            closed = orbit_closed(RepTuple(sl(n), rho))
-            not_converged += not (trace[-1].residual <= FLOW_TOL and closed)
-            worst_p = max(worst_p, abs(trace[-1].p - 2 * n))
+        x = in_group(g[:, None] @ haar_from_normals(np.array(ks[n])) @ np.linalg.inv(g)[:, None], sl(n))
+        out, traces = flow_matrices(x)
+        for trace in traces:
+            not_converged += not trace.converged
+            worst_p = max(worst_p, abs(trace.steps[-1].p - 2 * n))
         before, after = word_traces(np.stack([x, out]))
         worst_word = max(worst_word, float(np.abs(after - before).max()))
     return worst_p, worst_word, not_converged
@@ -358,7 +339,7 @@ def verify_kempf_ness(samples: int, rng: np.random.Generator) -> tuple[bool, dic
     worst_res = 0.0
     for j, (n, r) in enumerate(cases):
         block = z[: len(range(j, samples, 3)), edges[j] : edges[j + 1]]
-        m = residual_matrix(_in_group(haar_from_normals(block.reshape(-1, r, 2, n, n)), su(n)))
+        m = residual_matrix(in_group(haar_from_normals(block.reshape(-1, r, 2, n, n)), su(n)))
         worst_res = max(worst_res, _max_frob(m))
     worst_fd = _fd_worst(rng)
     flows = max(10, samples // 100)

@@ -128,6 +128,19 @@ def test_composite_records(capsys, tmp_path):
         assert abs(a - b) < 1e-8
 
 
+def test_composite_on_a_badly_conditioned_tuple(capsys, tmp_path):
+    # (diag(1e5, 1e-5), I) is SL(2)-valued, so the retraction takes it.
+    path = tmp_path / "t.json"
+    x1 = [[[1e5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1e-5, 0.0]]]
+    eye = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+    path.write_text(json.dumps({"family": "SL", "n": 2, "r": 2, "matrices": [x1, eye]}))
+    code, out = run_cli(capsys, "composite", "--t", "1", "--input", str(path))
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["converged"] is True and obj["tuple"]["family"] == "SU"
+    assert np.allclose(obj["tuple"]["matrices"], [eye, eye], atol=1e-15)
+
+
 def test_conjugacy_command(capsys, tmp_path):
     a_path = tmp_path / "a.json"
     b_path = tmp_path / "b.json"
@@ -271,6 +284,7 @@ def test_verify_rejects_empty_runs(capsys, argv):
         ["flow"],
         ["region", "--name", "su3-alcove"],
         ["poincare"],
+        ["retract", "--t", "1"],
     ],
 )
 def test_tol_rejected_where_unused(argv):

@@ -107,6 +107,20 @@ def test_quaternion_rejects_bad_input():
         to_quaternion(np.array([[1, 1], [0, 1]], dtype=complex))
     with pytest.raises(NotInGroup):
         from_quaternion(Quaternion(1, 1, 0, 0))
+    with pytest.raises(NotInGroup):
+        from_quaternion(Quaternion(1.0 + 1e-6, 0, 0, 0))  # unit only within 1e-6
+
+
+def test_quaternion_model_takes_what_a_tuple_holds():
+    # diag(e^a, e^-a) has det 1 and misses unitarity by about 2 sqrt(2) a = 5e-9,
+    # inside GROUP_TOL: an SU(2) RepTuple holds it, so the quaternion model takes it.
+    a = 5e-9 / (2.0 * np.sqrt(2.0))
+    x = np.diag([np.exp(a), np.exp(-a)]).astype(complex)
+    assert abs(np.linalg.norm(x @ x.conj().T - np.eye(2)) - 5e-9) < 1e-12
+    rho = RepTuple(su(2), (x, np.eye(2)))
+    q = to_quaternion(rho[0])
+    assert (q.a, q.b, q.c, q.d) == (np.exp(a), 0.0, 0.0, 0.0)
+    assert np.array_equal(from_quaternion(to_quaternion(rho[1])), np.eye(2))
 
 
 def test_conjugate_tuple():

@@ -165,6 +165,16 @@ def test_composite_retraction_su_input_fixed():
             assert abs(complex(v) - complex(result.after[key])) < 1e-8, key
 
 
+def test_composite_retraction_on_a_badly_conditioned_closed_orbit():
+    # (diag(1e5, 1e-5), I) is critical and its orbit closed: the flow stops at
+    # once and the retraction lands on the identity pair.
+    rho = RepTuple(sl(2), (np.diag([1e5, 1e-5]).astype(complex), np.eye(2, dtype=complex)))
+    result = composite_retraction(rho, 1.0)
+    assert result.trace.converged is True and result.trace.steps[-1].iter == 0
+    assert result.tuple.descriptor == su(2)
+    assert all(frob(m - np.eye(2)) < 1e-15 for m in result.tuple.matrices)
+
+
 def test_composite_retraction_t0_polystable():
     rng = np.random.default_rng(9)
     g = sample_tuple(sl(2), 1, rng)[0]
@@ -356,12 +366,12 @@ def _closed_stack(n, r, count, rng):
 @pytest.mark.parametrize("r", [2, 3])
 def test_stacked_flow_rows_match_single_flows(n, r):
     x = _closed_stack(n, r, 6, np.random.default_rng(30 + 10 * n + r))
-    out, steps = flow_matrices(x)
+    out, traces = flow_matrices(x)
     for i, rho in enumerate(x):
         single, trace = kn_flow(RepTuple(sl(n), rho))
         ref, iters, ts = _reference_flow(rho)
-        assert steps[i] == trace.steps
-        assert steps[i][-1].iter == iters and [s.step for s in steps[i][1:]] == ts
+        assert traces[i] == trace  # steps, converged and orbit_closed alike
+        assert traces[i].steps[-1].iter == iters and [s.step for s in traces[i].steps[1:]] == ts
         assert np.abs(out[i] - single.matrices).max() <= 1e-12
         assert np.abs(out[i] - ref).max() <= 1e-12
         assert trace.converged
@@ -378,15 +388,16 @@ def test_stacked_flow_mixed_rows():
         _conjugated(_stretched(2, 1.0, rng), unipotent).matrices,
     ]
     x = np.array(rows)
-    out, steps = flow_matrices(x)
-    assert np.array_equal(out[0], x[0]) and len(steps[0]) == 1  # untouched after 0 iterations
+    out, traces = flow_matrices(x)
+    assert np.array_equal(out[0], x[0]) and len(traces[0].steps) == 1  # untouched after 0 iterations
     for i, rho in enumerate(rows):  # each row flows as it does alone
         alone, (trace,) = flow_matrices(rho[None])
-        assert steps[i] == trace
+        assert traces[i] == trace
+        assert traces[i] == kn_flow(RepTuple(sl(2), rho))[1]
         assert np.abs(out[i] - alone[0]).max() <= 1e-12
-    _, trace = kn_flow(RepTuple(sl(2), rows[2]))
-    assert trace.steps[-1].residual <= FLOW_TOL
-    assert trace.converged is False and trace.orbit_closed is False
+    assert [t.converged for t in traces] == [True, True, False]
+    assert [t.orbit_closed for t in traces] == [True, True, False]
+    assert traces[2].steps[-1].residual <= FLOW_TOL  # reached the tolerance near the closure
     x_before = x.copy()
     flow_matrices(x)
     assert np.array_equal(x, x_before)  # the input stack is not written to
@@ -394,22 +405,23 @@ def test_stacked_flow_mixed_rows():
 
 def test_stacked_flow_stops_rows_at_max_iter():
     x = _closed_stack(3, 2, 4, np.random.default_rng(32))
-    out, steps = flow_matrices(x, max_iter=2)
-    assert [s[-1].iter for s in steps] == [2, 2, 2, 2]
-    out0, steps0 = flow_matrices(x, max_iter=0)
-    assert np.array_equal(out0, x) and all(len(s) == 1 for s in steps0)
+    out, traces = flow_matrices(x, max_iter=2)
+    assert [t.steps[-1].iter for t in traces] == [2, 2, 2, 2]
+    assert not any(t.converged for t in traces) and all(t.orbit_closed for t in traces)
+    out0, traces0 = flow_matrices(x, max_iter=0)
+    assert np.array_equal(out0, x) and all(len(t.steps) == 1 for t in traces0)
 
 
 def test_stacked_flow_rows_stall_on_their_own():
     # At tol = 0 an SU tuple's residual is rounding: each row steps until no
     # halving lowers the functional, then stops without a further row.
     x = haar_su(3, np.random.default_rng(34), 8).reshape(4, 2, 3, 3)
-    out, steps = flow_matrices(x, max_iter=1000, tol=0.0)
-    assert all(s[-1].iter < 1000 and s[-1].residual > 0.0 for s in steps)
-    assert len({s[-1].iter for s in steps}) > 1
+    out, traces = flow_matrices(x, max_iter=1000, tol=0.0)
+    assert all(t.steps[-1].iter < 1000 and t.steps[-1].residual > 0.0 for t in traces)
+    assert len({t.steps[-1].iter for t in traces}) > 1
     for i in range(4):
         alone, (trace,) = flow_matrices(x[i : i + 1], max_iter=1000, tol=0.0)
-        assert np.array_equal(out[i], alone[0]) and steps[i] == trace
+        assert np.array_equal(out[i], alone[0]) and traces[i] == trace
     assert np.abs(out - x).max() < 1e-12
 
 
@@ -426,16 +438,16 @@ def test_flow_matrices_takes_stacks_only():
     x = haar_su(2, np.random.default_rng(35), 2)
     with pytest.raises(ValueError, match="stack of tuples"):
         flow_matrices(x)
-    out, steps = flow_matrices(x[:0].reshape(0, 2, 2, 2))
-    assert out.shape == (0, 2, 2, 2) and steps == []
+    out, traces = flow_matrices(x[:0].reshape(0, 2, 2, 2))
+    assert out.shape == (0, 2, 2, 2) and traces == []
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(n=st.integers(2, 5), r=st.integers(1, 3), count=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
 def test_stacked_flow_equals_per_row_flows(n, r, count, seed):
     x = _closed_stack(n, r, count, np.random.default_rng(seed))
-    out, steps = flow_matrices(x)
+    out, traces = flow_matrices(x)
     for i in range(count):
         alone, (trace,) = flow_matrices(x[i : i + 1])
         assert np.array_equal(out[i], alone[0])
-        assert steps[i] == trace
+        assert traces[i] == trace

@@ -109,6 +109,33 @@ def test_retract_tuple_keeps_det_on_badly_conditioned_input():
     assert out.descriptor == su(2)
 
 
+def _stretched_pair(s):
+    """The SL(2) pair (diag(s, 1/s), I): determinant 1, condition number s^2."""
+    return RepTuple(sl(2), (np.diag([s, 1.0 / s]).astype(complex), np.eye(2, dtype=complex)))
+
+
+def test_retract_tuple_takes_every_invertible_group_tuple():
+    # s_min / s_max = 1e-10, below DEFAULT_TOL: still a valid, invertible SL(2) tuple.
+    rho = _stretched_pair(1e5)
+    half = retract_tuple(rho, 0.5)
+    assert frob(half[0] - np.diag([np.sqrt(1e5), np.sqrt(1e-5)])) <= 1e-10
+    assert frob(half[1] - np.eye(2)) == 0.0
+    one = retract_tuple(rho, 1.0)
+    assert one.descriptor == su(2)
+    assert all(frob(m - np.eye(2)) < 1e-15 for m in one.matrices)
+    path = retraction_path(rho, TS)
+    assert path.samples[2][1] == retract_tuple(rho, 0.5) and path.samples[-1][1] == one
+
+
+def test_retract_raises_singular_only_at_working_precision():
+    rho = _stretched_pair(1e9)  # s_min / s_max = 1e-18 <= eps
+    for t in (0.0, 0.5, 1.0):
+        with pytest.raises(Singular):
+            retract_tuple(rho, t)
+        with pytest.raises(Singular):
+            retract_matrices(rho.matrices, t)
+
+
 def _conditioned_stack(n, r, log_cond, seed):
     """r matrices k1 diag(s) k2 with Haar k1, k2 and singular values s of
     product one, spread geometrically over the condition number 10^log_cond."""

@@ -318,6 +318,8 @@ def test_alcove_lambda_rejects_unitary_outside_su():
     # Unitary with det e^{0.9i}: not an SU(3) element, not the identity's point.
     with pytest.raises(NotInGroup):
         alcove_lambda(np.exp(0.3j) * np.eye(3))
+    with pytest.raises(NotInGroup):
+        alcove_lambda(np.diag([2.0, 0.5]))  # det 1, not unitary
 
 
 def test_alcove_lambda_invariants():

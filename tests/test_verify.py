@@ -48,9 +48,8 @@ def test_empty_runs_are_rejected(name):
     assert run_suite(name, samples=1)["passed"]  # the smallest run, as the benchmark warms up
 
 
-@pytest.mark.parametrize("name", ["two-sheet", "sigma-ball"])
-def test_stacked_suites_validate_once_per_stack(monkeypatch, name):
-    # The suites validate whole stacks, so the count does not grow with samples.
+def _validate_counts(monkeypatch, name, sizes):
+    """groups.validate calls made by run_suite(name) at each sample count."""
     calls = []
     real = charvar.groups.validate
 
@@ -59,12 +58,24 @@ def test_stacked_suites_validate_once_per_stack(monkeypatch, name):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(charvar.groups, "validate", counting)
-    monkeypatch.setattr(charvar.verify, "validate", counting)
     counts = []
-    for samples in (30, 300):
+    for samples in sizes:
         calls.clear()
         assert run_suite(name, samples=samples, seed=5)["passed"]
         counts.append(len(calls))
+    return counts
+
+
+@pytest.mark.parametrize("name", ["two-sheet", "sigma-ball"])
+def test_stacked_suites_validate_once_per_stack(monkeypatch, name):
+    # The suites validate whole stacks, so the count does not grow with samples.
+    counts = _validate_counts(monkeypatch, name, (30, 300))
+    assert counts[0] == counts[1] > 0
+
+
+def test_kempf_ness_validates_each_flow_stack_once(monkeypatch):
+    # 10 flows, then 30: one check per n, not one tuple per flow.
+    counts = _validate_counts(monkeypatch, "kempf-ness", (1000, 3000))
     assert counts[0] == counts[1] > 0
 
 
