@@ -104,9 +104,6 @@ class RepTuple:
     def __getitem__(self, i) -> np.ndarray:
         return self.matrices[i]
 
-    def is_valid(self, tol: float = GROUP_TOL) -> bool:
-        return bool(np.all(validate(self.matrices, self.descriptor, tol)))
-
     def __eq__(self, other):
         if not isinstance(other, RepTuple):
             return NotImplemented

@@ -181,9 +181,9 @@ _GRAM_INDEX = np.array([[0, 3, 4], [3, 1, 5], [4, 5, 2]])
 def gram(c, tol: float = DEFAULT_TOL):
     """Gram data of the quaternion imaginary parts from stacked six-coordinates c (..., 6).
 
-    Returns ``(r, s, t123)``: r (..., 3, 3) with r_jj = 1 - a_j^2 and
+    Returns ``(r, s, det, t123)``: r (..., 3, 3) with r_jj = 1 - a_j^2 and
     r_jk = a_jk - a_j a_k; the pairwise sigmas s (..., 3) = (s12, s13, s23),
-    s_jk = r_jj r_kk - r_jk^2; and the normalized Gram determinant
+    s_jk = r_jj r_kk - r_jk^2; det r; and the normalized Gram determinant
     t123 = det r / (r11 r22 r33), 0 where |r11 r22 r33| <= tol (an imaginary
     part degenerates).
     """
@@ -195,22 +195,32 @@ def gram(c, tol: float = DEFAULT_TOL):
     r = np.concatenate([diag, off], axis=-1)[..., _GRAM_INDEX]
     vol = diag[..., 0] * diag[..., 1] * diag[..., 2]
     big = np.abs(vol) > tol
-    t123 = np.where(big, np.linalg.det(r) / np.where(big, vol, 1.0), 0.0)
-    return r, s, t123[()]
+    det = np.linalg.det(r)
+    t123 = np.where(big, det / np.where(big, vol, 1.0), 0.0)
+    return r, s, det, t123[()]
+
+
+def _product_traces(x1, x2, unitary: bool):
+    """(t3, t-3, t5, t-5) from X1X2 and X2X1 alone: X1^-1X2^-1 = (X2X1)^-1, so
+    t-3 = tr (X2X1)^-1, t5 = tr(X1X2 (X2X1)^-1) and t-5 = tr(X2X1 (X1X2)^-1)."""
+    x12, x21 = x1 @ x2, x2 @ x1
+    x12i, x21i = _inverse(x12, unitary), _inverse(x21, unitary)
+    return _tr(x12), _tr(x21i), _tr_prod(x12, x21i), _tr_prod(x21, x12i)
 
 
 def su3_trace_coords(x, unitary: bool = True):
     """The ten traces (t1, t-1, ..., t5, t-5) of stacked rank-2 tuples x (..., 2, 3, 3).
 
     t1 = tr X1, t2 = tr X2, t3 = tr X1X2, t4 = tr X1X2^-1,
-    t5 = tr X1X2X1^-1X2^-1; t-k is the trace of the inverse word.
+    t5 = tr X1X2X1^-1X2^-1; t-k is the trace of the inverse word.  The only
+    products formed are X1X2 and X2X1 (``_product_traces``); t4 and t-4 are
+    read without forming theirs.
     """
     x1, x2 = x[..., 0, :, :], x[..., 1, :, :]
+    t3, t3i, t5, t5i = _product_traces(x1, x2, unitary)
     x1i, x2i = _inverse(x1, unitary), _inverse(x2, unitary)
-    x12 = x1 @ x2
     return np.stack(
-        [_tr(x1), _tr(x1i), _tr(x2), _tr(x2i), _tr(x12), _tr(x1i @ x2i),
-         _tr(x1 @ x2i), _tr(x1i @ x2), _tr(x12 @ x1i @ x2i), _tr(x2 @ x1 @ x2i @ x1i)],
+        [_tr(x1), _tr(x1i), _tr(x2), _tr(x2i), t3, t3i, _tr_prod(x1, x2i), _tr_prod(x1i, x2), t5, t5i],
         axis=-1,
     )
 
@@ -324,7 +334,7 @@ class RSTInvariants:
 
 
 def rst(c: SU2Rank3Coords, tol: float = DEFAULT_TOL) -> RSTInvariants:
-    r, s, t123 = gram(c.as_array(), tol)
+    r, s, _, t123 = gram(c.as_array(), tol)
 
     def l(j, k):
         den = r[j, j] * r[k, k]
@@ -545,7 +555,7 @@ def invariant_record(rho: RepTuple, tol: float = DEFAULT_TOL) -> dict:
         return {"a1": a1, "a2": a2, "a3": a3, "sigma": sigma3(a1, a2, a3)}
     if (rho.r, rho.n) == (3, 2):
         a = su2_a_coords(rho.matrices, unitary)
-        _, s, t123 = gram(a, tol)
+        _, s, _, t123 = gram(a, tol)
         rec = dict(zip(("a1", "a2", "a3", "a12", "a13", "a23"), a))
         rec.update(zip(("s12", "s13", "s23"), s))
         rec["t123"] = t123

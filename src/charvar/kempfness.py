@@ -3,10 +3,12 @@
 The norm functional on a tuple is p(rho) = sum_i tr(X_i X_i*).  Along a
 Hermitian direction A, p(t) = sum_i |e^{tA} X_i e^{-tA}|^2 is convex with
 p'(0) = 2 tr(A M), for the closed-form residual M = sum_i [X_i, X_i*], and
-p''(0) = 4 sum_i |[A, X_i]|^2.  Unitary tuples are exactly the critical
-points.  The flow takes geodesic Newton steps rho <- e^{tA} rho e^{-tA},
-which stay inside the conjugation orbit and drive rho to the Kempf-Ness set,
-or toward the orbit closure when the orbit is not closed.
+p''(0) = 4 sum_i |[A, X_i]|^2.  The critical points are the tuples with
+M = 0, the Kempf-Ness set: unitary tuples lie in it, and so does every tuple
+of normal matrices, such as (diag(2, 1/2), diag(3, 1/3)).  The flow takes
+geodesic Newton steps rho <- e^{tA} rho e^{-tA}, which stay inside the
+conjugation orbit and drive rho to the Kempf-Ness set, or toward the orbit
+closure when the orbit is not closed.
 
 Whether the orbit is closed is decided algebraically, not read off the flow:
 the orbit of rho under simultaneous conjugation is closed iff rho is

@@ -117,25 +117,67 @@ def polar(g, tol: float = DEFAULT_TOL) -> PolarParts:
     return PolarParts(k=u @ vh, p=(p + dagger(p)) / 2.0)
 
 
+_SMALL = 1e-150  # squares of smaller norms lose digits to underflow
+
+
+def _gs_pass(v, b):
+    """v (m, n) minus its projection onto the orthonormal rows of b (m, k, n)."""
+    return v - np.einsum("...k,...ki->...i", np.einsum("...ki,...i->...k", b.conj(), v), b)
+
+
+def _norm(v):
+    return np.sqrt((v.real**2 + v.imag**2).sum(-1))
+
+
 def haar_from_normals(g) -> np.ndarray:
-    """Haar SU(n) matrices, a pure map of normals g (..., 2, n, n) (real, imaginary part):
-    Ginibre QR with R's diagonal made positive (Mezzadri, arXiv:math-ph/0609050), then
-    division by the principal n-th root of the determinant."""
-    z = (g[..., 0, :, :] + 1j * g[..., 1, :, :]) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    safe = np.where(np.abs(d) > 0, d, 1.0)
-    q = q * (safe / np.abs(safe))[..., None, :]
-    return q * np.exp(-1j * np.angle(np.linalg.det(q)) / z.shape[-1])[..., None, None]
+    """Haar SU(n) matrices, a pure map of normals g (..., 2, n, n) (real, imaginary part).
+
+    The Q factor of the Ginibre matrix z = g_re + i g_im whose R has a real
+    positive diagonal (Mezzadri, arXiv:math-ph/0609050), then division by the
+    principal n-th root of the determinant.  Q is built by classical
+    Gram-Schmidt with one re-orthogonalisation pass (CGS2), one column at a
+    time over the whole stack; each matrix's bits do not depend on the stack
+    or its shape.
+
+    Q does not change when z is scaled by a positive number, so each block is
+    first scaled to largest entry 1, which keeps every norm clear of overflow.
+    A column that the second pass halves lies in the span of the earlier ones
+    to working precision; such a column, and one of norm below 1e-150 (a zero
+    column), is replaced by the basis vector e_k farthest from that span.  So
+    every finite block maps to a unitary matrix, and the zero block to I.
+    """
+    g = np.asarray(g, dtype=float)
+    *lead, _, n, _ = g.shape
+    g = g.reshape(-1, 2, n, n)
+    scale = np.abs(g.reshape(len(g), 2 * n * n)).max(-1, initial=0.0)
+    z = (g[:, 0] + 1j * g[:, 1]) * (1.0 / np.where(scale > 0, scale, 1.0))[:, None, None]
+    zt = np.swapaxes(z, -1, -2)  # row j is column j of z
+    qt = np.empty_like(zt)
+    for j in range(n):
+        b, v, floor = qt[:, :j], zt[:, j], _SMALL
+        if j:
+            first = _gs_pass(v, b)
+            v = _gs_pass(first, b)
+            floor = np.maximum(0.5 * _norm(first), _SMALL)
+        norm = _norm(v)
+        lost = np.flatnonzero(norm <= floor)
+        if lost.size:
+            bl = b[lost]
+            e = np.zeros((lost.size, n), dtype=complex)
+            e[np.arange(lost.size), np.argmin((np.abs(bl) ** 2).sum(-2), axis=-1)] = 1.0
+            v[lost] = _gs_pass(_gs_pass(e, bl), bl)
+            norm[lost] = _norm(v[lost])
+        qt[:, j] = v / norm[:, None]
+    q = np.swapaxes(qt, -1, -2)
+    return (q * np.exp(-1j * np.angle(np.linalg.det(q)) / n)[:, None, None]).reshape(*lead, n, n)
 
 
 def haar_su(n: int, rng: np.random.Generator, count: int | None = None) -> np.ndarray:
-    """One Haar SU(n) matrix, or a (count, n, n) stack, from one (count, 2, n, n) normal draw.
-    A single draw is a one-matrix stack: LAPACK on a 2-D block can differ in the last bit."""
+    """One Haar SU(n) matrix from one (2, n, n) normal draw, or a (count, n, n)
+    stack from one (count, 2, n, n) draw, bitwise the count single draws."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    q = haar_from_normals(rng.standard_normal((1 if count is None else count, 2, n, n)))
-    return q[0] if count is None else q
+    return haar_from_normals(rng.standard_normal((2, n, n) if count is None else (count, 2, n, n)))
 
 
 # Mixing constants for unitary_eig: each colliding eigenvalue pair of a

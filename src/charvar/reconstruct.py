@@ -88,19 +88,17 @@ def rank3_lift_matrices(c, tol: float = DEFAULT_TOL):
     s and so has triple product of sign -s.  Where the lift is unique
     (|t123| <= tol, or every pairwise sigma s_ab <= tol) both sheets are
     sheet +1, its smallest column kept as computed, so every matrix stays in
-    SU(2).  Any row outside the image raises NotInImage.
+    SU(2).  Any row outside the image (``su2_rank3_margins``, the margins
+    of ``in_su2_rank3_image``) raises NotInImage.
     """
     c = np.asarray(c, dtype=float)
-    if not (su2_rank3_margins(c) >= -tol).all():
+    r, s, det, t123 = gram(c, tol)
+    if not (su2_rank3_margins(c, det) >= -tol).all():
         raise NotInImage("coordinates fail the rank-3 image inequalities")
     if abs(c).max(initial=0.0) > 1.0 + tol:
         raise NotInImage("coordinates leave [-1, 1]")
-    r, s, t123 = gram(c, tol)
     unique = (abs(t123) <= tol) | (s.max(axis=-1) <= tol)
     w, q = np.linalg.eigh(r)
-    det = w.prod(axis=-1)
-    if (~unique & (det < -tol)).any():
-        raise NotInImage(f"det(r) = {det[~unique].min():.3e} is negative beyond tol={tol:g}")
     q[..., 0] *= np.linalg.det(q)[..., None]
     v = (q * np.sqrt(np.maximum(w, 0.0))[..., None, :])[:, None]
     flip = np.where(unique[:, None], 1.0, _SHEETS)[..., None]  # (m, sheet, 1)

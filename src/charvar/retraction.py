@@ -46,9 +46,12 @@ def retract_matrices(x, t: float) -> np.ndarray:
     """phi_t of each matrix of a group-valued stack x (..., n, n), divided by
     the principal n-th root of its determinant: the SVD of a badly conditioned
     matrix can move det(phi_t) off 1 by more than GROUP_TOL, though phi_t keeps
-    it exactly.  A determinant-1 matrix is invertible, so Singular is raised
+    it exactly.  phi_0 is the identity, so at t = 0 the stack comes back
+    unchanged.  A determinant-1 matrix is invertible, so Singular is raised
     only where it is singular to working precision (s_min <= eps * s_max)."""
     mats = phi(x, t, _EPS)
+    if t == 0.0:
+        return mats
     return mats / np.linalg.det(mats)[..., None, None] ** (1.0 / mats.shape[-1])
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from charvar.groups import (
+    GROUP_TOL,
     DimensionMismatch,
     GroupDescriptor,
     NotInGroup,
@@ -132,7 +133,7 @@ def test_conjugate_tuple():
     k = haar_su(2, rng)
     conj = conjugate_tuple(k, rho)
     assert conj.descriptor == su(2)
-    assert conj.is_valid()
+    assert validate(conj.matrices, conj.descriptor, GROUP_TOL).all()
     g = sample_tuple(sl(2), 1, rng)[0]
     moved = conjugate_tuple(g, rho)
     assert moved.descriptor == sl(2)
@@ -165,7 +166,7 @@ def test_conjugate_tuple_dimension_mismatch():
 def test_sample_tuple():
     rng = np.random.default_rng(6)
     rho = sample_tuple(su(2), 3, rng)
-    assert rho.is_valid() and rho.r == 3
+    assert validate(rho.matrices, rho.descriptor, GROUP_TOL).all() and rho.r == 3
     rho_sl = sample_tuple(sl(3), 2, rng)
     for m in rho_sl.matrices:
         assert abs(np.linalg.det(m) - 1) < 1e-10
@@ -260,13 +261,13 @@ def test_rep_tuple_validated_at_construction():
         tuple_from_json(obj)
 
 
-def test_is_valid_defaults_to_the_construction_tolerance():
-    # A tuple that builds is valid by default: det and unitarity miss by 6e-9,
+def test_tuples_build_within_group_tol():
+    # A tuple that builds is valid at GROUP_TOL: det and unitarity miss by 6e-9,
     # inside GROUP_TOL = 1e-8 but outside DEFAULT_TOL = 1e-9.
     x = (1.0 + 3e-9) * np.diag([1j, -1j])
     rho = RepTuple(su(2), (x, np.eye(2)))
-    assert rho.is_valid()
-    assert not rho.is_valid(1e-9)
+    assert validate(rho.matrices, rho.descriptor, GROUP_TOL).all()
+    assert not validate(rho.matrices, rho.descriptor, 1e-9).all()
 
 
 def test_operations_trust_built_tuples(monkeypatch):

@@ -374,6 +374,22 @@ def test_invariant_record_fallback_words():
 # --- the batch core broadcasts like the scalar wrappers ------------------------
 
 
+def test_su3_trace_coords_match_explicit_word_products():
+    # The ten words multiplied out, with X^-1 read as X* when unitary=True:
+    # both readings on SU stacks, where they agree, and on SL stacks.
+    rng = np.random.default_rng(18)
+    for desc in (su(3), sl(3)):
+        x = np.array([sample_tuple(desc, 2, rng).matrices for _ in range(40)])
+        for unitary in (True, False):
+            inv = (lambda m: np.conj(np.swapaxes(m, -1, -2))) if unitary else np.linalg.inv
+            a, b = x[:, 0], x[:, 1]
+            ai, bi = inv(a), inv(b)
+            words = [a, ai, b, bi, a @ b, ai @ bi, a @ bi, ai @ b, a @ b @ ai @ bi, b @ a @ bi @ ai]
+            ref = np.stack([np.trace(w, axis1=-2, axis2=-1) for w in words], axis=-1)
+            t = su3_trace_coords(x, unitary)
+            assert np.abs(t - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+
+
 def test_vectorized_su3_formulas_match_scalar():
     rng = np.random.default_rng(16)
     words = ["x1", "x1^-1", "x2", "x2^-1", "x1 x2", "x1^-1 x2^-1", "x1 x2^-1",
@@ -401,7 +417,7 @@ def test_vectorized_su2_coords_match_scalar():
     a2 = su2_a_coords(x)
     lhs, rhs = su2_commutator_re(x), fricke_rhs(*a2.T)
     a3 = su2_a_coords(np.array([rho.matrices for rho in triples]))
-    g, s, t123 = gram(a3)
+    g, s, _, t123 = gram(a3)
     for i, rho in enumerate(pairs):
         assert np.max(np.abs(a2[i] - su2_rank2_coords(rho).as_array())) < 1e-13
         assert np.max(np.abs(np.array([lhs[i], rhs[i]]) - fricke_check(rho))) < 1e-13

@@ -95,6 +95,14 @@ def test_flow_su_input_already_critical():
     assert all(frob(a - b) == 0 for a, b in zip(out.matrices, rho.matrices))
 
 
+def test_normal_non_unitary_tuple_is_critical():
+    # The critical set is the Kempf-Ness set M = 0, larger than the unitary tuples.
+    rho = RepTuple(sl(2), (np.diag([2.0, 0.5]), np.diag([3.0, 1.0 / 3.0])))
+    assert moment_residual(rho).norm == 0.0
+    out, trace = kn_flow(rho)
+    assert trace.converged and trace.steps[-1].iter == 0 and out == rho
+
+
 def test_flow_conjugated_unitary_converges():
     rng = np.random.default_rng(5)
     for n, r in ((2, 2), (3, 2)):

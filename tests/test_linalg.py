@@ -7,6 +7,7 @@ from charvar.linalg import (
     Singular,
     exp_herm,
     frob,
+    haar_from_normals,
     haar_su,
     herm_eig,
     polar,
@@ -183,8 +184,78 @@ def test_haar_su_batch_matches_single_draws():
         batch = haar_su(n, rng_batch, count=7)
         single = np.array([haar_su(n, rng_single) for _ in range(7)])
         assert batch.shape == (7, n, n)
-        assert np.max(np.abs(batch - single)) < 1e-15
+        assert np.array_equal(batch, single)
         assert rng_batch.random() == rng_single.random()
+        # The map's bits do not depend on the stack's shape either.
+        g = np.random.default_rng(30 + n).standard_normal((9, 2, n, n))
+        assert np.array_equal(haar_from_normals(g.reshape(3, 3, 2, n, n)), haar_from_normals(g).reshape(3, 3, n, n))
+
+
+def _mezzadri_oracle(g):
+    """Haar SU(n) by numpy's QR: R's diagonal made positive, then the det phase removed."""
+    z = (g[..., 0, :, :] + 1j * g[..., 1, :, :]) / np.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    q = q * (d / np.abs(d))[..., None, :]
+    return q * np.exp(-1j * np.angle(np.linalg.det(q)) / z.shape[-1])[..., None, None]
+
+
+def _unitary_defect(q):
+    n = q.shape[-1]
+    return np.abs(q @ np.conj(np.swapaxes(q, -1, -2)) - np.eye(n)).max()
+
+
+def test_haar_from_normals_matches_the_qr_oracle():
+    rng = np.random.default_rng(40)
+    for n in (1, 2, 3, 4, 5):
+        g = rng.standard_normal((200, 2, n, n))
+        q = haar_from_normals(g)
+        assert np.abs(q - _mezzadri_oracle(g)).max() < 1e-12
+        assert _unitary_defect(q) < 1e-14
+        assert np.abs(np.linalg.det(q) - 1.0).max() < 1e-14
+        # Q* z is R up to the det phase: upper triangular, its diagonal real
+        # and positive once that one common phase is divided out.
+        z = g[:, 0] + 1j * g[:, 1]
+        r = np.conj(np.swapaxes(q, -1, -2)) @ z
+        assert np.abs(np.tril(r, -1)).max(initial=0.0) < 1e-13
+        d = np.diagonal(r, axis1=-2, axis2=-1)
+        d = d * np.exp(-1j * np.angle(d[:, :1]))
+        assert np.abs(d.imag).max() < 1e-13 and d.real.min() > 0.0
+
+
+def test_haar_from_normals_on_a_badly_conditioned_block():
+    # z = u diag(1e3, 1, 1e-3) w has condition number 1e6; both maps lose
+    # about eps * cond in the later columns.
+    rng = np.random.default_rng(41)
+    u, w = haar_su(3, rng, 2)
+    z = u @ np.diag([1e3, 1.0, 1e-3]) @ w
+    g = np.sqrt(2.0) * np.stack([z.real, z.imag])[None]
+    q = haar_from_normals(g)
+    assert np.abs(q - _mezzadri_oracle(g)).max() < 1e-9
+    assert _unitary_defect(q) < 1e-14
+    assert np.abs(np.linalg.det(q) - 1.0).max() < 1e-14
+
+
+def test_haar_from_normals_is_total():
+    rng = np.random.default_rng(42)
+    assert np.array_equal(haar_from_normals(np.zeros((4, 2, 3, 3))), np.broadcast_to(np.eye(3), (4, 3, 3)))
+    blocks = []
+    for cols in ([1, 1, 2], [0, 0, 0, 3], [1, 1, 1], [0, 2, 2]):  # repeated columns
+        g = rng.standard_normal((2, len(cols), len(cols)))
+        blocks.append(g[..., cols])
+    g = rng.standard_normal((2, 3, 3))
+    g[..., 1] = 0.0  # a zero column
+    blocks.append(g)
+    g = np.zeros((2, 3, 3))
+    g[0, 1, 0] = 1.0  # e_2, then zero columns: the fallback must skip e_2
+    blocks.append(g)
+    for scale in (1e300, 1e-300):
+        blocks.append(scale * rng.standard_normal((2, 3, 3)))
+    for g in blocks:
+        q = haar_from_normals(g)
+        assert np.isfinite(q).all()
+        assert _unitary_defect(q) < 1e-14
+        assert np.abs(np.linalg.det(q) - 1.0) < 1e-14
 
 
 def test_unitary_eig_reconstruction():

@@ -69,7 +69,7 @@ def test_rank2_lift_round_trip_property():
     for row in sample_admissible_rank2(1000, rng):
         c = SU2Rank2Coords(*row)
         rho = su2_rank2_lift(c).tuples[0]
-        assert rho.is_valid(1e-10)
+        assert validate(rho.matrices, rho.descriptor, 1e-10).all()
         back = su2_rank2_coords(rho)
         worst = max(worst, np.max(np.abs(back.as_array() - c.as_array())))
     assert worst < 1e-10
@@ -83,7 +83,8 @@ def _near_central(delta):
 
 @pytest.mark.parametrize("delta", [1e-4, 1e-6, 1e-8])
 def test_rank2_lift_near_central_stays_in_su2(delta):
-    assert su2_rank2_lift(_near_central(delta)).tuples[0].is_valid(1e-12)
+    rho = su2_rank2_lift(_near_central(delta)).tuples[0]
+    assert validate(rho.matrices, rho.descriptor, 1e-12).all()
 
 
 @pytest.mark.parametrize("delta", [1e-2, 1e-4, 1e-6])
@@ -99,7 +100,8 @@ def test_rank2_lift_haar_near_central():
     for _ in range(300):
         k = haar_su(2, rng)
         rho = RepTuple(su(2), (k @ rot @ k.conj().T, haar_su(2, rng)))
-        assert su2_rank2_lift(su2_rank2_coords(rho)).tuples[0].is_valid(1e-12)
+        lifted = su2_rank2_lift(su2_rank2_coords(rho)).tuples[0]
+        assert validate(lifted.matrices, lifted.descriptor, 1e-12).all()
 
 
 def test_rank2_lift_rejects_outside():
@@ -135,7 +137,7 @@ def test_rank3_lift_round_trip_and_sheets():
         c = su2_rank3_coords(rho)
         res = su2_rank3_lift(c)
         for lifted in res.tuples:
-            assert lifted.is_valid(1e-9)
+            assert validate(lifted.matrices, lifted.descriptor, 1e-9).all()
             back = su2_rank3_coords(lifted)
             assert np.max(np.abs(back.as_array() - c.as_array())) < 1e-9
 
@@ -206,7 +208,7 @@ def test_rank3_lift_central_first_component():
     assert res.unique
     back = su2_rank3_coords(res.tuples[0])
     assert np.max(np.abs(back.as_array() - c.as_array())) < 1e-10
-    assert res.tuples[0].is_valid(1e-10)
+    assert validate(res.tuples[0].matrices, res.tuples[0].descriptor, 1e-10).all()
 
 
 def test_rank3_lift_collinear_imaginary_parts():
@@ -249,7 +251,7 @@ def test_rank3_lift_small_leading_pair_stays_in_su2():
     )
     for sign in (1, -1):
         rho = su2_rank3_lift(c, sign=sign).tuples[0]
-        assert rho.is_valid(1e-12)
+        assert validate(rho.matrices, rho.descriptor, 1e-12).all()
         back = su2_rank3_coords(rho)
         assert np.max(np.abs(back.as_array() - c.as_array())) < 1e-12
 
@@ -264,7 +266,7 @@ def test_rank3_lift_near_coplanar_stays_in_su2():
     assert su2_rank3_lift(c).unique
     for sign in (1, -1):
         rho = su2_rank3_lift(c, sign=sign).tuples[0]
-        assert rho.is_valid(1e-12)
+        assert validate(rho.matrices, rho.descriptor, 1e-12).all()
         back = su2_rank3_coords(rho)
         assert np.max(np.abs(back.as_array() - c.as_array())) < 1e-12
 
@@ -558,7 +560,7 @@ def test_unitary_lemma_on_reducible_tuples():
         p = np.diag([0.7, -0.7]).astype(complex)  # commutes with rho, not unitary
         g = k @ exp_herm(p)
         moved = conjugate_tuple(g, rho)
-        assert moved.is_valid(1e-10)  # g rho g^-1 is still unitary-valued
+        assert validate(moved.matrices, moved.descriptor, 1e-10).all()  # g rho g^-1 is still unitary-valued
         unitary_moved = RepTuple(su(2), moved.matrices)
         found = unitary_conjugacy(rho, unitary_moved)
         assert found is not None

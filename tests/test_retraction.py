@@ -70,7 +70,7 @@ def test_retract_tuple_postconditions():
     rho = sample_tuple(sl(3), 2, rng)
     one = retract_tuple(rho, 1.0)
     assert one.descriptor == su(3)
-    assert one.is_valid(1e-10)
+    assert validate(one.matrices, one.descriptor, 1e-10).all()
 
 
 def test_equivariance():
@@ -189,7 +189,8 @@ def test_retraction_path():
     rho = sample_tuple(sl(2), 2, rng)
     path = retraction_path(rho, TS)
     assert path.samples[0][0] == 0.0 and path.samples[-1][0] == 1.0
-    assert path.samples[-1][1].is_valid(1e-9)
+    last = path.samples[-1][1]
+    assert validate(last.matrices, last.descriptor, 1e-9).all()
     with pytest.raises(ValueError):
         retraction_path(rho, (0.0, 0.5))  # does not end at 1
 

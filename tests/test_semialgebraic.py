@@ -10,10 +10,12 @@ from charvar.invariants import (
     SU2Rank3Coords,
     fricke_check,
     pq,
+    su2_rank3_coords,
     su3_traces,
     u_coords,
 )
 from charvar.linalg import haar_su
+from charvar.reconstruct import NotInImage, su2_rank3_lift
 from charvar.semialgebraic import (
     ALCOVE_CORNERS,
     TETRAHEDRON_VERTICES,
@@ -118,6 +120,31 @@ def test_in_su2_rank3_image_examples():
     bad = in_su2_rank3_image(SU2Rank3Coords(1, 0, 0, 0.9, 0, 0))
     assert not bad.inside
     assert bad.margins["sigma_12"] == pytest.approx(1 - 1 - 0.81, abs=1e-12)
+
+
+def test_in_su2_rank3_image_reads_the_gram_determinant():
+    # The four sigma-conditions hold here, but det r < 0: no SU(2) triple has
+    # these coordinates, and the lift raises.
+    c = SU2Rank3Coords(0.377, -0.222, -0.730, 0.443, 0.051, -0.380)
+    v = in_su2_rank3_image(c)
+    assert all(v.margins[f"{kind}_{k}"] > 0 for kind in ("sigma", "cap") for k in ("12", "13", "23", "off"))
+    assert v.margins["gram_det"] < -0.1 and not v.inside
+    with pytest.raises(NotInImage):
+        su2_rank3_lift(c)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(c=st.tuples(*[st.floats(-1.0, 1.0)] * 6))
+def test_rank3_verdict_says_inside_iff_the_row_lifts(c):
+    # Box samples in both directions: an inside row lifts on every sheet and
+    # round-trips, an outside row raises NotInImage.
+    c = SU2Rank3Coords(*c)
+    if in_su2_rank3_image(c).inside:
+        for rho in su2_rank3_lift(c).tuples:
+            assert np.abs(su2_rank3_coords(rho).as_array() - c.as_array()).max() < 1e-8
+    else:
+        with pytest.raises(NotInImage):
+            su2_rank3_lift(c)
 
 
 def test_su3_alcove_check_examples():
