@@ -202,7 +202,9 @@ def gram(c, tol: float = DEFAULT_TOL):
 
 def _product_traces(x1, x2, unitary: bool):
     """(t3, t-3, t5, t-5) from X1X2 and X2X1 alone: X1^-1X2^-1 = (X2X1)^-1, so
-    t-3 = tr (X2X1)^-1, t5 = tr(X1X2 (X2X1)^-1) and t-5 = tr(X2X1 (X1X2)^-1)."""
+    t-3 = tr (X2X1)^-1, t5 = tr(X1X2 (X2X1)^-1) and t-5 = tr(X2X1 (X1X2)^-1).
+    A function of its own, so the four product stacks are freed before
+    ``su3_trace_coords`` forms the factors' inverses."""
     x12, x21 = x1 @ x2, x2 @ x1
     x12i, x21i = _inverse(x12, unitary), _inverse(x21, unitary)
     return _tr(x12), _tr(x21i), _tr_prod(x12, x21i), _tr_prod(x21, x12i)

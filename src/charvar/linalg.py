@@ -125,10 +125,6 @@ def _gs_pass(v, b):
     return v - np.einsum("...k,...ki->...i", np.einsum("...ki,...i->...k", b.conj(), v), b)
 
 
-def _norm(v):
-    return np.sqrt((v.real**2 + v.imag**2).sum(-1))
-
-
 def haar_from_normals(g) -> np.ndarray:
     """Haar SU(n) matrices, a pure map of normals g (..., 2, n, n) (real, imaginary part).
 
@@ -158,15 +154,15 @@ def haar_from_normals(g) -> np.ndarray:
         if j:
             first = _gs_pass(v, b)
             v = _gs_pass(first, b)
-            floor = np.maximum(0.5 * _norm(first), _SMALL)
-        norm = _norm(v)
+            floor = np.maximum(0.5 * np.linalg.norm(first, axis=-1), _SMALL)
+        norm = np.linalg.norm(v, axis=-1)
         lost = np.flatnonzero(norm <= floor)
         if lost.size:
             bl = b[lost]
             e = np.zeros((lost.size, n), dtype=complex)
             e[np.arange(lost.size), np.argmin((np.abs(bl) ** 2).sum(-2), axis=-1)] = 1.0
             v[lost] = _gs_pass(_gs_pass(e, bl), bl)
-            norm[lost] = _norm(v[lost])
+            norm[lost] = np.linalg.norm(v[lost], axis=-1)
         qt[:, j] = v / norm[:, None]
     q = np.swapaxes(qt, -1, -2)
     return (q * np.exp(-1j * np.angle(np.linalg.det(q)) / n)[:, None, None]).reshape(*lead, n, n)
