@@ -18,39 +18,11 @@ import numpy as np
 
 from . import __version__
 from .linalg import DEFAULT_TOL
-from .groups import (
-    GroupDescriptor,
-    RepTuple,
-    sample_tuple,
-    tuple_from_json,
-    tuple_to_json,
-)
-from .invariants import (
-    SU2Rank2Coords,
-    SU2Rank3Coords,
-    Word,
-    invariant_record,
-    pq,
-    su2_rank2_coords,
-    su2_rank3_coords,
-    su3_traces,
-    trace_word,
-    u_coords,
-)
-from .kempfness import FLOW_MAX_ITER, FLOW_TOL, check_flow_params, composite_retraction, kn_flow
-from .poincare import baird_poly, surface_counterexample_polys
-from .reconstruct import conjugacy_decisions, su2_rank2_lift, su2_rank3_lift, unitary_pair
-from .retraction import retract_tuple
-from .semialgebraic import (
-    MIN_RESOLUTION,
-    classify_B,
-    in_S_plus,
-    in_su2_rank2_image,
-    in_su2_rank3_image,
-    region_grid,
-    su3_alcove_check,
-)
-from .verify import SIZED, SUITES, run_suite
+from .groups import GroupDescriptor, RepTuple, sample_tuple, tuple_from_json, tuple_to_json
+
+# Library modules past linalg and groups are imported by the commands that
+# run them, so a command loads (and, without a bytecode cache, compiles)
+# only its own code path.
 
 DEFAULT_TOL_ENV = "CHARVAR_TOL"
 
@@ -86,10 +58,19 @@ def _int_at_least(low: int):
 _positive_int = _int_at_least(1)
 
 
+def _resolution(raw: str) -> int:
+    """argparse type for a figure grid's resolution, at least ``MIN_RESOLUTION``."""
+    from .semialgebraic import MIN_RESOLUTION
+
+    return _int_at_least(MIN_RESOLUTION)(raw)
+
+
 def _flow_param(name: str, convert):
     """argparse type for the flow parameter ``name``, checked by ``check_flow_params``."""
 
     def parse(raw: str):
+        from .kempfness import check_flow_params
+
         try:
             value = convert(raw)
             check_flow_params(**{name: value})
@@ -98,6 +79,31 @@ def _flow_param(name: str, convert):
         return value
 
     return parse
+
+
+class _SuiteChoices:
+    """The verify command's choices, the names in ``verify.SUITES`` and "all".
+
+    ``charvar.verify`` loads every library module, so it is imported only
+    when a value is checked or the choices are printed.
+    """
+
+    @staticmethod
+    def _names():
+        from .verify import SUITES
+
+        return sorted(SUITES) + ["all"]
+
+    def __contains__(self, name) -> bool:
+        return name in self._names()
+
+    def __iter__(self):
+        return iter(self._names())
+
+
+def _given(**kwargs) -> dict:
+    """The keyword arguments whose options were given; the rest (None) keep the callee's defaults."""
+    return {k: v for k, v in kwargs.items() if v is not None}
 
 
 def _jsonable(v):
@@ -157,12 +163,16 @@ def cmd_sample(args) -> int:
 
 
 def cmd_invariants(args) -> int:
+    from .invariants import invariant_record
+
     rho = _read_tuple(args.input)
     _emit_json(args, invariant_record(rho, args.tol))
     return 0
 
 
 def cmd_trace(args) -> int:
+    from .invariants import Word, trace_word
+
     rho = _read_tuple(args.input)
     w = Word.parse(args.word)
     _emit_json(args, {"word": str(w), "trace": trace_word(rho, w)})
@@ -170,14 +180,18 @@ def cmd_trace(args) -> int:
 
 
 def cmd_retract(args) -> int:
+    from .retraction import retract_tuple
+
     rho = _read_tuple(args.input)
     _emit_json(args, tuple_to_json(retract_tuple(rho, args.t)))
     return 0
 
 
 def cmd_flow(args) -> int:
+    from .kempfness import kn_flow
+
     rho = _read_tuple(args.input)
-    out, trace = kn_flow(rho, max_iter=args.max_iter, tol=args.flow_tol)
+    out, trace = kn_flow(rho, **_given(max_iter=args.max_iter, tol=args.flow_tol))
     if args.format == "csv":
         rows = trace.to_csv_rows()
         _emit_csv(args, next(rows), rows)
@@ -197,8 +211,10 @@ def cmd_flow(args) -> int:
 
 
 def cmd_composite(args) -> int:
+    from .kempfness import composite_retraction
+
     rho = _read_tuple(args.input)
-    result = composite_retraction(rho, args.t, tol=args.tol, max_iter=args.max_iter)
+    result = composite_retraction(rho, args.t, tol=args.tol, **_given(max_iter=args.max_iter))
     _emit_json(
         args,
         {
@@ -212,6 +228,9 @@ def cmd_composite(args) -> int:
 
 
 def cmd_lift(args) -> int:
+    from .invariants import SU2Rank2Coords, SU2Rank3Coords
+    from .reconstruct import su2_rank2_lift, su2_rank3_lift
+
     record = json.loads(_read_text(args.input))
     keys2 = ("a1", "a2", "a3")
     keys3 = keys2 + ("a12", "a13", "a23")
@@ -236,6 +255,8 @@ def _scalar(v):
 
 
 def cmd_conjugacy(args) -> int:
+    from .reconstruct import conjugacy_decisions, unitary_pair
+
     rho1 = _read_tuple(args.a)
     rho2 = _read_tuple(args.b)
     (k,), (residual,) = conjugacy_decisions(*unitary_pair(rho1, rho2), args.tol)
@@ -248,6 +269,9 @@ def cmd_conjugacy(args) -> int:
 
 def cmd_membership(args) -> int:
     """Case-appropriate membership verdicts for a tuple, as verdict JSON."""
+    from .invariants import pq, su2_rank2_coords, su2_rank3_coords, su3_traces, u_coords
+    from .semialgebraic import classify_B, in_S_plus, in_su2_rank2_image, in_su2_rank3_image, su3_alcove_check
+
     rho = _read_tuple(args.input)
     case = (rho.r, rho.n, rho.descriptor.family)
     if case == (2, 2, "SU"):
@@ -272,12 +296,16 @@ def cmd_membership(args) -> int:
 
 
 def cmd_region(args) -> int:
+    from .semialgebraic import region_grid
+
     header, rows = region_grid(args.name, args.resolution)
     _emit_csv(args, header, ([repr(float(x)) for x in row] for row in rows))
     return 0
 
 
 def cmd_poincare(args) -> int:
+    from .poincare import baird_poly, surface_counterexample_polys
+
     if args.surface:
         bundles, higgs, differ = surface_counterexample_polys()
         _emit_json(
@@ -294,6 +322,8 @@ def cmd_poincare(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import SIZED, SUITES, run_suite
+
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
     reports = []
     ok = True
@@ -349,15 +379,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_retract)
 
     sp = sub.add_parser("flow", help="run the Kempf-Ness descent")
-    sp.add_argument("--max-iter", type=_flow_param("max_iter", int), default=FLOW_MAX_ITER)
-    sp.add_argument("--flow-tol", type=_flow_param("tol", float), default=FLOW_TOL)
+    sp.add_argument("--max-iter", type=_flow_param("max_iter", int))
+    sp.add_argument("--flow-tol", type=_flow_param("tol", float))
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     common(sp, tol_arg=False)
     sp.set_defaults(fn=cmd_flow)
 
     sp = sub.add_parser("composite", help="flow to critical set, then retract")
     sp.add_argument("--t", type=float, required=True)
-    sp.add_argument("--max-iter", type=_flow_param("max_iter", int), default=FLOW_MAX_ITER)
+    sp.add_argument("--max-iter", type=_flow_param("max_iter", int))
     common(sp)
     sp.set_defaults(fn=cmd_composite)
 
@@ -378,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("region", help="emit figure-data grids as CSV")
     sp.add_argument("--name", required=True)
-    sp.add_argument("--resolution", type=_int_at_least(MIN_RESOLUTION), default=64)
+    sp.add_argument("--resolution", type=_resolution, default=64)
     common(sp, input_arg=False, tol_arg=False)
     sp.set_defaults(fn=cmd_region)
 
@@ -389,7 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_poincare)
 
     sp = sub.add_parser("verify", help="run a verification suite")
-    sp.add_argument("suite", choices=sorted(SUITES) + ["all"])
+    # Set after add_argument, whose metavar check would iterate the choices.
+    sp.add_argument("suite").choices = _SuiteChoices()
     sp.add_argument("--samples", type=_positive_int, default=None)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", default=None)  # no --tol: the acceptance bounds are fixed

@@ -178,21 +178,27 @@ _J, _K = np.array([0, 0, 1]), np.array([1, 2, 2])  # the pairs 12, 13, 23
 _GRAM_INDEX = np.array([[0, 3, 4], [3, 1, 5], [4, 5, 2]])
 
 
+def gram_matrix(c):
+    """The Gram matrix r (..., 3, 3) of the quaternion imaginary parts from stacked
+    six-coordinates c (..., 6): r_jj = 1 - a_j^2 and r_jk = a_jk - a_j a_k.
+    Object arrays go through as well, for exact checks."""
+    c = np.asarray(c)
+    a = c[..., :3]
+    off = c[..., 3:] - a[..., _J] * a[..., _K]
+    return np.concatenate([1.0 - a * a, off], axis=-1)[..., _GRAM_INDEX]
+
+
 def gram(c, tol: float = DEFAULT_TOL):
     """Gram data of the quaternion imaginary parts from stacked six-coordinates c (..., 6).
 
-    Returns ``(r, s, det, t123)``: r (..., 3, 3) with r_jj = 1 - a_j^2 and
-    r_jk = a_jk - a_j a_k; the pairwise sigmas s (..., 3) = (s12, s13, s23),
-    s_jk = r_jj r_kk - r_jk^2; det r; and the normalized Gram determinant
-    t123 = det r / (r11 r22 r33), 0 where |r11 r22 r33| <= tol (an imaginary
-    part degenerates).
+    Returns ``(r, s, det, t123)``: r (..., 3, 3) from ``gram_matrix``; the
+    pairwise sigmas s (..., 3) = (s12, s13, s23), s_jk = r_jj r_kk - r_jk^2;
+    det r; and the normalized Gram determinant t123 = det r / (r11 r22 r33),
+    0 where |r11 r22 r33| <= tol (an imaginary part degenerates).
     """
-    c = np.asarray(c)
-    a = c[..., :3]
-    diag = 1.0 - a * a
-    off = c[..., 3:] - a[..., _J] * a[..., _K]
+    r = gram_matrix(c)
+    diag, off = np.diagonal(r, axis1=-2, axis2=-1), r[..., _J, _K]
     s = diag[..., _J] * diag[..., _K] - off**2
-    r = np.concatenate([diag, off], axis=-1)[..., _GRAM_INDEX]
     vol = diag[..., 0] * diag[..., 1] * diag[..., 2]
     big = np.abs(vol) > tol
     det = np.linalg.det(r)

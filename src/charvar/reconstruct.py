@@ -95,8 +95,6 @@ def rank3_lift_matrices(c, tol: float = DEFAULT_TOL):
     r, s, det, t123 = gram(c, tol)
     if not (su2_rank3_margins(c, det) >= -tol).all():
         raise NotInImage("coordinates fail the rank-3 image inequalities")
-    if abs(c).max(initial=0.0) > 1.0 + tol:
-        raise NotInImage("coordinates leave [-1, 1]")
     unique = (abs(t123) <= tol) | (s.max(axis=-1) <= tol)
     w, q = np.linalg.eigh(r)
     q[..., 0] *= np.linalg.det(q)[..., None]

@@ -103,24 +103,31 @@ def tetrahedron_check(th, tol: float = DEFAULT_TOL) -> RegionVerdict:
 
 # The coordinate triples (a_j, a_k, a_jk) of the four sigma-conditions: 12, 13, 23, off.
 _RANK3_TRIPLES = ((0, 1, 3), (0, 2, 4), (1, 2, 5), (3, 4, 5))
-_RANK3_MARGINS = (*(f"{kind}_{pair}" for kind in ("sigma", "cap") for pair in ("12", "13", "23", "off")), "gram_det")
+_RANK3_MARGINS = (
+    *(f"a{k}_bound" for k in ("1", "2", "3", "12", "13", "23")),
+    *(f"{kind}_{pair}" for kind in ("sigma", "cap") for pair in ("12", "13", "23", "off")),
+    "gram_det",
+)
 
 
 def su2_rank3_margins(c, det):
     """The margins of ``in_su2_rank3_image`` in its order over stacked coordinates
     c (..., 6), with det the rows' det r as ``gram`` returns it."""
-    a = np.asarray(c, dtype=float)[..., np.array(_RANK3_TRIPLES)]
+    c = np.asarray(c, dtype=float)
+    a = c[..., np.array(_RANK3_TRIPLES)]
     s = sigma3(a[..., 0], a[..., 1], a[..., 2])
-    return np.concatenate([s, 1.0 - s, np.asarray(det)[..., None]], axis=-1)
+    return np.concatenate([1.0 - c * c, s, 1.0 - s, np.asarray(det)[..., None]], axis=-1)
 
 
 def in_su2_rank3_image(c: SU2Rank3Coords, tol: float = DEFAULT_TOL) -> RegionVerdict:
-    """Four sigma-conditions of the rank-3 image, each in [0, 1], and det r >= 0
-    for the Gram matrix r of the quaternion imaginary parts (``gram``).
+    """Each a in [-1, 1], four sigma-conditions of the rank-3 image, each in
+    [0, 1], and det r >= 0 for the Gram matrix r of the quaternion imaginary
+    parts (``gram``).
 
     The sigma-conditions bound r's 2x2 principal minors only; with det r the
-    margins say that r is positive semidefinite, which on [-1, 1]^6 is exactly
-    the image of SU(2)^3, the rows that ``rank3_lift_matrices`` lifts.
+    margins say that r is positive semidefinite, which on the box [-1, 1]^6
+    is exactly the image of SU(2)^3, the rows that ``rank3_lift_matrices``
+    lifts.
     """
     row = c.as_array()
     margins = dict(zip(_RANK3_MARGINS, su2_rank3_margins(row, gram(row)[2]).tolist()))

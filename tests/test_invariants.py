@@ -11,6 +11,7 @@ from charvar.invariants import (
     fricke_check,
     fricke_rhs,
     gram,
+    gram_matrix,
     invariant_record,
     pq,
     pq_from_traces,
@@ -447,6 +448,26 @@ def test_fricke_identity_exact():
     norms = [sum(v**2 for v in q[:4]) - 1, sum(v**2 for v in q[4:]) - 1]
     _, rem = sp.reduced(sp.expand(lhs - rhs), norms, *q)
     assert rem == 0
+
+
+def test_gram_matrix_exact():
+    """On the a-coordinates of three unit quaternions q_j = a_j + v_j, symbolically,
+    gram_matrix is the Gram matrix of the imaginary parts v_j, and its
+    determinant is (v1 . (v2 x v3))^2: the gram_det margin is a square."""
+    sp = pytest.importorskip("sympy")
+
+    a, b, c, d = (sp.symbols(f"{name}1:4", real=True) for name in "abcd")
+    x = np.array(
+        [[[a[j] + sp.I * b[j], c[j] + sp.I * d[j]], [-c[j] + sp.I * d[j], a[j] - sp.I * b[j]]] for j in range(3)],
+        dtype=object,
+    )
+    # The library halves traces by the float 2.0; nsimplify reads 0.5 and 1.0 back exactly.
+    r = sp.Matrix(gram_matrix(np.array([sp.nsimplify(e) for e in su2_a_coords(x)], dtype=object)).tolist())
+    v = sp.Matrix([[b[j], c[j], d[j]] for j in range(3)])
+    norms = [a[j] ** 2 + b[j] ** 2 + c[j] ** 2 + d[j] ** 2 - 1 for j in range(3)]
+    gens = (*a, *b, *c, *d)
+    for residuals in (r - v * v.T, [r.det() - v.det() ** 2]):
+        assert all(sp.reduced(sp.expand(e), norms, *gens)[1] == 0 for e in residuals)
 
 
 def test_minors_relation_exact():

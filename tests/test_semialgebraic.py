@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from charvar.groups import NotInGroup, RepTuple, sample_tuple, su
@@ -10,12 +10,13 @@ from charvar.invariants import (
     SU2Rank3Coords,
     fricke_check,
     pq,
+    su2_rank2_coords,
     su2_rank3_coords,
     su3_traces,
     u_coords,
 )
 from charvar.linalg import haar_su
-from charvar.reconstruct import NotInImage, su2_rank3_lift
+from charvar.reconstruct import NotInImage, su2_rank2_lift, su2_rank3_lift
 from charvar.semialgebraic import (
     ALCOVE_CORNERS,
     TETRAHEDRON_VERTICES,
@@ -133,10 +134,22 @@ def test_in_su2_rank3_image_reads_the_gram_determinant():
         su2_rank3_lift(c)
 
 
+@pytest.mark.parametrize("row", [(1.0000001, 1, 1, 1, 1, 1), (2**0.5, 2**0.5, 1, 2, 2**0.5, 2**0.5)])
+def test_rank3_verdict_reads_the_box(row):
+    # Rows off [-1, 1]^6 whose sigma-conditions and det r hold within tol:
+    # the a*_bound margins put them outside, the verdict the lift shares.
+    c = SU2Rank3Coords(*row)
+    v = in_su2_rank3_image(c)
+    assert not v.inside and v.margins["a1_bound"] < -1e-7
+    with pytest.raises(NotInImage):
+        su2_rank3_lift(c)
+
+
 @settings(derandomize=True, max_examples=300, deadline=None)
-@given(c=st.tuples(*[st.floats(-1.0, 1.0)] * 6))
+@given(c=st.tuples(*[st.floats(-1.05, 1.05)] * 6))
 def test_rank3_verdict_says_inside_iff_the_row_lifts(c):
-    # Box samples in both directions: an inside row lifts on every sheet and
+    # Box samples in both directions, a little past [-1, 1]^6 so that the
+    # bound margins are read: an inside row lifts on every sheet and
     # round-trips, an outside row raises NotInImage.
     c = SU2Rank3Coords(*c)
     if in_su2_rank3_image(c).inside:
@@ -145,6 +158,44 @@ def test_rank3_verdict_says_inside_iff_the_row_lifts(c):
     else:
         with pytest.raises(NotInImage):
             su2_rank3_lift(c)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(c=st.tuples(*[st.floats(-1.1, 1.1)] * 3))
+def test_rank2_verdict_says_inside_iff_the_row_lifts(c):
+    # Box samples past [-1, 1]^3: an inside row lifts and round-trips, an
+    # outside row raises NotInImage.
+    c = SU2Rank2Coords(*c)
+    if in_su2_rank2_image(c).inside:
+        rho = su2_rank2_lift(c).tuples[0]
+        assert np.abs(su2_rank2_coords(rho).as_array() - c.as_array()).max() <= 1e-9
+    else:
+        with pytest.raises(NotInImage):
+            su2_rank2_lift(c)
+
+
+# z^3 - tau z^2 + conj(tau) z - 1 is the characteristic polynomial of an
+# SU(3) matrix of trace tau, so tau is in the alcove iff its roots all have
+# modulus 1.  Within this band of the deltoid q = 0 the roots of a double
+# (at the cusps a triple) root are good only to a root of eps, and q reads
+# 0 at tau = 3 + 1e-7 while the roots leave the circle by 3e-4.  The band
+# also holds a known miss of the verdict: q vanishes to third order at the
+# cusps, so its tol reads tau up to about 3.0006 as inside while a root pair
+# is off the circle by 0.025.
+ALCOVE_BAND = 1e-6
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(re=st.floats(-3.5, 3.5), im=st.floats(-3.5, 3.5))
+def test_alcove_verdict_says_inside_iff_the_roots_are_unimodular(re, im):
+    # Both directions off the band.  in_S_plus has no such test: S+ is a
+    # superset of the B+ image, so it is checked one way only
+    # (test_B_plus_inside_S_plus_sampled).
+    tau = complex(re, im)
+    assume(abs(su3_alcove_quartic(tau)) > ALCOVE_BAND)
+    roots = np.roots([1.0, -tau, tau.conjugate(), -1.0])
+    unimodular = np.abs(np.abs(roots) - 1.0).max() <= 1e-9
+    assert su3_alcove_check(tau, 1e-9).inside == unimodular
 
 
 def test_su3_alcove_check_examples():
