@@ -3,6 +3,11 @@
 Subcommands map one-to-one onto library operations; tuples travel as the
 shared JSON schema on stdin/stdout or files, verdicts and reports as JSON,
 grids and flow traces as CSV.  Every command is deterministic given --seed.
+
+Exit status: 0 for success or a "yes" answer; 1 for a "no" answer (conjugacy
+finds the tuples not conjugate, or a verify suite fails); 2 for bad input or
+usage, with the message on stderr and nothing on stdout.  Each bound on an
+option is checked by the library function that takes it.
 """
 
 from __future__ import annotations
@@ -27,58 +32,17 @@ from .groups import GroupDescriptor, RepTuple, sample_tuple, tuple_from_json, tu
 DEFAULT_TOL_ENV = "CHARVAR_TOL"
 
 
-def _default_tol() -> float:
+def _default_tol(p: argparse.ArgumentParser) -> float:
+    """``$CHARVAR_TOL`` if set, else ``DEFAULT_TOL``; a value that is not a positive number is a usage error."""
     raw = os.environ.get(DEFAULT_TOL_ENV)
     if raw is None:
         return DEFAULT_TOL
     try:
-        tol = float(raw)
+        if float(raw) > 0:
+            return float(raw)
     except ValueError:
-        raise SystemExit(f"bad {DEFAULT_TOL_ENV} value {raw!r}")
-    if tol <= 0:
-        raise SystemExit(f"{DEFAULT_TOL_ENV} must be positive")
-    return tol
-
-
-def _int_at_least(low: int):
-    """argparse type for counts of at least ``low``: a bad value is a usage error (exit 2)."""
-
-    def parse(raw: str) -> int:
-        try:
-            value = int(raw)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}") from None
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
-        return value
-
-    return parse
-
-
-_positive_int = _int_at_least(1)
-
-
-def _resolution(raw: str) -> int:
-    """argparse type for a figure grid's resolution, at least ``MIN_RESOLUTION``."""
-    from .semialgebraic import MIN_RESOLUTION
-
-    return _int_at_least(MIN_RESOLUTION)(raw)
-
-
-def _flow_param(name: str, convert):
-    """argparse type for the flow parameter ``name``, checked by ``check_flow_params``."""
-
-    def parse(raw: str):
-        from .kempfness import check_flow_params
-
-        try:
-            value = convert(raw)
-            check_flow_params(**{name: value})
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
-        return value
-
-    return parse
+        pass
+    p.error(f"{DEFAULT_TOL_ENV} must be a positive number, got {raw!r}")
 
 
 class _SuiteChoices:
@@ -188,10 +152,11 @@ def cmd_retract(args) -> int:
 
 
 def cmd_flow(args) -> int:
-    from .kempfness import kn_flow
+    from .kempfness import check_flow_params, kn_flow
 
-    rho = _read_tuple(args.input)
-    out, trace = kn_flow(rho, **_given(max_iter=args.max_iter, tol=args.flow_tol))
+    given = _given(max_iter=args.max_iter, tol=args.flow_tol)
+    check_flow_params(**given)  # before the input is read
+    out, trace = kn_flow(_read_tuple(args.input), **given)
     if args.format == "csv":
         rows = trace.to_csv_rows()
         _emit_csv(args, next(rows), rows)
@@ -211,10 +176,11 @@ def cmd_flow(args) -> int:
 
 
 def cmd_composite(args) -> int:
-    from .kempfness import composite_retraction
+    from .kempfness import check_flow_params, composite_retraction
 
-    rho = _read_tuple(args.input)
-    result = composite_retraction(rho, args.t, tol=args.tol, **_given(max_iter=args.max_iter))
+    given = _given(max_iter=args.max_iter)
+    check_flow_params(**given)  # before the input is read
+    result = composite_retraction(_read_tuple(args.input), args.t, tol=args.tol, **given)
     _emit_json(
         args,
         {
@@ -241,7 +207,7 @@ def cmd_lift(args) -> int:
         coords = SU2Rank2Coords(*(float(_scalar(record[k])) for k in keys2))
         res = su2_rank2_lift(coords, tol=args.tol)
     else:
-        raise SystemExit("lift needs an invariant record with a1..a3 (and a12..a23)")
+        raise ValueError("lift needs an invariant record with a1..a3 (and a12..a23)")
     _emit_json(args, tuple_to_json(res.tuples[0]))
     return 0
 
@@ -249,7 +215,7 @@ def cmd_lift(args) -> int:
 def _scalar(v):
     if isinstance(v, list):  # [re, im] pair from our own JSON encoding
         if abs(v[1]) > 1e-9:
-            raise SystemExit("lift needs real coordinates (unitary-derived record)")
+            raise ValueError("lift needs real coordinates (unitary-derived record)")
         return v[0]
     return v
 
@@ -290,7 +256,7 @@ def cmd_membership(args) -> int:
             },
         }
     else:
-        raise SystemExit(f"no membership test for (r, n, family) = {case}")
+        raise ValueError(f"no membership test for (r, n, family) = {case}")
     _emit_json(args, out)
     return 0
 
@@ -343,8 +309,8 @@ def cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    tol = _default_tol()
     p = argparse.ArgumentParser(prog="charvar", description=__doc__)
+    tol = _default_tol(p)
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -358,8 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sample", help="sample a random representation tuple")
     sp.add_argument("--group", choices=("SU", "SL"), required=True)
-    sp.add_argument("--n", type=_positive_int, required=True)
-    sp.add_argument("--r", type=_positive_int, required=True)
+    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--r", type=int, required=True)
     sp.add_argument("--seed", type=int, default=0)
     common(sp, input_arg=False, tol_arg=False)
     sp.set_defaults(fn=cmd_sample)
@@ -379,15 +345,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_retract)
 
     sp = sub.add_parser("flow", help="run the Kempf-Ness descent")
-    sp.add_argument("--max-iter", type=_flow_param("max_iter", int))
-    sp.add_argument("--flow-tol", type=_flow_param("tol", float))
+    sp.add_argument("--max-iter", type=int)
+    sp.add_argument("--flow-tol", type=float)
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     common(sp, tol_arg=False)
     sp.set_defaults(fn=cmd_flow)
 
     sp = sub.add_parser("composite", help="flow to critical set, then retract")
     sp.add_argument("--t", type=float, required=True)
-    sp.add_argument("--max-iter", type=_flow_param("max_iter", int))
+    sp.add_argument("--max-iter", type=int)
     common(sp)
     sp.set_defaults(fn=cmd_composite)
 
@@ -408,12 +374,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("region", help="emit figure-data grids as CSV")
     sp.add_argument("--name", required=True)
-    sp.add_argument("--resolution", type=_resolution, default=64)
+    sp.add_argument("--resolution", type=int, default=64)
     common(sp, input_arg=False, tol_arg=False)
     sp.set_defaults(fn=cmd_region)
 
     sp = sub.add_parser("poincare", help="expand the rank-r Poincare polynomial")
-    sp.add_argument("--r", type=_positive_int, default=3)
+    sp.add_argument("--r", type=int, default=3)
     sp.add_argument("--surface", action="store_true", help="print the surface-group constants")
     common(sp, input_arg=False, tol_arg=False)
     sp.set_defaults(fn=cmd_poincare)
@@ -421,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="run a verification suite")
     # Set after add_argument, whose metavar check would iterate the choices.
     sp.add_argument("suite").choices = _SuiteChoices()
-    sp.add_argument("--samples", type=_positive_int, default=None)
+    sp.add_argument("--samples", type=int, default=None)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", default=None)  # no --tol: the acceptance bounds are fixed
     sp.set_defaults(fn=cmd_verify)
@@ -430,8 +396,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.fn(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.fn(args)
+    except (OSError, ValueError) as exc:  # bad input: every charvar error and bound check is a ValueError
+        parser.exit(2, f"charvar {args.command}: error: {type(exc).__name__}: {exc}\n")
 
 
 if __name__ == "__main__":

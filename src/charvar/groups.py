@@ -226,6 +226,9 @@ def tuple_to_json(rho: RepTuple) -> dict:
 
 
 def tuple_from_json(obj: dict) -> RepTuple:
+    for field in ("family", "n", "r", "matrices"):
+        if not isinstance(obj, dict) or field not in obj:
+            raise ValueError(f"tuple JSON has no {field!r} field")
     desc = GroupDescriptor(obj["family"], int(obj["n"]))
     mats = [[[complex(e[0], e[1]) for e in row] for row in m] for m in obj["matrices"]]
     rho = RepTuple(desc, mats)

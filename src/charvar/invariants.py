@@ -44,7 +44,7 @@ class Word:
     def __post_init__(self):
         for g, e in self.letters:
             if g < 1:
-                raise IndexError(f"generator index {g} must be >= 1")
+                raise ValueError(f"generator index {g} must be >= 1")
             if e not in (1, -1):
                 raise ValueError(f"exponent {e} must be +-1")
 
@@ -68,7 +68,7 @@ def evaluate_word(rho: RepTuple, w: Word) -> np.ndarray:
     once, as its conjugate transpose on an SU tuple."""
     for g, _ in w.letters:
         if g > rho.r:
-            raise IndexError(f"word uses generator x{g} but rank is {rho.r}")
+            raise ValueError(f"word uses generator x{g} but rank is {rho.r}")
     stacks = {1: rho.matrices}
     if any(e == -1 for _, e in w.letters):
         stacks[-1] = _inverse(rho.matrices, rho.descriptor.family == "SU")

@@ -55,15 +55,18 @@ def test_invariants_dispatch(capsys, tmp_path):
     assert "x1" in rec and "x1 x2^-1" in rec
 
 
-def test_invariants_rejects_invalid_tuple(tmp_path):
-    from charvar.groups import NotInGroup
+BAD = [[[2.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]  # det 2
+EYE = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
 
-    bad = [[[2.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]  # det 2
-    eye = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+
+def test_invariants_rejects_invalid_tuple(capsys, tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"family": "SL", "n": 2, "r": 2, "matrices": [bad, eye]}))
-    with pytest.raises(NotInGroup):
+    path.write_text(json.dumps({"family": "SL", "n": 2, "r": 2, "matrices": [BAD, EYE]}))
+    with pytest.raises(SystemExit) as exc:
         main(["invariants", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "NotInGroup" in captured.err and "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("r", [2, 3])
@@ -268,12 +271,12 @@ def test_verify_has_no_tol(capsys):
 
 @pytest.mark.parametrize("argv", [["retraction", "--samples", "-5"], ["fricke", "--samples", "0"]])
 def test_verify_rejects_empty_runs(capsys, argv):
-    # A run that checks nothing must not report a pass; argparse refuses it.
+    # A run that checks nothing must not report a pass; run_suite refuses it.
     with pytest.raises(SystemExit) as exc:
         main(["verify"] + argv)
     captured = capsys.readouterr()
     assert exc.value.code == 2 and captured.out == ""
-    assert "--samples: must be at least 1" in captured.err and "Traceback" not in captured.err
+    assert "samples must be at least 1" in captured.err and "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize(
@@ -336,3 +339,40 @@ def test_flow_max_iter_zero_returns_the_input(capsys, tmp_path):
     obj = json.loads(out)
     assert code == 0 and obj["iterations"] == 0 and obj["converged"] is False
     assert obj["tuple"] == json.loads(path.read_text())
+
+
+OUTSIDE_IMAGE = {"a1": 1.0000001, "a2": 1, "a3": 1, "a12": 1, "a13": 1, "a23": 1}
+
+
+@pytest.mark.parametrize(
+    "text, argv, error",
+    [
+        (json.dumps(OUTSIDE_IMAGE), ["lift"], "NotInImage"),
+        (json.dumps({"family": "SL", "n": 2, "r": 2, "matrices": [BAD, EYE]}), ["invariants"], "NotInGroup"),
+        ("{not json", ["invariants"], "JSONDecodeError"),
+        (json.dumps({"family": "SU", "r": 2, "matrices": [EYE, EYE]}), ["invariants"],
+         "ValueError: tuple JSON has no 'n' field"),
+        ("su22", ["trace", "--word", "x3"], "ValueError"),
+        ("su22", ["retract", "--t", "2"], "ValueError"),
+        (None, ["region", "--name", "nosuch"], "UnknownRegion"),
+        ("sl22", ["membership"], "ValueError"),
+        (None, ["invariants", "--input", "missing.json"], "FileNotFoundError"),
+        (None, ["verify", "all", "--samples", "0"], "ValueError: samples must be at least 1"),
+    ],
+    ids=["lift-outside-image", "off-group", "invalid-json", "no-n", "word-rank", "retract-t",
+         "unknown-region", "membership-sl", "missing-input", "verify-all-zero"],
+)
+def test_bad_input_exits_2_without_traceback(capsys, tmp_path, monkeypatch, text, argv, error):
+    from charvar.groups import sample_tuple, sl, su, tuple_to_json
+
+    rng = np.random.default_rng(0)
+    pairs = {"su22": sample_tuple(su(2), 2, rng), "sl22": sample_tuple(sl(2), 2, rng)}
+    monkeypatch.chdir(tmp_path)
+    if text is not None:
+        (tmp_path / "in.json").write_text(json.dumps(tuple_to_json(pairs[text])) if text in pairs else text)
+        argv = argv + ["--input", "in.json"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert f"charvar {argv[0]}: error: {error}" in captured.err and "Traceback" not in captured.err

@@ -62,7 +62,7 @@ def test_trace_word_examples():
     assert abs(trace_word(rho, Word(())) - 2) == 0
     rho2 = RepTuple(su(2), (QI, QJ))
     assert abs(trace_word(rho2, Word.parse("x1"))) < 1e-15
-    with pytest.raises(IndexError):
+    with pytest.raises(ValueError):
         trace_word(rho, Word.parse("x3"))
 
 
