@@ -200,11 +200,13 @@ def cmd_lift(args) -> int:
     record = json.loads(_read_text(args.input))
     keys2 = ("a1", "a2", "a3")
     keys3 = keys2 + ("a12", "a13", "a23")
+    if not isinstance(record, dict):
+        raise ValueError(f"lift needs an invariant record (a JSON object), got {type(record).__name__}")
     if all(k in record for k in keys3):
-        coords = SU2Rank3Coords(*(float(_scalar(record[k])) for k in keys3))
+        coords = SU2Rank3Coords(*(_coordinate(record, k) for k in keys3))
         res = su2_rank3_lift(coords, sign=args.sign, tol=args.tol)
     elif all(k in record for k in keys2):
-        coords = SU2Rank2Coords(*(float(_scalar(record[k])) for k in keys2))
+        coords = SU2Rank2Coords(*(_coordinate(record, k) for k in keys2))
         res = su2_rank2_lift(coords, tol=args.tol)
     else:
         raise ValueError("lift needs an invariant record with a1..a3 (and a12..a23)")
@@ -212,12 +214,21 @@ def cmd_lift(args) -> int:
     return 0
 
 
-def _scalar(v):
-    if isinstance(v, list):  # [re, im] pair from our own JSON encoding
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _coordinate(record: dict, key: str) -> float:
+    """Field ``key`` of a lift record: a number, or an [re, im] pair as the
+    invariants command writes complex values, whose imaginary part must vanish."""
+    v = record[key]
+    if isinstance(v, list) and len(v) == 2 and all(map(_is_number, v)):
         if abs(v[1]) > 1e-9:
-            raise ValueError("lift needs real coordinates (unitary-derived record)")
-        return v[0]
-    return v
+            raise ValueError(f"lift needs real coordinates (unitary-derived record), field {key!r} is {v}")
+        v = v[0]
+    if not _is_number(v):
+        raise ValueError(f"lift field {key!r} must be a number or an [re, im] pair, got {v!r}")
+    return float(v)
 
 
 def cmd_conjugacy(args) -> int:

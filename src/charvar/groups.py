@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, check_invertible, cmat, dagger, exp_herm, haar_from_normals, haar_su
+from .linalg import DEFAULT_TOL, check_invertible, cmat, dagger, exp_herm, haar_from_normals, haar_su, unitary_det
 
 GROUP_TOL = 1e-8  # how far a RepTuple's matrices may miss their group
 
@@ -57,13 +57,19 @@ def cartan(g) -> np.ndarray:
 
 def validate(g, d: GroupDescriptor, tol: float = DEFAULT_TOL):
     """Whether ``g`` lies in the group described by ``d`` within ``tol``: one
-    bool per matrix of a stack (..., n, n), False if they are not n x n."""
+    bool per matrix of a stack (..., n, n), False if they are not n x n.
+
+    The SU determinant is ``unitary_det``'s: where the matrix misses unitarity
+    by more than tol the verdict is False whatever its determinant.  SL
+    determinants stay on LU, accurate on badly conditioned matrices too.
+    """
     g = np.asarray(g, dtype=complex)
     if g.shape[-2:] != (d.n, d.n):
         return False
-    ok = np.abs(np.linalg.det(g) - 1.0) <= tol
-    if d.family == "SU":
-        ok &= np.linalg.norm(g @ dagger(g) - np.eye(d.n), axis=(-2, -1)) <= tol
+    if d.family == "SL":
+        return np.abs(np.linalg.det(g) - 1.0) <= tol
+    ok = np.abs(unitary_det(g) - 1.0) <= tol
+    ok &= np.linalg.norm(g @ dagger(g) - np.eye(d.n), axis=(-2, -1)) <= tol
     return ok
 
 
@@ -225,13 +231,27 @@ def tuple_to_json(rho: RepTuple) -> dict:
     }
 
 
+def _json_field(obj: dict, field: str, convert):
+    """``convert(obj[field])``; a TypeError or ValueError that a value of the
+    wrong shape raises comes out as a ValueError naming the field."""
+    try:
+        return convert(obj[field])
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"tuple JSON field {field!r} is malformed: {err}") from err
+
+
+def _json_entry(e) -> complex:
+    re, im = e  # an [re, im] pair: anything else raises TypeError or ValueError
+    return complex(re, im)
+
+
 def tuple_from_json(obj: dict) -> RepTuple:
     for field in ("family", "n", "r", "matrices"):
         if not isinstance(obj, dict) or field not in obj:
             raise ValueError(f"tuple JSON has no {field!r} field")
-    desc = GroupDescriptor(obj["family"], int(obj["n"]))
-    mats = [[[complex(e[0], e[1]) for e in row] for row in m] for m in obj["matrices"]]
+    desc = GroupDescriptor(obj["family"], _json_field(obj, "n", int))
+    mats = _json_field(obj, "matrices", lambda ms: [[[_json_entry(e) for e in row] for row in m] for m in ms])
     rho = RepTuple(desc, mats)
-    if rho.r != int(obj["r"]):
+    if rho.r != _json_field(obj, "r", int):
         raise DimensionMismatch("declared rank does not match number of matrices")
     return rho

@@ -22,7 +22,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, cmat, dagger
+from .linalg import DEFAULT_TOL, check_tol, cmat, dagger
 from .groups import NotInGroup, RepTuple
 
 REALIFY_TOL = 1e-10
@@ -555,8 +555,9 @@ def invariant_record(rho: RepTuple, tol: float = DEFAULT_TOL) -> dict:
 
     Falls back to a word-trace table (words of length <= 3) when no bespoke
     coordinate system applies.  Values are floats on unitary input where the
-    coordinates are real, complex otherwise.
+    coordinates are real, complex otherwise.  ``tol`` must be finite and >= 0.
     """
+    check_tol(tol)
     unitary = rho.descriptor.family == "SU"
     if (rho.r, rho.n) == (2, 2):
         a1, a2, a3 = su2_a_coords(rho.matrices, unitary)

@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, dagger, frob
+from .linalg import DEFAULT_TOL, check_tol, dagger, frob
 from .groups import RepTuple
 from .invariants import invariant_record
 from .retraction import retract_tuple
@@ -194,8 +194,7 @@ def check_flow_params(max_iter: int = 0, tol: float = 0.0) -> None:
     """Raise ValueError unless ``max_iter >= 0`` and ``tol`` is finite and >= 0."""
     if max_iter < 0:
         raise ValueError(f"max_iter must be >= 0, got {max_iter}")
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"tol must be finite and >= 0, got {tol}")
+    check_tol(tol)
 
 
 def _sum_squares(a) -> np.ndarray:

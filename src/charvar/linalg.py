@@ -3,10 +3,14 @@
 The package's shared spectral primitives: Hermitian eigendecompositions,
 fractional powers of positive matrices, the polar (Cartan) decomposition,
 Hermitian matrix exponentials, spectral decompositions of unitary matrices,
-and Haar sampling on SU(n).  Other modules call ``numpy.linalg`` directly
-for their own eigen- and singular-value problems: the flow's Newton steps,
-the lifts' Gram matrices, the conjugacy test, the alcove angles and the
-product chart.
+determinants of unitary matrices, and Haar sampling on SU(n).  Other
+modules call ``numpy.linalg`` directly for their own eigen- and
+singular-value problems (the flow's Newton steps and orbit-closedness test,
+the retraction's SVD, the lifts' Gram matrices, the conjugacy test, the
+alcove angles and the product chart), for inverses of SL(n,C) matrices, and
+for determinants of matrices that need not be unitary, which stay on LU
+(see ``unitary_det``): the SL group check, the retraction's normalisation,
+the Gram determinant and the random SL(3) draws.
 
 All functions are pure; randomness enters only through an explicitly passed
 ``numpy.random.Generator``.
@@ -14,6 +18,7 @@ All functions are pure; randomness enters only through an explicitly passed
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +56,41 @@ def cmat(a) -> np.ndarray:
 def dagger(x) -> np.ndarray:
     """Conjugate transpose of one matrix or of each matrix of a stack (..., n, n)."""
     return np.conj(np.swapaxes(x, -1, -2))
+
+
+def check_tol(tol: float) -> None:
+    """Raise ValueError unless the tolerance ``tol`` is finite and >= 0."""
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
+
+
+def unitary_det(u) -> np.ndarray:
+    """Determinant of each unitary matrix of a stack (..., n, n).
+
+    For n <= 3 the cofactor formulas, elementwise over the whole stack, in
+    place of one LAPACK call per matrix; for n >= 4, ``np.linalg.det``.  The
+    cofactor sum is accurate only on well-conditioned matrices: on 200 SL(3,C)
+    conjugates g k g^-1 with |log g| = 6 (condition numbers about 5e6) it
+    missed 1e-8 on 114, where LU's largest error was 8.8e-10.  So
+    determinants of SL(n,C) matrices stay on ``np.linalg.det``.
+    """
+    u = np.asarray(u)
+    *lead, n, _ = u.shape
+    if n > 3:
+        return np.linalg.det(u)
+    # Row k holds entry k of every matrix, so the formulas run in numpy's
+    # array loops even for one matrix: its scalar arithmetic rounds complex
+    # products differently, and each matrix's bits should not depend on the stack.
+    x = u.reshape(-1, n * n).T
+    if n == 1:
+        det = x[0].copy()
+    elif n == 2:
+        a, b, c, d = x
+        det = a * d - b * c
+    else:
+        a, b, c, d, e, f, g, h, i = x
+        det = a * (e * i - f * h) + b * (f * g - d * i) + c * (d * h - e * g)
+    return det.reshape(lead)[()]
 
 
 def check_invertible(s, tol: float) -> None:
@@ -165,7 +205,7 @@ def haar_from_normals(g) -> np.ndarray:
             norm[lost] = np.linalg.norm(v[lost], axis=-1)
         qt[:, j] = v / norm[:, None]
     q = np.swapaxes(qt, -1, -2)
-    return (q * np.exp(-1j * np.angle(np.linalg.det(q)) / n)[:, None, None]).reshape(*lead, n, n)
+    return (q * np.exp(-1j * np.angle(unitary_det(q)) / n)[:, None, None]).reshape(*lead, n, n)
 
 
 def haar_su(n: int, rng: np.random.Generator, count: int | None = None) -> np.ndarray:

@@ -15,10 +15,11 @@ conjugates A to B.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, dagger
+from .linalg import DEFAULT_TOL, check_tol, dagger, unitary_det
 from .groups import DimensionMismatch, NotInGroup, RepTuple, quaternion_matrix, su
 from .invariants import SU2Rank2Coords, SU2Rank3Coords, gram
 from .semialgebraic import su2_rank2_margins, su2_rank3_margins
@@ -52,6 +53,7 @@ def _rank2_lift(a1, a2, a3, tol: float) -> np.ndarray:
     the angle is free and cos = 1 is taken.  Any coordinates outside the
     image raise NotInImage.
     """
+    check_tol(tol)
     margins = np.array(su2_rank2_margins(a1, a2, a3))
     if not (margins >= -tol).all():
         raise NotInImage("coordinates fail the sigma-ball inequalities")
@@ -91,13 +93,14 @@ def rank3_lift_matrices(c, tol: float = DEFAULT_TOL):
     SU(2).  Any row outside the image (``su2_rank3_margins``, the margins
     of ``in_su2_rank3_image``) raises NotInImage.
     """
+    check_tol(tol)
     c = np.asarray(c, dtype=float)
     r, s, det, t123 = gram(c, tol)
     if not (su2_rank3_margins(c, det) >= -tol).all():
         raise NotInImage("coordinates fail the rank-3 image inequalities")
     unique = (abs(t123) <= tol) | (s.max(axis=-1) <= tol)
     w, q = np.linalg.eigh(r)
-    q[..., 0] *= np.linalg.det(q)[..., None]
+    q[..., 0] *= unitary_det(q)[..., None]
     v = (q * np.sqrt(np.maximum(w, 0.0))[..., None, :])[:, None]
     flip = np.where(unique[:, None], 1.0, _SHEETS)[..., None]  # (m, sheet, 1)
     x = quaternion_matrix(c[:, None, :3], flip * v[..., 0], v[..., 2], v[..., 1])
@@ -141,6 +144,14 @@ def conjugacy_operator(a, b) -> np.ndarray:
     return m.reshape(*lead, r * n * n, n * n)
 
 
+@lru_cache(maxsize=None)
+def _probe(n: int) -> np.ndarray:
+    """The fixed probe: the n x n matrix of quasi-random phases exp(2 pi i phi j^2), flattened."""
+    y = np.exp(2j * np.pi * ((np.arange(n * n) ** 2 * 0.6180339887498949) % 1.0))
+    y.setflags(write=False)
+    return y
+
+
 def conjugacy_decisions(a, b, tol: float = DEFAULT_TOL):
     """Decide K-conjugacy of stacked unitary pairs a, b (m, r, n, n) within 10*tol.
 
@@ -156,6 +167,7 @@ def conjugacy_decisions(a, b, tol: float = DEFAULT_TOL):
     Non-conjugate tuples sharing a summand have only singular intertwiners
     and fail the verification.
     """
+    check_tol(tol)
     a, b = np.asarray(a), np.asarray(b)
     m, r, n = a.shape[0], a.shape[1], a.shape[-1]
     eps = 10.0 * max(tol, 1e-9)
@@ -164,24 +176,28 @@ def conjugacy_decisions(a, b, tol: float = DEFAULT_TOL):
     # of the operators.  y minus its minimal-norm least-squares fit, singular
     # values <= bound cut, is y projected onto the right singular vectors
     # below the bound; lstsq gives it without the workspace of forming the
-    # vectors.  numpy has no stacked lstsq, so the pairs below the bound
-    # take the projection, polar step and verification one at a time.
+    # vectors.  numpy has no stacked lstsq, so that projection is taken one
+    # pair at a time; the polar step and the verification are stacked over
+    # the pairs below the bound.
     tri = np.linalg.qr(conjugacy_operator(a, b), mode="r")
     s = np.linalg.svd(tri, compute_uv=False)
-    k, err = [None] * m, [np.inf] * m
-    for i, si in enumerate(s.tolist()):
-        if si[-1] > bound:
-            continue
-        # Fixed probe: the n x n matrix of quasi-random phases exp(2 pi i phi j^2).
-        y = np.exp(2j * np.pi * ((np.arange(n * n) ** 2 * 0.6180339887498949) % 1.0))
-        g = (y - np.linalg.lstsq(tri[i], tri[i] @ y, rcond=bound / max(si[0], bound))[0]).reshape(n, n)
-        u, _, wh = np.linalg.svd(g)
-        ki = u @ wh
-        ki = ki * np.exp(-1j * np.angle(np.linalg.det(ki)) / n)
-        err[i] = float(np.linalg.norm(ki @ a[i] @ dagger(ki) - b[i], axis=(-2, -1)).max())
+    k, err = [None] * m, np.full(m, np.inf)
+    below = s[:, -1] <= bound
+    rows = np.flatnonzero(below).tolist()
+    if not rows:
+        return k, err
+    y = _probe(n)
+    g = np.empty((len(rows), n * n), dtype=complex)
+    for j, i in enumerate(rows):
+        g[j] = y - np.linalg.lstsq(tri[i], tri[i] @ y, rcond=bound / max(s[i, 0], bound))[0]
+    u, _, wh = np.linalg.svd(g.reshape(-1, n, n))
+    kc = u @ wh
+    kc *= np.exp(-1j * np.angle(unitary_det(kc)) / n)[:, None, None]
+    err[below] = np.linalg.norm(kc[:, None] @ a[below] @ dagger(kc)[:, None] - b[below], axis=(-2, -1)).max(axis=-1)
+    for i, ki in zip(rows, kc):
         if err[i] <= eps:
             k[i] = ki
-    return k, np.array(err)
+    return k, err
 
 
 def unitary_pair(rho1: RepTuple, rho2: RepTuple):

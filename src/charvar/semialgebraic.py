@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, cmat
+from .linalg import DEFAULT_TOL, check_tol, cmat
 from .groups import NotInGroup, RepTuple, in_group, su
 from .invariants import (
     ComplexInput,
@@ -47,6 +47,7 @@ class RegionVerdict:
 
 
 def _verdict(margins: dict, inside: bool, tol: float) -> RegionVerdict:
+    check_tol(tol)
     on_boundary = any(abs(v) <= tol for v in margins.values())
     return RegionVerdict(inside=inside, margins=margins, on_boundary=on_boundary)
 
@@ -175,6 +176,7 @@ def classify_B(rho: RepTuple, tol: float = DEFAULT_TOL) -> str:
     """Sign of u5 = Im tr(X1 X2 X1^-1 X2^-1) with a tol-wide B_zero band."""
     if rho.n != 3 or rho.r != 2 or rho.descriptor.family != "SU":
         raise NotInGroup("classify_B expects an SU(3) pair")
+    check_tol(tol)
     t = su3_traces(rho)
     u5 = float(t.t5.imag)
     if abs(u5) <= tol:

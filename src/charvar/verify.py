@@ -15,7 +15,7 @@ import time
 
 import numpy as np
 
-from .linalg import dagger, exp_herm, haar_from_normals, haar_su
+from .linalg import dagger, exp_herm, haar_from_normals, haar_su, unitary_det
 from .groups import RepTuple, hermitian_from_normals, in_group, quaternion_matrix, sl, sl_from_normals, su
 from .invariants import (
     fricke_rhs,
@@ -93,7 +93,7 @@ def verify_retraction(samples: int, rng: np.random.Generator) -> tuple[bool, dic
                 worst_unitary = max(
                     worst_unitary,
                     _max_frob(ret @ dagger(ret) - np.eye(n)),
-                    float(np.abs(np.linalg.det(ret) - 1.0).max(initial=0.0)),
+                    float(np.abs(unitary_det(ret) - 1.0).max(initial=0.0)),
                 )
         ku = in_group(haar_su(n, rng, 40).reshape(20, 2, n, n), su(n))
         for t in ts:

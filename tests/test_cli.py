@@ -358,9 +358,21 @@ OUTSIDE_IMAGE = {"a1": 1.0000001, "a2": 1, "a3": 1, "a12": 1, "a13": 1, "a23": 1
         ("sl22", ["membership"], "ValueError"),
         (None, ["invariants", "--input", "missing.json"], "FileNotFoundError"),
         (None, ["verify", "all", "--samples", "0"], "ValueError: samples must be at least 1"),
+        ("su22", ["membership", "--tol", "nan"], "ValueError: tol must be finite and >= 0, got nan"),
+        (json.dumps({"a1": 0.1, "a2": 0.2, "a3": 0.3}), ["lift", "--tol", "nan"],
+         "ValueError: tol must be finite and >= 0, got nan"),
+        ("su22", ["invariants", "--tol", "-1"], "ValueError: tol must be finite and >= 0, got -1.0"),
+        ("5", ["lift"], "ValueError: lift needs an invariant record (a JSON object), got int"),
+        (json.dumps({"a1": "x", "a2": 0.2, "a3": 0.3}), ["lift"], "ValueError: lift field 'a1' must be a number"),
+        (json.dumps({"family": "SU", "n": 2, "r": 1, "matrices": [[[1, 2]]]}), ["invariants"],
+         "ValueError: tuple JSON field 'matrices' is malformed"),
+        (json.dumps({"family": "SU", "n": [2], "r": 1, "matrices": [EYE]}), ["invariants"],
+         "ValueError: tuple JSON field 'n' is malformed"),
     ],
     ids=["lift-outside-image", "off-group", "invalid-json", "no-n", "word-rank", "retract-t",
-         "unknown-region", "membership-sl", "missing-input", "verify-all-zero"],
+         "unknown-region", "membership-sl", "missing-input", "verify-all-zero", "membership-tol-nan",
+         "lift-tol-nan", "invariants-tol-negative", "lift-not-a-record", "lift-field-not-a-number",
+         "entries-not-pairs", "n-not-a-number"],
 )
 def test_bad_input_exits_2_without_traceback(capsys, tmp_path, monkeypatch, text, argv, error):
     from charvar.groups import sample_tuple, sl, su, tuple_to_json
@@ -376,3 +388,17 @@ def test_bad_input_exits_2_without_traceback(capsys, tmp_path, monkeypatch, text
     captured = capsys.readouterr()
     assert exc.value.code == 2 and captured.out == ""
     assert f"charvar {argv[0]}: error: {error}" in captured.err and "Traceback" not in captured.err
+
+
+def test_tol_zero_is_accepted(capsys, tmp_path):
+    # The --tol check refuses only non-finite and negative values.
+    paths = {}
+    for n, r in ((2, 2), (2, 3), (3, 2)):
+        paths[n, r] = tmp_path / f"su{n}{r}.json"
+        run_cli(capsys, "sample", "--group", "SU", "--n", str(n), "--r", str(r), "--out", str(paths[n, r]))
+        for cmd in ("membership", "invariants"):
+            assert run_cli(capsys, cmd, "--tol", "0", "--input", str(paths[n, r]))[0] == 0
+    a = str(paths[3, 2])
+    assert run_cli(capsys, "conjugacy", "--tol", "0", "--a", a, "--b", a)[0] == 0
+    (tmp_path / "rec.json").write_text(json.dumps({"a1": 0.1, "a2": 0.2, "a3": 0.3}))
+    assert run_cli(capsys, "lift", "--tol", "0", "--input", str(tmp_path / "rec.json"))[0] == 0

@@ -14,6 +14,7 @@ from charvar.groups import (
     cartan,
     conjugate_tuple,
     from_quaternion,
+    hermitian_from_normals,
     quaternion_matrix,
     random_traceless_hermitian,
     sample_tuple,
@@ -26,7 +27,7 @@ from charvar.groups import (
 )
 from charvar.invariants import fricke_check, su2_rank2_coords, su2_rank3_coords, su3_traces
 from charvar.kempfness import kn_flow, kn_functional, moment_residual
-from charvar.linalg import Singular, exp_herm, frob, haar_su, unitary_eig
+from charvar.linalg import Singular, exp_herm, frob, haar_su, unitary_det, unitary_eig
 from charvar.reconstruct import unitary_conjugacy
 from charvar.semialgebraic import classify_B, product_condition
 
@@ -58,6 +59,19 @@ def test_validate():
     assert validate(haar_su(3, rng), su(3))
     assert not validate(np.eye(3), su(2))  # dimension mismatch
     assert validate(np.stack([np.eye(2), shear]), su(2)).tolist() == [True, False]
+
+
+def test_sl_validate_keeps_lu_on_badly_conditioned_matrices():
+    # 200 SL(3,C) conjugates g k g^-1, g = exp(H) with |H|_F = 6: condition
+    # numbers about 5e6.  LU's determinants stay within GROUP_TOL, while the
+    # cofactor sum of unitary_det misses it on more than half of them; so the
+    # SL branch of validate must not take unitary_det.
+    rng = np.random.default_rng(0)
+    h = hermitian_from_normals(rng.standard_normal((200, 2, 3, 3)))
+    h *= (6.0 / np.linalg.norm(h, axis=(-2, -1)))[:, None, None]
+    x = exp_herm(h) @ haar_su(3, rng, 200) @ exp_herm(h, -1.0)
+    assert validate(x, sl(3), GROUP_TOL).all()
+    assert (np.abs(unitary_det(x) - 1.0) > GROUP_TOL).sum() > 100
 
 
 def test_group_descriptor_errors():

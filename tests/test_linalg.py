@@ -5,6 +5,7 @@ from charvar.linalg import (
     NotHermitian,
     NotPositive,
     Singular,
+    check_tol,
     exp_herm,
     frob,
     haar_from_normals,
@@ -12,6 +13,7 @@ from charvar.linalg import (
     herm_eig,
     polar,
     psd_power,
+    unitary_det,
     unitary_eig,
 )
 
@@ -189,6 +191,30 @@ def test_haar_su_batch_matches_single_draws():
         # The map's bits do not depend on the stack's shape either.
         g = np.random.default_rng(30 + n).standard_normal((9, 2, n, n))
         assert np.array_equal(haar_from_normals(g.reshape(3, 3, 2, n, n)), haar_from_normals(g).reshape(3, 3, n, n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_unitary_det_matches_lu_on_haar_stacks(n):
+    # Haar U(n): Haar SU(n) times a random phase, so the determinants spread
+    # over the unit circle.  Each matrix's bits do not depend on the stack.
+    rng = np.random.default_rng(50 + n)
+    for shape in ((), (7,), (3, 4)):
+        count = int(np.prod(shape))
+        u = haar_su(n, rng, count) * np.exp(2j * np.pi * rng.random(count))[:, None, None]
+        u = u.reshape(*shape, n, n)
+        det = unitary_det(u)
+        assert np.shape(det) == shape
+        assert np.abs(det - np.linalg.det(u)).max() < 1e-14
+        flat = u.reshape(count, n, n)
+        assert all(np.array_equal(det.reshape(count)[i], unitary_det(flat[i])) for i in range(count))
+
+
+def test_check_tol():
+    for tol in (0.0, 1e-9, 1.0):
+        check_tol(tol)
+    for tol in (float("nan"), float("inf"), -1e-12):
+        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+            check_tol(tol)
 
 
 def _mezzadri_oracle(g):

@@ -566,10 +566,9 @@ def test_unitary_lemma_on_reducible_tuples():
         assert found is not None
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_conjugacy_decisions_match_pairwise(n):
-    # Cycling no (independent), yes (conjugated) and no (only the first
-    # matrices conjugate) pairs, decided as one stack and one pair at a time.
+def _cycled_pairs(n):
+    """12 pairs cycling no (independent), yes (conjugated) and no (only the
+    first matrices conjugate)."""
     rng = np.random.default_rng(60 + n)
     a, b = [], []
     for i in range(12):
@@ -577,12 +576,29 @@ def test_conjugacy_decisions_match_pairwise(n):
         y = (haar_su(n, rng, 2), k @ x @ k.conj().T, np.stack([k @ x[0] @ k.conj().T, haar_su(n, rng)]))[i % 3]
         a.append(x)
         b.append(y)
-    a, b = np.array(a), np.array(b)
+    return np.array(a), np.array(b), [i % 3 == 1 for i in range(12)]
+
+
+def _coplanar_sheet_pairs():
+    """The two sheets of the lifts of 30 coplanar triples, as two-sheet decides
+    them: conjugate, and every row below the bound."""
+    plane = coplanar_su2_triples(30, np.random.default_rng(64))
+    x = rank3_lift_matrices(su2_a_coords(plane))[0]
+    return x[:, 0], x[:, 1], [True] * 30
+
+
+@pytest.mark.parametrize("case", [2, 3, 4, "coplanar"])
+def test_conjugacy_decisions_match_pairwise(case):
+    # Decided as one stack and one pair at a time, bit for bit.
+    a, b, expected = _cycled_pairs(case) if case != "coplanar" else _coplanar_sheet_pairs()
+    n = a.shape[-1]
     k, err = conjugacy_decisions(a, b)
-    assert [ki is not None for ki in k] == [i % 3 == 1 for i in range(12)]
+    assert [ki is not None for ki in k] == expected
     for i, ki in enumerate(k):
         ref = unitary_conjugacy(RepTuple(su(n), a[i]), RepTuple(su(n), b[i]))
         assert (ki is None) == (ref is None)
         if ki is not None:
             assert np.array_equal(ki, ref)
             assert err[i] == np.linalg.norm(ki @ a[i] @ ki.conj().T - b[i], axis=(-2, -1)).max() < 1e-8
+        else:
+            assert not err[i] <= 1e-8
