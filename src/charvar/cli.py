@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .linalg import DEFAULT_TOL
+from .linalg import DEFAULT_TOL, check_tol
 from .groups import GroupDescriptor, RepTuple, sample_tuple, tuple_from_json, tuple_to_json
 
 # Library modules past linalg and groups are imported by the commands that
@@ -33,16 +33,18 @@ DEFAULT_TOL_ENV = "CHARVAR_TOL"
 
 
 def _default_tol(p: argparse.ArgumentParser) -> float:
-    """``$CHARVAR_TOL`` if set, else ``DEFAULT_TOL``; a value that is not a positive number is a usage error."""
+    """``$CHARVAR_TOL`` if set, else ``DEFAULT_TOL``.  The value must pass the
+    check that ``--tol`` passes (``linalg.check_tol``); one that does not is a
+    usage error, one line on stderr."""
     raw = os.environ.get(DEFAULT_TOL_ENV)
     if raw is None:
         return DEFAULT_TOL
     try:
-        if float(raw) > 0:
-            return float(raw)
-    except ValueError:
-        pass
-    p.error(f"{DEFAULT_TOL_ENV} must be a positive number, got {raw!r}")
+        tol = float(raw)
+        check_tol(tol)
+    except ValueError as exc:
+        p.exit(2, f"{p.prog}: error: {type(exc).__name__}: {DEFAULT_TOL_ENV}={raw!r}: {exc}\n")
+    return tol
 
 
 class _SuiteChoices:

@@ -249,8 +249,15 @@ def pq_from_traces(t):
 
 
 def su3_alcove_quartic(tau):
-    """|tau|^4 - 8 Re(tau^3) + 18 |tau|^2 - 27; <= 0 exactly on traces of SU(3)."""
-    return abs(tau) ** 4 - 8.0 * (tau**3).real + 18.0 * abs(tau) ** 2 - 27.0
+    """|tau|^4 - 8 Re(tau^3) + 18 |tau|^2 - 27; <= 0 exactly on traces of SU(3).
+
+    Evaluated in real arithmetic on x = Re tau, y = Im tau, with
+    |tau|^2 = x^2 + y^2 and Re(tau^3) = x (x^2 - 3 y^2), squares taken as
+    products: a complex scalar and each entry of a stacked array round alike.
+    """
+    x, y = tau.real, tau.imag
+    r2 = x * x + y * y
+    return r2 * r2 - 8.0 * x * (x * x - 3.0 * y * y) + 18.0 * r2 - 27.0
 
 
 def su3_delta(P, Q):

@@ -6,7 +6,8 @@ Hermitian matrix exponentials, spectral decompositions of unitary matrices,
 determinants of unitary matrices, and Haar sampling on SU(n).  Other
 modules call ``numpy.linalg`` directly for their own eigen- and
 singular-value problems (the flow's Newton steps and orbit-closedness test,
-the retraction's SVD, the lifts' Gram matrices, the conjugacy test, the
+the retraction's SVD, one per stack for every t of a path, the lifts' Gram
+matrices, the conjugacy test's QR and one stacked SVD with vectors, the
 alcove angles and the product chart), for inverses of SL(n,C) matrices, and
 for determinants of matrices that need not be unitary, which stay on LU
 (see ``unitary_det``): the SL group check, the retraction's normalisation,

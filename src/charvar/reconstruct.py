@@ -173,28 +173,25 @@ def conjugacy_decisions(a, b, tol: float = DEFAULT_TOL):
     eps = 10.0 * max(tol, 1e-9)
     bound = np.sqrt(r / n) * eps
     # The QR factors tri keep the singular values and right singular vectors
-    # of the operators.  y minus its minimal-norm least-squares fit, singular
-    # values <= bound cut, is y projected onto the right singular vectors
-    # below the bound; lstsq gives it without the workspace of forming the
-    # vectors.  numpy has no stacked lstsq, so that projection is taken one
-    # pair at a time; the polar step and the verification are stacked over
+    # of the operators, in one stacked SVD.  The probe y projected onto the
+    # right singular vectors below the bound is y minus its components along
+    # those above it; the polar step and the verification are stacked over
     # the pairs below the bound.
     tri = np.linalg.qr(conjugacy_operator(a, b), mode="r")
-    s = np.linalg.svd(tri, compute_uv=False)
+    _, s, vh = np.linalg.svd(tri)
     k, err = [None] * m, np.full(m, np.inf)
     below = s[:, -1] <= bound
-    rows = np.flatnonzero(below).tolist()
-    if not rows:
+    if not below.any():
         return k, err
+    vh = vh[below]
     y = _probe(n)
-    g = np.empty((len(rows), n * n), dtype=complex)
-    for j, i in enumerate(rows):
-        g[j] = y - np.linalg.lstsq(tri[i], tri[i] @ y, rcond=bound / max(s[i, 0], bound))[0]
+    coef = np.where(s[below] > bound, vh @ y, 0.0)
+    g = y - np.einsum("mj,mji->mi", coef, vh.conj())
     u, _, wh = np.linalg.svd(g.reshape(-1, n, n))
     kc = u @ wh
     kc *= np.exp(-1j * np.angle(unitary_det(kc)) / n)[:, None, None]
     err[below] = np.linalg.norm(kc[:, None] @ a[below] @ dagger(kc)[:, None] - b[below], axis=(-2, -1)).max(axis=-1)
-    for i, ki in zip(rows, kc):
+    for i, ki in zip(np.flatnonzero(below).tolist(), kc):
         if err[i] <= eps:
             k[i] = ki
     return k, err

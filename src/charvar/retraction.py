@@ -4,7 +4,8 @@ The elementwise map is phi_t(g) = g (g*g)^(-t/2); at t=0 it is the identity,
 at t=1 it is the unitary polar factor, and it fixes unitary matrices for
 every t.  Applied to a tuple's (r, n, n) stack it retracts representation
 tuples, and it restricts to the entrywise map z -> z |z|^(-t) on diagonal
-tuples.
+tuples.  With g = U S V* it is U S^(1-t) V*, so every t of a path shares one
+SVD: ``phi_path`` and ``retract_path`` take it once per stack.
 """
 
 from __future__ import annotations
@@ -23,44 +24,70 @@ class NotDiagonal(ValueError):
     """Matrix expected diagonal has off-diagonal mass."""
 
 
-def phi(g, t: float, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Retraction flow phi_t(g) = g (g*g)^(-t/2) for t in [0, 1].
+def _check_times(ts) -> list:
+    """The times ``ts`` as floats, each checked to lie in [0, 1]."""
+    ts = [float(t) for t in ts]
+    for t in ts:
+        if not 0.0 <= t <= 1.0:
+            raise ValueError(f"t={t} outside [0, 1]")
+    return ts
+
+
+def phi_path(g, ts, tol: float = DEFAULT_TOL) -> list:
+    """phi_t(g) = g (g*g)^(-t/2) for each t in ``ts`` (each in [0, 1]), from one SVD.
 
     Evaluated through the SVD g = U S V* as U S^(1-t) V*, which is the same
     matrix in exact arithmetic but stays unitary to machine precision at
-    t = 1 regardless of conditioning.  The (g*g)-power and polar-parts
-    routes are kept as cross-checks in the test suite.  ``g`` may be a stack
-    (..., n, n); singular means as ``check_invertible`` decides, scale-free.
+    t = 1 regardless of conditioning.  Every t shares the factorization, and
+    each result is bitwise the one a path of that t alone gives; at t = 0 it
+    is a copy of g.  ``g`` may be a stack (..., n, n); singular means as
+    ``check_invertible`` decides, scale-free.
     """
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"t={t} outside [0, 1]")
+    ts = _check_times(ts)
     g = cmat(g)
     u, s, vh = np.linalg.svd(g)
     check_invertible(s, tol)
-    if t == 0.0:
-        return g.copy()
-    return (u * s[..., None, :] ** (1.0 - t)) @ vh
+    return [g.copy() if t == 0.0 else (u * s[..., None, :] ** (1.0 - t)) @ vh for t in ts]
+
+
+def phi(g, t: float, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Retraction flow phi_t(g) for one t in [0, 1]: ``phi_path`` at that t.
+    The (g*g)-power and polar-parts routes are kept as cross-checks in the
+    test suite."""
+    return phi_path(g, (t,), tol)[0]
+
+
+def retract_path(x, ts) -> list:
+    """phi_t of each matrix of a group-valued stack x (..., n, n) for each t in
+    ``ts``, from one ``phi_path``, divided by the principal n-th root of its
+    determinant: the SVD of a badly conditioned matrix can move det(phi_t)
+    off 1 by more than GROUP_TOL, though phi_t keeps it exactly.  phi_0 is
+    the identity, so at t = 0 the stack comes back unchanged.  A
+    determinant-1 matrix is invertible, so Singular is raised only where it
+    is singular to working precision (s_min <= eps * s_max)."""
+    ts = _check_times(ts)
+    n = np.shape(x)[-1]
+    return [
+        m if t == 0.0 else m / np.linalg.det(m)[..., None, None] ** (1.0 / n)
+        for t, m in zip(ts, phi_path(x, ts, _EPS))
+    ]
 
 
 def retract_matrices(x, t: float) -> np.ndarray:
-    """phi_t of each matrix of a group-valued stack x (..., n, n), divided by
-    the principal n-th root of its determinant: the SVD of a badly conditioned
-    matrix can move det(phi_t) off 1 by more than GROUP_TOL, though phi_t keeps
-    it exactly.  phi_0 is the identity, so at t = 0 the stack comes back
-    unchanged.  A determinant-1 matrix is invertible, so Singular is raised
-    only where it is singular to working precision (s_min <= eps * s_max)."""
-    mats = phi(x, t, _EPS)
-    if t == 0.0:
-        return mats
-    return mats / np.linalg.det(mats)[..., None, None] ** (1.0 / mats.shape[-1])
+    """``retract_path`` at one t."""
+    return retract_path(x, (t,))[0]
+
+
+def _retract_tuples(rho: RepTuple, ts) -> list:
+    """The tuples of ``retract_path`` at each t; at t = 1 an SL tuple becomes SU(n)-valued."""
+    at_one = GroupDescriptor("SU", rho.n) if rho.descriptor.family == "SL" else rho.descriptor
+    mats = retract_path(rho.matrices, ts)
+    return [RepTuple(at_one if t == 1.0 else rho.descriptor, m) for t, m in zip(ts, mats)]
 
 
 def retract_tuple(rho: RepTuple, t: float) -> RepTuple:
-    """Componentwise phi_t (``retract_matrices``); at t=1 the result is SU(n)-valued."""
-    desc = rho.descriptor
-    if t == 1.0 and desc.family == "SL":
-        desc = GroupDescriptor("SU", desc.n)
-    return RepTuple(desc, retract_matrices(rho.matrices, t))
+    """Componentwise phi_t (``retract_path``); at t=1 the result is SU(n)-valued."""
+    return _retract_tuples(rho, (t,))[0]
 
 
 @dataclass(frozen=True)
@@ -78,7 +105,9 @@ class RetractionPath:
 
 
 def retraction_path(rho: RepTuple, ts) -> RetractionPath:
-    return RetractionPath(tuple((float(t), retract_tuple(rho, float(t))) for t in ts))
+    """The retraction of ``rho`` at each t of ``ts``, every t from one SVD per matrix."""
+    ts = _check_times(ts)
+    return RetractionPath(tuple(zip(ts, _retract_tuples(rho, ts))))
 
 
 def abelian_retract(diagonals, t: float, tol: float = DEFAULT_TOL) -> list:
@@ -87,8 +116,7 @@ def abelian_retract(diagonals, t: float, tol: float = DEFAULT_TOL) -> list:
     Coincides with phi on diagonal matrices and is exactly equivariant under
     simultaneous permutation of the diagonal entries.
     """
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"t={t} outside [0, 1]")
+    (t,) = _check_times((t,))
     out = []
     for m in diagonals:
         m = cmat(m)

@@ -280,24 +280,23 @@ def _sweep(pa, pb, pc, us):
     return pa + uu * (pb - pa) + vv * (1.0 - uu) * (pc - pa)
 
 
-def su3_alcove_grid(resolution: int):
-    """(p1, p2, margin) rows sampling the alcove image of the SU(3) trace.
+def su3_alcove_grid(resolution: int) -> np.ndarray:
+    """(p1, p2, margin) rows (resolution^2, 3) sampling the alcove image of the SU(3) trace.
 
     The alcove triangle is swept with a degenerate bilinear parametrization
     whose corner rows are exactly the three central elements tau = 3, 3w,
-    3w^2, where the quartic margin vanishes.  resolution^2 rows.
+    3w^2, where the quartic margin vanishes.  Each margin is bitwise
+    ``su3_alcove_check(complex(p1, p2))``'s.
     """
     if resolution < MIN_RESOLUTION:
         raise ValueError(f"resolution must be >= {MIN_RESOLUTION}")
     lam = _sweep(*_ALCOVE_TRIANGLE, np.linspace(0.0, 1.0, resolution))
-    tau = np.exp(2j * np.pi * lam).sum(axis=-1).ravel().tolist()
-    # The margin is taken per row: numpy's stacked power and complex abs
-    # round differently from the scalar ones that su3_alcove_check uses.
-    return [(t.real, t.imag, su3_alcove_quartic(t)) for t in tau]
+    tau = np.exp(2j * np.pi * lam).sum(axis=-1).ravel()
+    return np.stack([tau.real, tau.imag, su3_alcove_quartic(tau)], axis=-1)
 
 
-def su2_tetrahedron_boundary_grid(resolution: int):
-    """(a1, a2, a3) samples of the sigma = 0 surface via theta coordinates.
+def su2_tetrahedron_boundary_grid(resolution: int) -> np.ndarray:
+    """(a1, a2, a3) rows of the sigma = 0 surface via theta coordinates.
 
     The four faces of the theta-tetrahedron are swept with corner-including
     barycentric grids; all four non-smooth vertices of the a-surface appear
@@ -313,12 +312,15 @@ def su2_tetrahedron_boundary_grid(resolution: int):
         ((0.0, 1.0, 1.0), (1.0, 0.0, 1.0), (1.0, 1.0, 0.0)),  # th1+th2+th3 = 2
     ])
     th = _sweep(faces[:, 0], faces[:, 1], faces[:, 2], np.linspace(0.0, 1.0, resolution // 2))
-    return list(map(tuple, np.cos(np.pi * th).reshape(-1, 3).tolist()))
+    return np.cos(np.pi * th).reshape(-1, 3)
 
 
 def region_grid(name: str, resolution: int):
+    """The header and the rows, as tuples of floats, of the figure-data grid ``name``."""
     if name == "su3-alcove":
-        return ["p1", "p2", "margin"], su3_alcove_grid(resolution)
-    if name == "su2-tetrahedron-boundary":
-        return ["a1", "a2", "a3"], su2_tetrahedron_boundary_grid(resolution)
-    raise UnknownRegion(f"unknown region {name!r}")
+        header, grid = ["p1", "p2", "margin"], su3_alcove_grid
+    elif name == "su2-tetrahedron-boundary":
+        header, grid = ["a1", "a2", "a3"], su2_tetrahedron_boundary_grid
+    else:
+        raise UnknownRegion(f"unknown region {name!r}")
+    return header, list(map(tuple, grid(resolution).tolist()))

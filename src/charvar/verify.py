@@ -38,8 +38,14 @@ from .invariants import (
 from .kempfness import flow_matrices, functional_values, residual_matrix
 from .poincare import baird_poly, surface_counterexample_polys
 from .reconstruct import conjugacy_decisions, rank2_lift_matrices, rank3_lift_matrices
-from .retraction import retract_matrices
-from .semialgebraic import ALCOVE_CORNERS, MIN_RESOLUTION, TETRAHEDRON_VERTICES, region_grid
+from .retraction import retract_path
+from .semialgebraic import (
+    ALCOVE_CORNERS,
+    MIN_RESOLUTION,
+    TETRAHEDRON_VERTICES,
+    su2_tetrahedron_boundary_grid,
+    su3_alcove_grid,
+)
 
 U_BOX = (-1.5, 3.0)
 U5_BOX = 3.0 * np.sqrt(3.0) / 2.0
@@ -72,7 +78,8 @@ def _max_frob(x) -> float:
 
 def verify_retraction(samples: int, rng: np.random.Generator) -> tuple[bool, dict, dict]:
     """phi_1 lands in SU, phi is K-equivariant, and fixes SU tuples.  Each sample
-    is an SL pair, then a Haar conjugator: one (samples, 5, 2, n, n) draw per n."""
+    is an SL pair, then a Haar conjugator: one (samples, 5, 2, n, n) draw per n.
+    Each stack's path over every t is one ``retract_path`` call, one SVD."""
     ts = (0.0, 0.25, 0.5, 0.75, 1.0)
     worst_unitary = 0.0
     worst_equiv = 0.0
@@ -83,10 +90,9 @@ def verify_retraction(samples: int, rng: np.random.Generator) -> tuple[bool, dic
         k = haar_from_normals(z[:, 4:])
         kinv = np.linalg.inv(k)
         conj = in_group(k @ x @ kinv, sl(n))
-        for t in ts:
+        for t, ret, lhs in zip(ts, retract_path(x, ts), retract_path(conj, ts)):
             d = su(n) if t == 1.0 else sl(n)
-            ret = in_group(retract_matrices(x, t), d)
-            lhs = in_group(retract_matrices(conj, t), d)
+            ret, lhs = in_group(ret, d), in_group(lhs, d)
             rhs = in_group(k @ ret @ kinv, sl(n))
             worst_equiv = max(worst_equiv, _max_frob(lhs - rhs))
             if t == 1.0:
@@ -96,9 +102,8 @@ def verify_retraction(samples: int, rng: np.random.Generator) -> tuple[bool, dic
                     float(np.abs(unitary_det(ret) - 1.0).max(initial=0.0)),
                 )
         ku = in_group(haar_su(n, rng, 40).reshape(20, 2, n, n), su(n))
-        for t in ts:
-            fixed = in_group(retract_matrices(ku, t), su(n))
-            worst_fix = max(worst_fix, _max_frob(fixed - ku))
+        for fixed in retract_path(ku, ts):
+            worst_fix = max(worst_fix, _max_frob(in_group(fixed, su(n)) - ku))
     checks = {
         "max_unitary_defect_at_t1": worst_unitary,
         "max_equivariance_residual": worst_equiv,
@@ -396,12 +401,12 @@ def verify_baird(samples: int, rng: np.random.Generator) -> tuple[bool, dict, di
 
 def verify_figures(samples: int, rng: np.random.Generator) -> tuple[bool, dict, dict]:
     resolution = max(MIN_RESOLUTION, samples)
-    p1, p2, margin = np.array(region_grid("su3-alcove", resolution)[1]).T
+    p1, p2, margin = su3_alcove_grid(resolution).T
     corner_margins = []
     for corner in ALCOVE_CORNERS:
         hits = np.abs(margin[np.hypot(p1 - corner.real, p2 - corner.imag) < 1e-12])
         corner_margins.append(hits.min(initial=np.inf))
-    tet = np.array(region_grid("su2-tetrahedron-boundary", resolution)[1])
+    tet = su2_tetrahedron_boundary_grid(resolution)
     vertices_present = all(np.any(np.all(tet == v, axis=-1)) for v in TETRAHEDRON_VERTICES)
     checks = {
         "alcove_corner_margins": [float(x) for x in corner_margins],

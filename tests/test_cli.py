@@ -309,6 +309,30 @@ def test_tol_env_override(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "raw, error",
+    [
+        ("inf", "ValueError: CHARVAR_TOL='inf': tol must be finite and >= 0, got inf"),
+        ("nan", "ValueError: CHARVAR_TOL='nan': tol must be finite and >= 0, got nan"),
+        ("-1e-9", "ValueError: CHARVAR_TOL='-1e-9': tol must be finite and >= 0, got -1e-09"),
+        ("junk", "ValueError: CHARVAR_TOL='junk': could not convert string to float: 'junk'"),
+    ],
+)
+def test_tol_env_follows_the_tol_rule(capsys, tmp_path, monkeypatch, raw, error):
+    # CHARVAR_TOL passes the check --tol passes: 0 is accepted, and a value
+    # --tol would refuse exits 2 with one line on stderr, before any input is read.
+    path = tmp_path / "su22.json"
+    run_cli(capsys, "sample", "--group", "SU", "--n", "2", "--r", "2", "--out", str(path))
+    monkeypatch.setenv("CHARVAR_TOL", "0")
+    assert run_cli(capsys, "membership", "--input", str(path))[0] == 0
+    monkeypatch.setenv("CHARVAR_TOL", raw)
+    with pytest.raises(SystemExit) as exc:
+        main(["membership", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert captured.err == f"charvar: error: {error}\n"
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["flow", "--flow-tol", "nan"],

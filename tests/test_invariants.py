@@ -21,6 +21,7 @@ from charvar.invariants import (
     su2_commutator_re,
     su2_rank2_coords,
     su2_rank3_coords,
+    su3_alcove_quartic,
     su3_delta,
     su3_disc,
     su3_minors,
@@ -520,3 +521,32 @@ def test_canonical_su3_example_exact():
     assert sp.simplify(P) == -3 and sp.simplify(Q) == 9
     assert sp.simplify(su3_disc(P, Q)) == -27
     assert sp.simplify(su3_delta(P, Q)) == 0
+
+
+def test_alcove_quartic_real_form_exact():
+    """The real-arithmetic quartic is |tau|^4 - 8 Re(tau^3) + 18 |tau|^2 - 27
+    for tau = x + iy, x and y real symbols."""
+    sp = pytest.importorskip("sympy")
+    from types import SimpleNamespace
+
+    x, y = sp.symbols("x y", real=True)
+    tau = x + sp.I * y
+    # The quartic reads only tau.real and tau.imag; nsimplify reads its float constants back exactly.
+    got = sp.nsimplify(su3_alcove_quartic(SimpleNamespace(real=x, imag=y)))
+    want = sp.Abs(tau) ** 4 - 8 * sp.re(tau**3) + 18 * sp.Abs(tau) ** 2 - 27
+    assert sp.expand(got - want) == 0
+
+
+def test_u_map_exact():
+    """u_from_traces on symbolic traces: (t_k + t_-k)/2 and (t_k - t_-k)/2i for
+    k = 1..4, then u5 = (t5 - t-5)/2i."""
+    sp = pytest.importorskip("sympy")
+
+    t = sp.symbols("t1 tm1 t2 tm2 t3 tm3 t4 tm4 t5 tm5")
+    u = u_from_traces(np.array(t, dtype=object))
+    want = []
+    for k in range(5):
+        tk, tmk = t[2 * k], t[2 * k + 1]
+        want += [(tk + tmk) / 2, (tk - tmk) / (2 * sp.I)] if k < 4 else [(tk - tmk) / (2 * sp.I)]
+    assert len(u) == len(want) == 9
+    assert all(sp.expand(sp.nsimplify(a) - b) == 0 for a, b in zip(u, want))

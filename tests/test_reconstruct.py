@@ -602,3 +602,39 @@ def test_conjugacy_decisions_match_pairwise(case):
             assert err[i] == np.linalg.norm(ki @ a[i] @ ki.conj().T - b[i], axis=(-2, -1)).max() < 1e-8
         else:
             assert not err[i] <= 1e-8
+
+
+def _mixed_pair(kind, rng):
+    """One pair of SU(2) triples (2, 3, 2, 2): a triple and a conjugate ("yes"),
+    two independent triples ("no"), or both sheets of a coplanar triple's lift."""
+    if kind == "coplanar":
+        return rank3_lift_matrices(su2_a_coords(coplanar_su2_triples(1, rng)))[0][0]
+    x = haar_su(2, rng, 3)
+    if kind == "no":
+        return np.stack([x, haar_su(2, rng, 3)])
+    k = haar_su(2, rng)
+    return np.stack([x, k @ x @ k.conj().T])
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    kinds=st.lists(st.sampled_from(["yes", "no", "coplanar"]), min_size=1, max_size=8),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_conjugacy_rows_do_not_depend_on_their_stack(kinds, seed, data):
+    # A row's conjugator and residual are the same bits in the whole stack,
+    # in a permuted stack and alone.
+    rng = np.random.default_rng(seed)
+    pairs = np.array([_mixed_pair(kind, rng) for kind in kinds])
+    k, err = conjugacy_decisions(pairs[:, 0], pairs[:, 1])
+    assert [ki is not None for ki in k] == [kind != "no" for kind in kinds]
+    perm = data.draw(st.permutations(range(len(kinds))))
+    k_perm, err_perm = conjugacy_decisions(pairs[perm, 0], pairs[perm, 1])
+    for j, i in enumerate(perm):
+        (k_alone,), (err_alone,) = conjugacy_decisions(pairs[i : i + 1, 0], pairs[i : i + 1, 1])
+        assert err[i] == err_perm[j] == err_alone
+        if k[i] is None:
+            assert k_perm[j] is None and k_alone is None
+        else:
+            assert np.array_equal(k[i], k_perm[j]) and np.array_equal(k[i], k_alone)

@@ -9,7 +9,9 @@ from charvar.retraction import (
     NotDiagonal,
     abelian_retract,
     phi,
+    phi_path,
     retract_matrices,
+    retract_path,
     retract_tuple,
     retraction_path,
 )
@@ -172,6 +174,33 @@ def test_retract_tuple_stays_in_group(x, t):
         assume(False)
     out = retract_tuple(rho, t)  # builds its result, so it is checked there
     assert out.descriptor == (su(rho.n) if t == 1.0 else sl(rho.n))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(x=stacks, ts=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5), su_stack=st.booleans())
+def test_retract_path_equals_each_t_alone(x, ts, su_stack):
+    # One SVD for every t gives each t's matrices bit for bit, t = 0 included;
+    # the reference is the per-t SVD formula, phi_t / det(phi_t)^(1/n).
+    if su_stack:
+        x = haar_su(x.shape[-1], np.random.default_rng(len(ts)), len(x))
+    ts = [*ts, 0.0]
+    path = retract_path(x, ts)
+    assert [m.shape for m in path] == [x.shape] * len(ts)
+    u, s, vh = np.linalg.svd(x)
+    for t, m in zip(ts, path):
+        assert np.array_equal(m, retract_matrices(x, t))
+        if t == 0.0:
+            assert np.array_equal(m, x) and not np.shares_memory(m, x)
+        else:
+            ref = (u * s[..., None, :] ** (1.0 - t)) @ vh
+            assert np.array_equal(m, ref / np.linalg.det(ref)[..., None, None] ** (1.0 / x.shape[-1]))
+    assert all(np.array_equal(a, b) for a, b in zip(phi_path(x, ts), (phi(x, t) for t in ts)))
+    singular = x.copy()
+    singular[-1, :, 0] = 0.0
+    with pytest.raises(Singular):
+        retract_path(singular, ts)
+    with pytest.raises(ValueError):
+        retract_path(x, [*ts, 1.5])
 
 
 def test_phi_continuity_proxy():

@@ -465,6 +465,15 @@ def test_region_grids_equal_the_pointwise_sweep(resolution):
     assert region_grid("su2-tetrahedron-boundary", resolution)[1] == tet
 
 
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(resolution=st.integers(16, 48))
+def test_alcove_grid_margins_are_the_verdicts(resolution):
+    # The stacked quartic rounds as the scalar one: every row's margin is
+    # bitwise the one su3_alcove_check reports for its (p1, p2).
+    for p1, p2, margin in region_grid("su3-alcove", resolution)[1]:
+        assert margin == su3_alcove_check(complex(p1, p2)).margins["alcove"]
+
+
 def test_region_grids():
     header, rows = region_grid("su3-alcove", 16)
     assert header == ["p1", "p2", "margin"]

@@ -128,6 +128,22 @@ def test_stacked_suites_draw_once_per_stack(name):
     assert counts[0] == counts[1] > 0
 
 
+def test_retraction_takes_one_svd_per_stack(monkeypatch):
+    # Per n, the SL pairs, their conjugates and the fixed SU pairs are three
+    # stacks, and every t of a stack's path shares its one SVD: 6 calls, not
+    # one per stack and t (30).
+    shapes = []
+    svd = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    assert SUITES["retraction"][0](30, np.random.default_rng(5))[0]
+    assert shapes == [(30, 2, 2, 2), (30, 2, 2, 2), (20, 2, 2, 2), (30, 2, 3, 3), (30, 2, 3, 3), (20, 2, 3, 3)]
+
+
 @pytest.mark.parametrize("samples", [1, 2, 7])
 def test_retraction_draws_the_per_sample_stream(samples):
     # Per n: each sample's SL pair (Haar, then Hermitian, per matrix) and its
