@@ -165,8 +165,9 @@ def su2_commutator_re(x):
 
 
 def fricke_rhs(a1, a2, a3):
-    """The classical three-trace side of the Fricke identity, 2(a1^2+a2^2+a3^2) - 4 a1 a2 a3 - 1."""
-    return 2.0 * (a1**2 + a2**2 + a3**2) - 4.0 * a1 * a2 * a3 - 1.0
+    """The classical three-trace side of the Fricke identity,
+    2(a1^2+a2^2+a3^2) - 4 a1 a2 a3 - 1 = 1 - 2 sigma(a)."""
+    return 1.0 - 2.0 * sigma3(a1, a2, a3)
 
 
 def sigma3(a1, a2, a3):
@@ -192,13 +193,16 @@ def gram(c, tol: float = DEFAULT_TOL):
     """Gram data of the quaternion imaginary parts from stacked six-coordinates c (..., 6).
 
     Returns ``(r, s, det, t123)``: r (..., 3, 3) from ``gram_matrix``; the
-    pairwise sigmas s (..., 3) = (s12, s13, s23), s_jk = r_jj r_kk - r_jk^2;
-    det r; and the normalized Gram determinant t123 = det r / (r11 r22 r33),
-    0 where |r11 r22 r33| <= tol (an imaginary part degenerates).
+    pairwise sigmas s (..., 3) = (s12, s13, s23), s_jk = sigma3(a_j, a_k,
+    a_jk), which is r's 2x2 principal minor r_jj r_kk - r_jk^2 and bitwise
+    the sigma margins of ``su2_rank3_margins``; det r; and the normalized
+    Gram determinant t123 = det r / (r11 r22 r33), 0 where |r11 r22 r33| <=
+    tol (an imaginary part degenerates).
     """
+    c = np.asarray(c)
     r = gram_matrix(c)
-    diag, off = np.diagonal(r, axis1=-2, axis2=-1), r[..., _J, _K]
-    s = diag[..., _J] * diag[..., _K] - off**2
+    s = sigma3(c[..., _J], c[..., _K], c[..., 3:])
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
     vol = diag[..., 0] * diag[..., 1] * diag[..., 2]
     big = np.abs(vol) > tol
     det = np.linalg.det(r)
@@ -453,7 +457,6 @@ class PQRecord:
 
     P: complex
     Q: complex
-    tau: complex
 
 
 def _realify(values, unitary, tol=REALIFY_TOL):
@@ -483,7 +486,7 @@ def u_coords(t: SU3Rank2Traces, unitary: bool | None = None) -> UCoords:
 def pq(t: SU3Rank2Traces, unitary: bool | None = None) -> PQRecord:
     """P = t5 + t-5, Q = t5 * t-5; real on unitary input."""
     P, Q = _realify(pq_from_traces(t.as_array()), unitary)
-    return PQRecord(P=P, Q=Q, tau=complex(t.t5))
+    return PQRecord(P=P, Q=Q)
 
 
 def transpose_tuple(rho: RepTuple) -> RepTuple:

@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, check_tol, dagger, frob
+from .linalg import DEFAULT_TOL, check_tol, dagger
 from .groups import RepTuple
 from .invariants import invariant_record
 from .retraction import retract_tuple
@@ -63,13 +63,20 @@ class MomentResidual:
     norm: float
 
 
+def _sum_squares(a, k: int) -> np.ndarray:
+    """Sum of the squared real and imaginary parts of the entries over the last k axes of a."""
+    a = np.ascontiguousarray(a, dtype=complex)
+    v = a.reshape(*a.shape[:-k], math.prod(a.shape[-k:])).view(float)
+    return (v * v).sum(axis=-1)
+
+
 def functional_values(x) -> np.ndarray:
-    """sum_i tr(X_i X_i*) of stacked tuples x (..., r, n, n)."""
-    return np.trace(x @ dagger(x), axis1=-2, axis2=-1).real.sum(axis=-1)
+    """sum_i tr(X_i X_i*) = sum_i |X_i|_F^2 of stacked tuples x (..., r, n, n)."""
+    return _sum_squares(x, 3)
 
 
 def kn_functional(rho: RepTuple) -> float:
-    """sum_i tr(X_i X_i*) >= 0; equals r*n exactly on unitary tuples."""
+    """sum_i tr(X_i X_i*) >= 0; equals r*n on unitary tuples, up to rounding."""
     return float(functional_values(rho.matrices))
 
 
@@ -84,7 +91,7 @@ def residual_matrix(x) -> np.ndarray:
 def moment_residual(rho: RepTuple) -> MomentResidual:
     """M = sum_i (X_i X_i* - X_i* X_i), Hermitian and traceless."""
     m = residual_matrix(rho.matrices)
-    return MomentResidual(M=m, norm=frob(m))
+    return MomentResidual(M=m, norm=float(np.sqrt(_sum_squares(m, 2))))
 
 
 @lru_cache(maxsize=None)
@@ -197,12 +204,6 @@ def check_flow_params(max_iter: int = 0, tol: float = 0.0) -> None:
     check_tol(tol)
 
 
-def _sum_squares(a) -> np.ndarray:
-    """Sum of the squared real and imaginary parts of the entries of each a[i], a (m, ...)."""
-    v = np.ascontiguousarray(a).reshape(len(a), math.prod(a.shape[1:])).view(float)
-    return (v * v).sum(axis=1)
-
-
 def _halvings(q, gap, delta) -> tuple:
     """Per row, the first t of 1, 1/2, 1/4, ... (_MAX_HALVINGS trials) at which the
     decrement sum_jk Q_jk expm1(2t (w_j - w_k)) is negative, given ``delta`` at
@@ -248,8 +249,8 @@ def flow_matrices(x, max_iter: int = FLOW_MAX_ITER, tol: float = FLOW_TOL) -> tu
         raise ValueError(f"expected a stack of tuples (m, r, n, n), got shape {out.shape}")
     closed = [orbit_closed_matrices(a) for a in out]
     m_res = residual_matrix(out)
-    res = np.sqrt(_sum_squares(m_res))
-    p = _sum_squares(out)
+    res = np.sqrt(_sum_squares(m_res, 2))
+    p = functional_values(out)
     steps = [[FlowStep(0, a, b, 0.0)] for a, b in zip(p.tolist(), res.tolist())]
     rows = np.flatnonzero(res > tol) if max_iter else np.arange(0)
     xs = out  # the live rows; each step makes a new array, so nothing writes to out through xs
@@ -277,7 +278,7 @@ def flow_matrices(x, max_iter: int = FLOW_MAX_ITER, tol: float = FLOW_TOL) -> tu
             xs = u @ (ys * scale[:, None]) @ uh
             p = p + delta
             m_res = residual_matrix(xs)
-            res = np.sqrt(_sum_squares(m_res)).tolist()
+            res = np.sqrt(_sum_squares(m_res, 2)).tolist()
             for row, a, b, c in zip(rows.tolist(), p.tolist(), res, t):
                 steps[row].append(FlowStep(it, a, b, c))
             live = [b > tol and it < max_iter for b in res]

@@ -73,11 +73,6 @@ def retract_path(x, ts) -> list:
     ]
 
 
-def retract_matrices(x, t: float) -> np.ndarray:
-    """``retract_path`` at one t."""
-    return retract_path(x, (t,))[0]
-
-
 def _retract_tuples(rho: RepTuple, ts) -> list:
     """The tuples of ``retract_path`` at each t; at t = 1 an SL tuple becomes SU(n)-valued."""
     at_one = GroupDescriptor("SU", rho.n) if rho.descriptor.family == "SL" else rho.descriptor

@@ -290,41 +290,34 @@ def verify_minors(samples: int, rng: np.random.Generator) -> tuple[bool, dict, d
 
 def _fd_worst(rng) -> float:
     """Central-difference directional derivatives of the functional against
-    2 Re tr(H M): the largest relative error.  Per sample, n, an SL pair's
-    normals, then H's; mapped and evaluated as one stack per n."""
+    2 Re tr(H M): the largest relative error over 50 samples per n, each an
+    SL pair and a direction H.  Per n, one block of the pairs' normals, then
+    one of the H's."""
     h = 1e-5
     worst = 0.0
-    sls, hs = {2: [], 3: []}, {2: [], 3: []}
-    for _ in range(100):
-        n = 2 if rng.uniform() < 0.5 else 3
-        sls[n].append(rng.standard_normal((2, 2, 2, n, n)))
-        hs[n].append(rng.standard_normal((2, n, n)))
     for n in (2, 3):
-        if sls[n]:
-            x = in_group(sl_from_normals(np.array(sls[n])), sl(n))
-            H = hermitian_from_normals(np.array(hs[n]))
-            e_plus, e_minus = exp_herm(H, h)[:, None], exp_herm(H, -h)[:, None]
-            fd = functional_values(in_group(e_plus @ x @ e_minus, sl(n)))
-            fd = (fd - functional_values(in_group(e_minus @ x @ e_plus, sl(n)))) / (2.0 * h)
-            exact = 2.0 * np.trace(H @ residual_matrix(x), axis1=-2, axis2=-1).real
-            worst = max(worst, float(np.max(abs(fd - exact) / np.maximum(abs(exact), 1e-12))))
+        x = in_group(sl_from_normals(rng.standard_normal((50, 2, 2, 2, n, n))), sl(n))
+        H = hermitian_from_normals(rng.standard_normal((50, 2, n, n)))
+        e_plus, e_minus = exp_herm(H, h)[:, None], exp_herm(H, -h)[:, None]
+        fd = functional_values(in_group(e_plus @ x @ e_minus, sl(n)))
+        fd = (fd - functional_values(in_group(e_minus @ x @ e_plus, sl(n)))) / (2.0 * h)
+        exact = 2.0 * np.trace(H @ residual_matrix(x), axis1=-2, axis2=-1).real
+        worst = max(worst, float(np.max(abs(fd - exact) / np.maximum(abs(exact), 1e-12))))
     return worst
 
 
 def _flow_checks(flows: int, rng) -> tuple:
     """Flows from conjugated-unitary pairs g k g^-1: the largest functional gap
-    to 2n, the largest trace-word drift and the count not converged.  Per flow,
-    g's normals, then k's, n alternating; one flow_matrices call per n."""
-    gs, ks = {2: [], 3: []}, {2: [], 3: []}
-    for i in range(flows):
-        n = (2, 3)[i % 2]
-        gs[n].append(rng.standard_normal((2, 2, n, n)))
-        ks[n].append(rng.standard_normal((2, 2, n, n)))
+    to 2n, the largest trace-word drift and the count not converged.  Flow i
+    has n = 2 for even i and n = 3 for odd i; per n, one block of the g's
+    normals, then one of the k's, and one flow_matrices call."""
     worst_p = worst_word = 0.0
     not_converged = 0
-    for n in (2, 3):
-        g = sl_from_normals(np.array(gs[n]))
-        x = in_group(g[:, None] @ haar_from_normals(np.array(ks[n])) @ np.linalg.inv(g)[:, None], sl(n))
+    for j, n in enumerate((2, 3)):
+        count = len(range(j, flows, 2))
+        g = sl_from_normals(rng.standard_normal((count, 2, 2, n, n)))
+        k = haar_from_normals(rng.standard_normal((count, 2, 2, n, n)))
+        x = in_group(g[:, None] @ k @ np.linalg.inv(g)[:, None], sl(n))
         out, traces = flow_matrices(x)
         for trace in traces:
             not_converged += not trace.converged
@@ -335,16 +328,12 @@ def _flow_checks(flows: int, rng) -> tuple:
 
 
 def verify_kempf_ness(samples: int, rng: np.random.Generator) -> tuple[bool, dict, dict]:
-    # K-points are critical.  Sample i draws case i % 3 as Haar (r, 2, n, n)
-    # normals; the cycles are one block, zero-padded after a partial last cycle.
-    cases = ((2, 2), (2, 3), (3, 2))
-    edges = np.cumsum([0] + [2 * r * n * n for n, r in cases])  # 0, 16, 40, 76 normals
-    z = rng.standard_normal(samples // 3 * edges[-1] + edges[samples % 3])
-    z = np.pad(z, (0, edges[-1] - edges[samples % 3])).reshape(-1, edges[-1])
+    # K-points are critical.  Sample i has case i % 3; per case, one block of
+    # Haar (r, 2, n, n) normals.
     worst_res = 0.0
-    for j, (n, r) in enumerate(cases):
-        block = z[: len(range(j, samples, 3)), edges[j] : edges[j + 1]]
-        m = residual_matrix(in_group(haar_from_normals(block.reshape(-1, r, 2, n, n)), su(n)))
+    for j, (n, r) in enumerate(((2, 2), (2, 3), (3, 2))):
+        z = rng.standard_normal((len(range(j, samples, 3)), r, 2, n, n))
+        m = residual_matrix(in_group(haar_from_normals(z), su(n)))
         worst_res = max(worst_res, _max_frob(m))
     worst_fd = _fd_worst(rng)
     flows = max(10, samples // 100)

@@ -17,6 +17,7 @@ from charvar.invariants import (
     pq_from_traces,
     relation_residual,
     rst,
+    sigma3,
     su2_a_coords,
     su2_commutator_re,
     su2_rank2_coords,
@@ -35,6 +36,7 @@ from charvar.invariants import (
     word_traces,
 )
 from charvar.linalg import haar_su
+from charvar.semialgebraic import in_su2_rank3_image
 from charvar.verify import canonical_su3_example, random_sl3
 
 I2 = np.eye(2, dtype=complex)
@@ -469,6 +471,32 @@ def test_gram_matrix_exact():
     gens = (*a, *b, *c, *d)
     for residuals in (r - v * v.T, [r.det() - v.det() ** 2]):
         assert all(sp.reduced(sp.expand(e), norms, *gens)[1] == 0 for e in residuals)
+
+
+def test_pair_sigmas_and_fricke_rhs_exact():
+    """Symbolically, a pair's 2x2 Gram minor is its sigma,
+    (1 - a_j^2)(1 - a_k^2) - (a_jk - a_j a_k)^2 = sigma(a_j, a_k, a_jk), and
+    the classical Fricke side 2(a1^2 + a2^2 + a3^2) - 4 a1 a2 a3 - 1 is
+    fricke_rhs = 1 - 2 sigma."""
+    sp = pytest.importorskip("sympy")
+
+    a1, a2, a12 = sp.symbols("a1 a2 a12", real=True)
+    # The library's float constants 1.0 and 2.0 are read back exactly by nsimplify.
+    minor = (1 - a1**2) * (1 - a2**2) - (a12 - a1 * a2) ** 2
+    assert sp.expand(minor - sp.nsimplify(sigma3(a1, a2, a12))) == 0
+    classical = 2 * (a1**2 + a2**2 + a12**2) - 4 * a1 * a2 * a12 - 1
+    assert sp.expand(classical - sp.nsimplify(fricke_rhs(a1, a2, a12))) == 0
+
+
+def test_rank3_record_sigmas_are_the_verdict_margins():
+    # One formula for sigma: invariant_record's s12, s13, s23 are the sigma
+    # margins of the rank-3 image verdict, bit for bit.
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        rho = sample_tuple(su(2), 3, rng)
+        rec = invariant_record(rho)
+        margins = in_su2_rank3_image(su2_rank3_coords(rho)).margins
+        assert [rec[f"s{p}"] for p in ("12", "13", "23")] == [margins[f"sigma_{p}"] for p in ("12", "13", "23")]
 
 
 def test_minors_relation_exact():

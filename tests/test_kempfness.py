@@ -19,6 +19,7 @@ from charvar.kempfness import (
     _newton_direction,
     composite_retraction,
     flow_matrices,
+    functional_values,
     kn_flow,
     kn_functional,
     moment_residual,
@@ -68,6 +69,19 @@ def test_stacked_residual_equals_moment_residual():
         m = residual_matrix(np.array([rho.matrices for rho in tuples]))
         for i, rho in enumerate(tuples):
             assert np.array_equal(m[i], moment_residual(rho).M)
+
+
+def test_functional_and_residual_are_the_flows_first_row():
+    # One formula each for p and |M|_F: the one-tuple values are the stacked
+    # functional and the flow's iteration-0 row, bit for bit.
+    rng = np.random.default_rng(14)
+    for d, r in ((su(2), 3), (sl(2), 2), (sl(3), 2), (sl(4), 3)):
+        tuples = [sample_tuple(d, r, rng) for _ in range(25)]
+        p = functional_values(np.array([rho.matrices for rho in tuples]))
+        for i, rho in enumerate(tuples):
+            _, trace = kn_flow(rho, max_iter=0)
+            assert kn_functional(rho) == p[i] == trace.steps[0].p
+            assert moment_residual(rho).norm == trace.steps[0].residual
 
 
 def test_moment_residual_directional_derivative():

@@ -25,6 +25,7 @@ from charvar.reconstruct import (
     su2_rank3_lift,
     unitary_conjugacy,
 )
+from charvar.semialgebraic import su2_rank3_margins
 from charvar.verify import coplanar_su2_triples, sample_admissible_rank2
 
 QI = np.diag([1j, -1j])
@@ -325,6 +326,57 @@ def test_rank3_lift_property_at_every_rank(triple):
         # The imaginary parts (b, c, d) of sheet s have triple product of sign -s.
         im = np.stack([x[:, :, 0, 0].imag, x[:, :, 0, 1].real, x[:, :, 0, 1].imag], axis=-1)
         assert np.sign(np.linalg.det(im)).tolist() == [-1.0, 1.0]
+
+
+def _sigma_stratum_triple(sigma, pair, coplanar, seed):
+    """An SU(2) triple whose pair ``pair`` (0, 1, 2 for 12, 13, 23) has sigma
+    ``sigma`` in exact arithmetic, in a random frame.  sigma = 0: the pair
+    shares an axis u; sigma = 1: the pair is two orthogonal pure quaternions
+    u, w.  The third factor lies in their span (on the axis u for sigma = 0)
+    when ``coplanar``, else at least 0.1 rad off it."""
+    rng = np.random.default_rng(seed)
+    u, w, normal = np.linalg.qr(rng.standard_normal((3, 3)))[0].T
+    if sigma == 0:
+        phi, axes = rng.uniform(0.2, np.pi - 0.2, 2), [u, u]
+    else:
+        phi, axes = np.full(2, np.pi / 2), [u, w]
+    tilt = 0.0 if coplanar else rng.uniform(0.1, np.pi / 2)
+    beta = 0.0 if coplanar and sigma == 0 else rng.uniform(0.0, 2 * np.pi)
+    axes.append(np.cos(tilt) * (np.cos(beta) * u + np.sin(beta) * w) + np.sin(tilt) * normal)
+    phi = np.append(phi, rng.uniform(0.2, np.pi - 0.2))
+    a, v = np.cos(phi), np.sin(phi)[:, None] * np.array(axes)
+    if sigma == 1:
+        a[:2] = 0.0  # cos(pi/2) is 6e-17; pure quaternions have real part 0
+    x = quaternion_matrix(a, v[:, 0], v[:, 1], v[:, 2])
+    slots = ((0, 1, 2), (0, 2, 1), (1, 2, 0))[pair]  # the slots of the pinned pair and the third
+    return x[np.argsort(slots)]
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(
+    sigma=st.sampled_from([0, 1]),
+    pair=st.integers(0, 2),
+    coplanar=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rank3_lift_uniqueness_on_the_sigma_strata(sigma, pair, coplanar, seed):
+    # On sigma_jk = 0 (a commuting pair) the imaginary parts are coplanar and
+    # the lift is unique; on sigma_jk = 1 it is unique iff the third factor
+    # lies in the pair's plane.  The lift reads the same s as the verdict.
+    tol = 1e-9
+    c = su2_a_coords(_sigma_stratum_triple(sigma, pair, coplanar, seed))
+    _, s, det, t123 = gram(c)
+    shared = su2_rank3_margins(c, det)[6:9]
+    assert np.array_equal(s, shared)
+    assert abs(s[pair] - sigma) <= 1e-12
+    assert (su2_rank3_margins(c, det) >= -tol).all()
+    x, _, unique = rank3_lift_matrices(c[None], tol)
+    assert bool(unique[0]) == bool(abs(t123) <= tol or shared.max() <= tol)
+    assert bool(unique[0]) == (sigma == 0 or coplanar)
+    if sigma == 0 and coplanar:
+        assert shared.max() <= tol  # one torus: every pair commutes
+    for sheet in x[0]:
+        assert np.abs(su2_a_coords(sheet) - c).max() < 1e-12
 
 
 def test_rank3_lift_rejects_outside():

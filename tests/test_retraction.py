@@ -10,7 +10,6 @@ from charvar.retraction import (
     abelian_retract,
     phi,
     phi_path,
-    retract_matrices,
     retract_path,
     retract_tuple,
     retraction_path,
@@ -92,7 +91,7 @@ def test_stacked_retraction_equals_retract_tuple():
         tuples = [sample_tuple(d, 2, rng) for _ in range(20)]
         x = np.array([rho.matrices for rho in tuples])
         for t in TS:
-            got = retract_matrices(x, t)
+            got = retract_path(x, (t,))[0]
             for i, rho in enumerate(tuples):
                 assert np.array_equal(got[i], retract_tuple(rho, t).matrices)
 
@@ -135,7 +134,7 @@ def test_retract_raises_singular_only_at_working_precision():
         with pytest.raises(Singular):
             retract_tuple(rho, t)
         with pytest.raises(Singular):
-            retract_matrices(rho.matrices, t)
+            retract_path(rho.matrices, (t,))
 
 
 def _conditioned_stack(n, r, log_cond, seed):
@@ -188,7 +187,7 @@ def test_retract_path_equals_each_t_alone(x, ts, su_stack):
     assert [m.shape for m in path] == [x.shape] * len(ts)
     u, s, vh = np.linalg.svd(x)
     for t, m in zip(ts, path):
-        assert np.array_equal(m, retract_matrices(x, t))
+        assert np.array_equal(m, retract_path(x, (t,))[0])
         if t == 0.0:
             assert np.array_equal(m, x) and not np.shares_memory(m, x)
         else:

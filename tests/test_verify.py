@@ -3,9 +3,9 @@ import pytest
 
 import charvar.groups
 import charvar.verify
-from charvar.groups import RepTuple, random_traceless_hermitian, sample_tuple, sl
-from charvar.kempfness import kn_functional, moment_residual
-from charvar.linalg import exp_herm, haar_su
+from charvar.groups import RepTuple, hermitian_from_normals, random_traceless_hermitian, sl, sl_from_normals, su
+from charvar.kempfness import kn_flow, kn_functional, moment_residual
+from charvar.linalg import exp_herm, haar_from_normals, haar_su
 from charvar.verify import SIZED, SUITES, random_sl3, run_suite
 
 
@@ -162,31 +162,39 @@ def test_retraction_draws_the_per_sample_stream(samples):
 
 @pytest.mark.parametrize("samples", [1, 7, 200])
 def test_kempf_ness_draws_the_per_sample_stream(samples):
-    # The residual samples (case i % 3), then the finite-difference loop one
-    # sample at a time, then each flow's g and Haar tuple, n alternating.
+    # The suite's blocks, replayed one sample at a time through the one-tuple
+    # API: per case the Haar residual tuples; per n the 50 finite-difference
+    # SL pairs, then their directions; per n the flows' g, then their Haar pairs.
     rng1, rng2 = np.random.default_rng(samples), np.random.default_rng(samples)
     passed, checks, _ = SUITES["kempf-ness"][0](samples, rng1)
     assert passed
-    for i in range(samples):
-        n, r = ((2, 2), (2, 3), (3, 2))[i % 3]
-        haar_su(n, rng2, r)
+    worst_res = 0.0
+    for j, (n, r) in enumerate(((2, 2), (2, 3), (3, 2))):
+        for z in rng2.standard_normal((len(range(j, samples, 3)), r, 2, n, n)):
+            worst_res = max(worst_res, moment_residual(RepTuple(su(n), haar_from_normals(z))).norm)
+    assert checks["max_unitary_residual"] == pytest.approx(worst_res, rel=1e-12)
     h = 1e-5
     worst_fd = 0.0
-    for _ in range(100):
-        n = 2 if rng2.uniform() < 0.5 else 3
-        rho = sample_tuple(sl(n), 2, rng2)
-        H = random_traceless_hermitian(n, rng2)
-        M = moment_residual(rho).M
-        e_plus, e_minus = exp_herm(H, h), exp_herm(H, -h)
-        p_fwd = kn_functional(RepTuple(sl(n), e_plus @ rho.matrices @ e_minus))
-        p_bwd = kn_functional(RepTuple(sl(n), e_minus @ rho.matrices @ e_plus))
-        exact = 2.0 * np.trace(H @ M).real
-        worst_fd = max(worst_fd, float(abs((p_fwd - p_bwd) / (2.0 * h) - exact) / max(abs(exact), 1e-12)))
+    for n in (2, 3):
+        pairs, directions = rng2.standard_normal((50, 2, 2, 2, n, n)), rng2.standard_normal((50, 2, n, n))
+        for z, w in zip(pairs, directions):
+            x, H = sl_from_normals(z), hermitian_from_normals(w)
+            e_plus, e_minus = exp_herm(H, h), exp_herm(H, -h)
+            p_fwd = kn_functional(RepTuple(sl(n), e_plus @ x @ e_minus))
+            p_bwd = kn_functional(RepTuple(sl(n), e_minus @ x @ e_plus))
+            exact = 2.0 * np.trace(H @ moment_residual(RepTuple(sl(n), x)).M).real
+            worst_fd = max(worst_fd, float(abs((p_fwd - p_bwd) / (2.0 * h) - exact) / max(abs(exact), 1e-12)))
     assert checks["max_fd_relative_error"] == worst_fd
-    for i in range(checks["flows"]):
-        n, r = ((2, 2), (3, 2))[i % 2]
-        sample_tuple(sl(n), 1, rng2)
-        haar_su(n, rng2, r)
+    worst_p = 0.0
+    for j, n in enumerate((2, 3)):
+        count = len(range(j, checks["flows"], 2))
+        gs, ks = rng2.standard_normal((count, 2, 2, n, n)), rng2.standard_normal((count, 2, 2, n, n))
+        for zg, zk in zip(gs, ks):
+            g = sl_from_normals(zg)
+            _, trace = kn_flow(RepTuple(sl(n), g @ haar_from_normals(zk) @ np.linalg.inv(g)))
+            assert trace.converged
+            worst_p = max(worst_p, abs(trace.steps[-1].p - 2 * n))
+    assert checks["max_functional_gap"] == worst_p
     assert rng1.standard_normal(3).tolist() == rng2.standard_normal(3).tolist()
 
 
