@@ -3,15 +3,16 @@
 The package's shared spectral primitives: Hermitian eigendecompositions,
 fractional powers of positive matrices, the polar (Cartan) decomposition,
 Hermitian matrix exponentials, spectral decompositions of unitary matrices,
-determinants of unitary matrices, and Haar sampling on SU(n).  Other
-modules call ``numpy.linalg`` directly for their own eigen- and
-singular-value problems (the flow's Newton steps and orbit-closedness test,
-the retraction's SVD, one per stack for every t of a path, the lifts' Gram
-matrices, the conjugacy test's QR and one stacked SVD with vectors, the
-alcove angles and the product chart), for inverses of SL(n,C) matrices, and
-for determinants of matrices that need not be unitary, which stay on LU
-(see ``unitary_det``): the SL group check, the retraction's normalisation,
-the Gram determinant and the random SL(3) draws.
+determinants of unitary matrices, and Haar sampling on SU(n): for n = 2 and
+3, n - 1 Gram-Schmidt columns and the determinant-1 completion, with no
+determinant and no n-th root.  Other modules call ``numpy.linalg`` directly
+for their own eigen- and singular-value problems (the flow's Newton steps
+and orbit-closedness test, the retraction's SVD, one per stack for every t
+of a path, the lifts' Gram matrices, the conjugacy test's QR and one stacked
+SVD with vectors, the alcove angles and the product chart), for inverses of
+SL(n,C) matrices, and for determinants of matrices that need not be unitary,
+which stay on LU (see ``unitary_det``): the SL group check, the retraction's
+normalisation, the Gram determinant and the random SL(3) draws.
 
 All functions are pure; randomness enters only through an explicitly passed
 ``numpy.random.Generator``.
@@ -170,18 +171,25 @@ def haar_from_normals(g) -> np.ndarray:
     """Haar SU(n) matrices, a pure map of normals g (..., 2, n, n) (real, imaginary part).
 
     The Q factor of the Ginibre matrix z = g_re + i g_im whose R has a real
-    positive diagonal (Mezzadri, arXiv:math-ph/0609050), then division by the
-    principal n-th root of the determinant.  Q is built by classical
-    Gram-Schmidt with one re-orthogonalisation pass (CGS2), one column at a
-    time over the whole stack; each matrix's bits do not depend on the stack
-    or its shape.
+    positive diagonal is Haar on U(n) (Mezzadri, arXiv:math-ph/0609050).  Q
+    is built by classical Gram-Schmidt with one re-orthogonalisation pass
+    (CGS2), one column at a time over the whole stack; each matrix's bits do
+    not depend on the stack or its shape.  For n = 2 and 3 only the first
+    n - 1 columns are built, and the last is the determinant-1 completion:
+    (-conj q1[1], conj q1[0]) for n = 2, conj(q1 x q2) for n = 3.  That is
+    Q diag(1, ..., conj det Q), a map that commutes with left multiplication
+    by SU(n), so it pushes Haar measure on U(n) to Haar measure on SU(n).
+    For n = 1 and n >= 4, Q is divided by the principal n-th root of its
+    determinant instead.
 
     Q does not change when z is scaled by a positive number, so each block is
     first scaled to largest entry 1, which keeps every norm clear of overflow.
     A column that the second pass halves lies in the span of the earlier ones
     to working precision; such a column, and one of norm below 1e-150 (a zero
     column), is replaced by the basis vector e_k farthest from that span.  So
-    every finite block maps to a unitary matrix, and the zero block to I.
+    every finite block maps to a unitary matrix, and the zero block to I;
+    for n = 2 and 3 this holds for the built columns, and the completion
+    follows them.
     """
     g = np.asarray(g, dtype=float)
     *lead, _, n, _ = g.shape
@@ -190,7 +198,8 @@ def haar_from_normals(g) -> np.ndarray:
     z = (g[:, 0] + 1j * g[:, 1]) * (1.0 / np.where(scale > 0, scale, 1.0))[:, None, None]
     zt = np.swapaxes(z, -1, -2)  # row j is column j of z
     qt = np.empty_like(zt)
-    for j in range(n):
+    complete = 2 <= n <= 3
+    for j in range(n - 1 if complete else n):
         b, v, floor = qt[:, :j], zt[:, j], _SMALL
         if j:
             first = _gs_pass(v, b)
@@ -205,6 +214,16 @@ def haar_from_normals(g) -> np.ndarray:
             v[lost] = _gs_pass(_gs_pass(e, bl), bl)
             norm[lost] = np.linalg.norm(v[lost], axis=-1)
         qt[:, j] = v / norm[:, None]
+    if complete:
+        # The determinant-1 column, conj of (-a[1], a[0]) for n = 2 and of
+        # the cross product a x b for n = 3, entry by entry over the stack.
+        a, b = qt[:, 0], qt[:, 1]
+        if n == 2:
+            qt[:, 1] = np.stack([-a[:, 1], a[:, 0]], axis=-1).conj()
+        else:
+            k1, k2 = [1, 2, 0], [2, 0, 1]
+            qt[:, 2] = (a[:, k1] * b[:, k2] - a[:, k2] * b[:, k1]).conj()
+        return np.swapaxes(qt, -1, -2).reshape(*lead, n, n)
     q = np.swapaxes(qt, -1, -2)
     return (q * np.exp(-1j * np.angle(unitary_det(q)) / n)[:, None, None]).reshape(*lead, n, n)
 

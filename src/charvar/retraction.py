@@ -43,7 +43,11 @@ def phi_path(g, ts, tol: float = DEFAULT_TOL) -> list:
     is a copy of g.  ``g`` may be a stack (..., n, n); singular means as
     ``check_invertible`` decides, scale-free.
     """
-    ts = _check_times(ts)
+    return _phi_checked(g, _check_times(ts), tol)
+
+
+def _phi_checked(g, ts: list, tol: float) -> list:
+    """``phi_path`` for a list ``ts`` that ``_check_times`` has already checked."""
     g = cmat(g)
     u, s, vh = np.linalg.svd(g)
     check_invertible(s, tol)
@@ -65,24 +69,29 @@ def retract_path(x, ts) -> list:
     the identity, so at t = 0 the stack comes back unchanged.  A
     determinant-1 matrix is invertible, so Singular is raised only where it
     is singular to working precision (s_min <= eps * s_max)."""
-    ts = _check_times(ts)
+    return _retract_checked(x, _check_times(ts))
+
+
+def _retract_checked(x, ts: list) -> list:
+    """``retract_path`` for a list ``ts`` that ``_check_times`` has already checked."""
     n = np.shape(x)[-1]
     return [
         m if t == 0.0 else m / np.linalg.det(m)[..., None, None] ** (1.0 / n)
-        for t, m in zip(ts, phi_path(x, ts, _EPS))
+        for t, m in zip(ts, _phi_checked(x, ts, _EPS))
     ]
 
 
-def _retract_tuples(rho: RepTuple, ts) -> list:
-    """The tuples of ``retract_path`` at each t; at t = 1 an SL tuple becomes SU(n)-valued."""
+def _retract_tuples(rho: RepTuple, ts: list) -> list:
+    """The tuples of ``retract_path`` at each t of the checked list ``ts``; at
+    t = 1 an SL tuple becomes SU(n)-valued."""
     at_one = GroupDescriptor("SU", rho.n) if rho.descriptor.family == "SL" else rho.descriptor
-    mats = retract_path(rho.matrices, ts)
+    mats = _retract_checked(rho.matrices, ts)
     return [RepTuple(at_one if t == 1.0 else rho.descriptor, m) for t, m in zip(ts, mats)]
 
 
 def retract_tuple(rho: RepTuple, t: float) -> RepTuple:
     """Componentwise phi_t (``retract_path``); at t=1 the result is SU(n)-valued."""
-    return _retract_tuples(rho, (t,))[0]
+    return _retract_tuples(rho, _check_times((t,)))[0]
 
 
 @dataclass(frozen=True)

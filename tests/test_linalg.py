@@ -171,14 +171,6 @@ def test_haar_su_validity_and_determinism():
         assert abs(np.linalg.det(m1) - 1) < 1e-12
 
 
-def test_haar_su2_trace_second_moment():
-    # Weyl integration: tr = 2 cos(theta) with density (2/pi) sin^2,
-    # so E[(tr)^2] = 1.
-    rng = np.random.default_rng(9)
-    tr = np.trace(haar_su(2, rng, 100_000), axis1=1, axis2=2).real
-    assert abs(np.mean(tr**2) - 1.0) < 0.02
-
-
 def test_haar_su_batch_matches_single_draws():
     for n in (1, 2, 3, 4):
         rng_batch = np.random.default_rng(20 + n)
@@ -218,12 +210,17 @@ def test_check_tol():
 
 
 def _mezzadri_oracle(g):
-    """Haar SU(n) by numpy's QR: R's diagonal made positive, then the det phase removed."""
+    """Haar SU(n) by numpy's QR with R's diagonal made positive: for n <= 3 the
+    last column times conj(det Q), for n >= 4 Q divided by the n-th root of det Q."""
     z = (g[..., 0, :, :] + 1j * g[..., 1, :, :]) / np.sqrt(2.0)
+    n = z.shape[-1]
     q, r = np.linalg.qr(z)
     d = np.diagonal(r, axis1=-2, axis2=-1)
     q = q * (d / np.abs(d))[..., None, :]
-    return q * np.exp(-1j * np.angle(np.linalg.det(q)) / z.shape[-1])[..., None, None]
+    if n <= 3:
+        q[..., -1] *= np.conj(np.linalg.det(q))[..., None]
+        return q
+    return q * np.exp(-1j * np.angle(np.linalg.det(q)) / n)[..., None, None]
 
 
 def _unitary_defect(q):
@@ -239,14 +236,47 @@ def test_haar_from_normals_matches_the_qr_oracle():
         assert np.abs(q - _mezzadri_oracle(g)).max() < 1e-12
         assert _unitary_defect(q) < 1e-14
         assert np.abs(np.linalg.det(q) - 1.0).max() < 1e-14
-        # Q* z is R up to the det phase: upper triangular, its diagonal real
-        # and positive once that one common phase is divided out.
+        # Q* z is R up to a phase: upper triangular in every case.  For
+        # n <= 3 only the last column was rephased, so the first n - 1 diagonal
+        # entries are real and positive; for n >= 4 the whole diagonal is, once
+        # the one common det phase is divided out.
         z = g[:, 0] + 1j * g[:, 1]
         r = np.conj(np.swapaxes(q, -1, -2)) @ z
         assert np.abs(np.tril(r, -1)).max(initial=0.0) < 1e-13
         d = np.diagonal(r, axis1=-2, axis2=-1)
-        d = d * np.exp(-1j * np.angle(d[:, :1]))
-        assert np.abs(d.imag).max() < 1e-13 and d.real.min() > 0.0
+        if n <= 3:
+            d = d[:, : n - 1]
+        else:
+            d = d * np.exp(-1j * np.angle(d[:, :1]))
+        assert np.abs(d.imag).max(initial=0.0) < 1e-13 and d.real.min(initial=np.inf) > 0.0
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_haar_from_normals_is_left_equivariant(n):
+    # The normals of U z map to U times the map of z's normals, for U in SU(n):
+    # the Q of U z is U Q, and the completion keeps det(U Q) = det Q.
+    rng = np.random.default_rng(43 + n)
+    g = rng.standard_normal((100, 2, n, n))
+    u = haar_su(n, rng, 100)
+    uz = u @ (g[:, 0] + 1j * g[:, 1])
+    got = haar_from_normals(np.stack([uz.real, uz.imag], axis=1))
+    assert np.abs(got - u @ haar_from_normals(g)).max() < 1e-13
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_haar_su_trace_moments(n):
+    # Haar SU(n), n >= 2: E|tr|^2 = 1 and E|tr|^4 = 2; E tr^3 is 0 on SU(2)
+    # and 1 on SU(3), where tr^3 of the standard representation holds det.
+    # Each bound is 5 standard errors sqrt(var / count), with the variances
+    # from the same moment counts: var|tr|^2 = 2 - 1, var|tr|^4 = E|tr|^8 - 4
+    # (14 on SU(2), 23 on SU(3)), and E|tr^3 - E tr^3|^2 = E|tr|^6 - |E tr^3|^2
+    # (5 on SU(2), 6 - 1 on SU(3)).
+    count = 200_000
+    tr = np.trace(haar_su(n, np.random.default_rng(60 + n), count), axis1=1, axis2=2)
+    a2 = np.abs(tr) ** 2
+    var4 = {2: 14.0, 3: 23.0}[n] - 4.0
+    for got, want, var in ((a2.mean(), 1.0, 1.0), ((a2**2).mean(), 2.0, var4), ((tr**3).mean(), n - 2.0, 5.0)):
+        assert abs(got - want) < 5.0 * np.sqrt(var / count)
 
 
 def test_haar_from_normals_on_a_badly_conditioned_block():
