@@ -10,6 +10,12 @@ geodesic Newton steps rho <- e^{tA} rho e^{-tA}, which stay inside the
 conjugation orbit and drive rho to the Kempf-Ness set, or toward the orbit
 closure when the orbit is not closed.
 
+One commutator product per iterate gives the Hessian, the gradient and the
+residual norm: the commutators [E_k, X_i] with a Frobenius-orthonormal basis
+E_k of the Hermitian matrices form the Hessian, and tr(E_k M) =
+sum_i Re <[E_k, X_i], X_i>, so the same commutators give the gradient's
+coordinates h_k and |M|_F = |h|_2, M being Hermitian.
+
 Whether the orbit is closed is decided algebraically, not read off the flow:
 the orbit of rho under simultaneous conjugation is closed iff rho is
 semisimple (Artin 1969), iff the algebra the X_i generate is semisimple, iff
@@ -63,16 +69,12 @@ class MomentResidual:
     norm: float
 
 
-def _sum_squares(a, k: int) -> np.ndarray:
-    """Sum of the squared real and imaginary parts of the entries over the last k axes of a."""
-    a = np.ascontiguousarray(a, dtype=complex)
-    v = a.reshape(*a.shape[:-k], math.prod(a.shape[-k:])).view(float)
-    return (v * v).sum(axis=-1)
-
-
 def functional_values(x) -> np.ndarray:
-    """sum_i tr(X_i X_i*) = sum_i |X_i|_F^2 of stacked tuples x (..., r, n, n)."""
-    return _sum_squares(x, 3)
+    """sum_i tr(X_i X_i*) = sum_i |X_i|_F^2 of stacked tuples x (..., r, n, n):
+    the sum of the squared real and imaginary parts of the entries."""
+    x = np.ascontiguousarray(x, dtype=complex)
+    v = x.reshape(*x.shape[:-3], math.prod(x.shape[-3:])).view(float)
+    return (v * v).sum(axis=-1)
 
 
 def kn_functional(rho: RepTuple) -> float:
@@ -89,9 +91,10 @@ def residual_matrix(x) -> np.ndarray:
 
 
 def moment_residual(rho: RepTuple) -> MomentResidual:
-    """M = sum_i (X_i X_i* - X_i* X_i), Hermitian and traceless."""
-    m = residual_matrix(rho.matrices)
-    return MomentResidual(M=m, norm=float(np.sqrt(_sum_squares(m, 2))))
+    """M = sum_i (X_i X_i* - X_i* X_i), Hermitian and traceless, and |M|_F read
+    off the commutators as the flow reads it (``_residual_norm``)."""
+    _, h = _commutators(rho.matrices)
+    return MomentResidual(M=residual_matrix(rho.matrices), norm=float(_residual_norm(h)))
 
 
 @lru_cache(maxsize=None)
@@ -128,52 +131,84 @@ def _basis_factors(n: int):
     return out
 
 
-def _newton_direction(x: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """The Hermitian A minimising the second-order model of A -> p(e^A x e^-A) at A = 0.
+def _commutators(x) -> tuple:
+    """The commutators [E_k, X_i] of stacked tuples x (..., r, n, n) and h_k = tr(E_k M).
 
-    In the basis E_k the gradient is g_k = 2 tr(E_k M) and the Hessian is
-    4 Re <[E_k, X_i], [E_l, X_i]> summed over i, so A = -sum_k (H^+ g)_k E_k.
-    The identity and the tuple's stabiliser span the Hessian's null space and
-    the gradient is orthogonal to them; eigenvalues below _PINV_RCOND of the
-    largest are dropped.  Both are formed in real arithmetic on float views
-    (tr(E_k M) = Re <E_k, M> as M is Hermitian), with the factors 2 and 4
-    folded into one -1/2.  Broadcasts over stacks x (..., r, n, n), m (..., n, n).
+    comm (..., n^2, 2 r n^2) is real: row k holds the float views of
+    [E_k, X_i] over i.  As the E_k are Hermitian, Re <[E_k, X_i], X_i> =
+    tr(E_k [X_i, X_i*]), so h = comm @ (the float view of x) gives
+    h (..., n^2), the coordinates of M in the orthonormal basis E_k.
     """
+    x = np.ascontiguousarray(x, dtype=complex)
     *lead, r, n, _ = x.shape
-    rows, cols, flat = _basis_factors(n)
+    rows, cols, _ = _basis_factors(n)
     ex = (rows @ x).reshape(*lead, r, n * n, n, n)
     xe = (x @ cols).reshape(*lead, r, n, n * n, n).swapaxes(-3, -2)
-    comm = (ex - xe).swapaxes(-4, -3).reshape(*lead, n * n, -1).view(float)  # row k: [E_k, X_i] over i
+    comm = (ex - xe).swapaxes(-4, -3).reshape(*lead, n * n, r * n * n).view(float)
+    h = (comm @ x.reshape(*lead, r * n * n).view(float)[..., None])[..., 0]
+    return comm, h
+
+
+def _residual_norm(h) -> np.ndarray:
+    """|M|_F = |h|_2 over the last axis of h from ``_commutators``: M is Hermitian and the E_k orthonormal."""
+    return np.sqrt((h * h).sum(axis=-1))
+
+
+def _newton_direction(comm: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """The Hermitian A minimising the second-order model of A -> p(e^A x e^-A) at A = 0.
+
+    Takes the commutators and h = (tr(E_k M))_k of ``_commutators(x)``.  In the
+    basis E_k the gradient is g = 2h and the Hessian is
+    4 Re <[E_k, X_i], [E_l, X_i]> summed over i, four times comm comm^T, so
+    A = -sum_k (H^+ g)_k E_k.  The identity and the tuple's stabiliser span
+    the Hessian's null space and the gradient is orthogonal to them;
+    eigenvalues below _PINV_RCOND of the largest are dropped.  The factors 2
+    and 4 are folded into one -1/2.  Broadcasts over stacks comm
+    (..., n^2, 2 r n^2), h (..., n^2); returns A (..., n, n).
+    """
+    *lead, nn, _ = comm.shape
+    n = math.isqrt(nn)
     lam, v = np.linalg.eigh(comm @ comm.swapaxes(-1, -2))
     keep = lam > _PINV_RCOND * lam[..., -1:]
-    grad = -0.5 * (np.ascontiguousarray(m).reshape(*lead, 1, n * n).view(float) @ flat.T)
-    coef = ((grad @ v) / np.where(keep, lam, np.inf)[..., None, :]) @ v.swapaxes(-1, -2)
-    return (coef @ flat).view(complex).reshape(m.shape)
+    coef = ((-0.5 * h[..., None, :] @ v) / np.where(keep, lam, np.inf)[..., None, :]) @ v.swapaxes(-1, -2)
+    return (coef @ _basis_factors(n)[2]).view(complex).reshape(*lead, n, n)
+
+
+@lru_cache(maxsize=None)
+def _identity_complement(n: int) -> np.ndarray:
+    """Orthonormal rows (n^2 - 1, n^2) spanning the complement of I in the flattened n x n matrices, read-only."""
+    out = np.linalg.svd(np.eye(n).reshape(1, n * n))[2][1:].astype(complex)
+    out.setflags(write=False)
+    return out
 
 
 def orbit_closed_matrices(x) -> bool:
     """Whether the orbit of the tuple x (r, n, n) under simultaneous conjugation is closed.
 
     Grows an orthonormal basis of the algebra the X_i generate by closing {I}
-    under right multiplication by the X_i.  Each round multiplies the
-    directions found last round by every X_i in one stacked product, and one
-    SVD of their coordinates in an orthonormal basis of the span's complement
-    finds the new directions (singular values above _SPAN_TOL) and the
-    complement that is left, so at most n^2 rounds are made.  The full matrix
-    algebra is simple, so an irreducible tuple is closed as soon as the span
-    reaches n^2.  Otherwise the trace-form Gram matrix tr(B_a B_b) of the
-    basis is nondegenerate exactly on a semisimple algebra, and its smallest
-    and largest singular values are compared against _CLOSED_RATIO.
+    under right multiplication by the X_i.  The basis starts as I/sqrt(n),
+    with its orthonormal complement from ``_identity_complement``.  Each
+    round multiplies the directions found last round by every X_i in one
+    stacked product, and one SVD of their coordinates in an orthonormal
+    basis of the span's complement finds the new directions (singular values
+    above _SPAN_TOL) and the complement that is left, so at most n^2 - 1
+    rounds are made.  The full matrix algebra is simple, so an irreducible
+    tuple is closed as soon as the span reaches n^2.  Otherwise the
+    trace-form Gram matrix tr(B_a B_b) of the basis is nondegenerate exactly
+    on a semisimple algebra, and its smallest and largest singular values
+    are compared against _CLOSED_RATIO.
 
+    The floor scales with max |X_i| as every candidate does, being a unit
+    direction times an X_i; I/sqrt(n) is in the algebra whatever its size.
     In floating point a conjugate g rho g^-1 blurs the span at about
     cond(g)^2 * eps against true directions of about cond(g)^-2, which
     _SPAN_TOL ~ sqrt(eps) keeps apart up to cond(g) ~ 1e3.
     """
     n = x.shape[-1]
     floor = _SPAN_TOL * np.linalg.norm(x, axis=(1, 2)).max()
-    rest = np.eye(n * n, dtype=complex)  # orthonormal rows spanning the complement
-    found = []
-    cand = np.eye(n, dtype=complex).reshape(1, n * n)
+    rest = _identity_complement(n)  # orthonormal rows spanning the complement
+    found = [np.eye(n, dtype=complex).reshape(1, n * n) / math.sqrt(n)]
+    cand = (x / math.sqrt(n)).reshape(-1, n * n)
     while len(rest):
         _, s, vh = np.linalg.svd(cand @ dagger(rest))
         k = np.count_nonzero(s > floor)
@@ -222,11 +257,15 @@ def _halvings(q, gap, delta) -> tuple:
 def flow_matrices(x, max_iter: int = FLOW_MAX_ITER, tol: float = FLOW_TOL) -> tuple:
     """Geodesic Newton descent of the norm functional on a stack x (m, r, n, n).
 
-    Each iteration conjugates every live row by e^{tA}, A its Newton
-    direction (_newton_direction: one stacked ``eigh`` of the Hessians),
-    trying t = 1 and halving t per row (at most _MAX_HALVINGS trials) until
-    the functional decreases.  The step is applied in A's eigenbasis, where
-    it is the entrywise scaling Y_jk -> Y_jk e^{t (w_j - w_k)}, and the
+    One stacked commutator product per iterate (``_commutators``) gives
+    everything the next step needs: the stop test and each FlowStep's
+    residual read |M|_F = |h|_2 off it, and a live row's Newton direction
+    (``_newton_direction``: one stacked ``eigh`` of the Hessians) is formed
+    from the same commutators and h.  Each iteration conjugates every live
+    row by e^{tA}, A that direction, trying t = 1 and halving t per row (at
+    most _MAX_HALVINGS trials) until the functional decreases.  The step is
+    applied in A's eigenbasis, where it is the entrywise scaling
+    Y_jk -> Y_jk e^{t (w_j - w_k)}, and the
     decrement sum_jk Q_jk expm1(2t (w_j - w_k)), Q = sum_i |Y_i|^2, is
     evaluated exactly, so the accept/halve decision keeps its true sign even
     once the decrement is far below the resolution of the functional itself.
@@ -248,19 +287,19 @@ def flow_matrices(x, max_iter: int = FLOW_MAX_ITER, tol: float = FLOW_TOL) -> tu
     if out.ndim != 4:
         raise ValueError(f"expected a stack of tuples (m, r, n, n), got shape {out.shape}")
     closed = [orbit_closed_matrices(a) for a in out]
-    m_res = residual_matrix(out)
-    res = np.sqrt(_sum_squares(m_res, 2))
+    comm, h = _commutators(out)
+    res = _residual_norm(h)
     p = functional_values(out)
     steps = [[FlowStep(0, a, b, 0.0)] for a, b in zip(p.tolist(), res.tolist())]
     rows = np.flatnonzero(res > tol) if max_iter else np.arange(0)
     xs = out  # the live rows; each step makes a new array, so nothing writes to out through xs
     if len(rows) < len(out):
-        xs, p, m_res = out[rows], p[rows], m_res[rows]
+        xs, p, comm, h = out[rows], p[rows], comm[rows], h[rows]
     it = 0
     with np.errstate(over="ignore", invalid="ignore"):  # an overlong step reads inf/nan: halve
         while len(rows):
             it += 1
-            w, u = np.linalg.eigh(_newton_direction(xs, m_res))
+            w, u = np.linalg.eigh(_newton_direction(comm, h))
             gap = w[:, :, None] - w[:, None, :]
             u, uh = u[:, None], dagger(u)[:, None]
             ys = uh @ xs @ u
@@ -277,15 +316,15 @@ def flow_matrices(x, max_iter: int = FLOW_MAX_ITER, tol: float = FLOW_TOL) -> tu
                 t, scale = t.tolist(), np.exp(t[:, None, None] * gap)
             xs = u @ (ys * scale[:, None]) @ uh
             p = p + delta
-            m_res = residual_matrix(xs)
-            res = np.sqrt(_sum_squares(m_res, 2)).tolist()
+            comm, h = _commutators(xs)
+            res = _residual_norm(h).tolist()
             for row, a, b, c in zip(rows.tolist(), p.tolist(), res, t):
                 steps[row].append(FlowStep(it, a, b, c))
             live = [b > tol and it < max_iter for b in res]
             if not all(live):
                 stop = np.logical_not(live)
                 out[rows[stop]] = xs[stop]
-                rows, xs, p, m_res = (a[live] for a in (rows, xs, p, m_res))
+                rows, xs, p, comm, h = (a[live] for a in (rows, xs, p, comm, h))
     return out, [FlowTrace(tuple(s), bool(s[-1].residual <= tol and c), c) for s, c in zip(steps, closed)]
 
 

@@ -35,7 +35,7 @@ from .invariants import (
     u_from_traces,
     word_traces,
 )
-from .kempfness import _sum_squares, flow_matrices, functional_values, residual_matrix
+from .kempfness import _commutators, _residual_norm, flow_matrices, functional_values, residual_matrix
 from .poincare import baird_poly, surface_counterexample_polys
 from .reconstruct import conjugacy_decisions, rank2_lift_matrices, rank3_lift_matrices
 from .retraction import retract_path
@@ -333,8 +333,8 @@ def verify_kempf_ness(samples: int, rng: np.random.Generator) -> tuple[bool, dic
     worst_res = 0.0
     for j, (n, r) in enumerate(((2, 2), (2, 3), (3, 2))):
         z = rng.standard_normal((len(range(j, samples, 3)), r, 2, n, n))
-        m = residual_matrix(in_group(haar_from_normals(z), su(n)))
-        worst_res = max(worst_res, float(np.sqrt(_sum_squares(m, 2)).max(initial=0.0)))
+        _, h = _commutators(in_group(haar_from_normals(z), su(n)))
+        worst_res = max(worst_res, float(_residual_norm(h).max(initial=0.0)))
     worst_fd = _fd_worst(rng)
     flows = max(10, samples // 100)
     worst_p, worst_word, not_converged = _flow_checks(flows, rng)

@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 
 from charvar.cli import main
+from charvar.groups import tuple_from_json
+from charvar.kempfness import residual_matrix
+from charvar.linalg import frob
 
 
 def run_cli(capsys, *argv):
@@ -114,7 +117,19 @@ def test_flow_csv_and_json(capsys, tmp_path):
     obj = json.loads(out)
     assert obj["converged"] in (True, False)
     assert obj["orbit_closed"] is True  # a random SL(2) pair is irreducible
-    assert "tuple" in obj
+    out_m = tuple_from_json(obj["tuple"]).matrices
+    assert abs(obj["residual"] - frob(residual_matrix(out_m))) <= 1e-12
+
+
+@pytest.mark.parametrize("scale", [1e4, 1e8, 1e9])
+def test_flow_on_large_diagonal_pairs(capsys, monkeypatch, scale):
+    d = [[[scale, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0 / scale, 0.0]]]
+    text = json.dumps({"family": "SL", "n": 2, "r": 2, "matrices": [d, d]})
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out = run_cli(capsys, "flow")
+    obj = json.loads(out)
+    assert code == 0 and obj["converged"] is True and obj["orbit_closed"] is True
+    assert obj["iterations"] == 0 and obj["residual"] == 0.0
 
 
 def test_composite_records(capsys, tmp_path):

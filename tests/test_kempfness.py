@@ -16,7 +16,10 @@ from charvar.invariants import all_words, trace_word
 from charvar.kempfness import (
     FLOW_TOL,
     _MAX_HALVINGS,
+    _commutators,
+    _herm_basis,
     _newton_direction,
+    _residual_norm,
     composite_retraction,
     flow_matrices,
     functional_values,
@@ -24,6 +27,7 @@ from charvar.kempfness import (
     kn_functional,
     moment_residual,
     orbit_closed,
+    orbit_closed_matrices,
     residual_matrix,
 )
 from charvar.linalg import exp_herm, frob, haar_su
@@ -98,6 +102,57 @@ def test_moment_residual_directional_derivative():
         fd = (p_fwd - p_bwd) / (2 * h)
         exact = 2.0 * np.trace(H @ M).real
         assert abs(fd - exact) <= 1e-3 * max(abs(exact), 1e-9)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(n=st.integers(2, 5), r=st.integers(1, 3), count=st.integers(0, 4), seed=st.integers(0, 2**32 - 1))
+def test_commutators_give_the_residual(n, r, count, seed):
+    # One commutator product per iterate: its rows are the [E_k, X_i], h their
+    # pairing with x is tr(E_k M), and |h|_2 is |M|_F.
+    rng = np.random.default_rng(seed)
+    x = np.array([sample_tuple(sl(n), r, rng).matrices for _ in range(count)]).reshape(count, r, n, n)
+    comm, h = _commutators(x)
+    assert comm.shape == (count, n * n, 2 * r * n * n) and h.shape == (count, n * n)
+    e = _herm_basis(n)
+    m = residual_matrix(x)
+    for j in range(count):
+        scale = np.linalg.norm(x[j], axis=(1, 2)).max()
+        direct = np.array([(ek @ x[j] - x[j] @ ek).reshape(-1).view(float) for ek in e])
+        assert np.abs(comm[j] - direct).max() <= 1e-14 * scale
+        p = functional_values(x[j])  # the scale of M's rounding
+        assert np.abs(h[j] - np.trace(e @ m[j], axis1=1, axis2=2).real).max() <= 1e-12 * p
+        assert abs(_residual_norm(h[j]) - frob(m[j])) <= 1e-12 * p
+    assert _residual_norm(h).shape == (count,)
+    normal = np.array([np.diag([2.0, 0.5]), np.diag([3.0, 1.0 / 3.0])])
+    assert _residual_norm(_commutators(normal)[1]) == 0.0
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_commutator_identities_exact(n):
+    """For symbolic X and Hermitian M: tr(E_k [X, X*]) = Re <[E_k, X], X>, and
+    sum_k tr(E_k M)^2 = |M|_F^2 over the basis E_k of _herm_basis."""
+    sp = pytest.importorskip("sympy")
+    re, im = sp.symbols(f"a:{n * n}", real=True), sp.symbols(f"b:{n * n}", real=True)
+    x = sp.Matrix(n, n, [u + sp.I * v for u, v in zip(re, im)])
+    basis = []
+    for j in range(n):
+        basis.append(sp.zeros(n, n))
+        basis[-1][j, j] = 1
+        for k in range(j + 1, n):
+            sym, anti = sp.zeros(n, n), sp.zeros(n, n)
+            sym[j, k] = sym[k, j] = 1 / sp.sqrt(2)
+            anti[j, k], anti[k, j] = sp.I / sp.sqrt(2), -sp.I / sp.sqrt(2)
+            basis += [sym, anti]
+    assert np.abs(np.array([np.array(e.evalf(), dtype=complex) for e in basis]) - _herm_basis(n)).max() < 1e-15
+    for e in basis:
+        c = e * x - x * e
+        pairing = sum(sp.re(sp.conjugate(u) * v) for u, v in zip(c, x))  # Re <[E_k, X], X>
+        assert sp.expand((e * (x * x.H - x.H * x)).trace() - pairing) == 0
+    diag = sp.symbols(f"d:{n}", real=True)
+    off = sp.symbols(f"u:{n * n}", real=True), sp.symbols(f"v:{n * n}", real=True)
+    m = sp.Matrix(n, n, lambda a, b: diag[a] if a == b else off[0][a * n + b] + sp.I * off[1][a * n + b])
+    m = sp.Matrix(n, n, lambda a, b: m[a, b] if a <= b else sp.conjugate(m[b, a]))
+    assert sp.expand(sum((e * m).trace() ** 2 for e in basis) - (m * m.H).trace()) == 0
 
 
 def test_flow_su_input_already_critical():
@@ -284,6 +339,19 @@ def test_orbit_closed_false_on_non_closed_orbits():
             assert orbit_closed(rho) is False
 
 
+@pytest.mark.parametrize("scale", [1e4, 1e8, 1e9])
+def test_large_entries_keep_the_identity_in_the_span(scale):
+    # The span starts at I/sqrt(n): the floor scales with max |X_i|, and the
+    # unscaled identity once fell below it, leaving the span empty.
+    d = np.diag([scale, 1.0 / scale]).astype(complex)
+    out, trace = kn_flow(RepTuple(sl(2), (d, d)))
+    assert trace.orbit_closed is True and trace.converged is True
+    assert trace.steps[-1].iter == 0 and trace.steps[-1].residual == 0.0
+    assert np.array_equal(out[0], d)
+    shear = np.array([[1.0, scale], [0.0, 1.0]], dtype=complex)
+    assert orbit_closed_matrices(np.array([shear, np.eye(2)])) is False
+
+
 def test_orbit_closed_true_on_closed_orbits():
     rng = np.random.default_rng(21)
     assert orbit_closed(sample_tuple(su(3), 2, rng)) is True
@@ -330,7 +398,7 @@ def test_newton_direction_minimises_the_model():
     for n in (2, 3, 5):
         x = sample_tuple(sl(n), 2, rng).matrices
         m = moment_residual(RepTuple(sl(n), x)).M
-        a = _newton_direction(x, m)
+        a = _newton_direction(*_commutators(x))
         assert frob(a - a.conj().T) < 1e-12
         for _ in range(5):
             b = random_traceless_hermitian(n, rng)
@@ -362,7 +430,7 @@ def _reference_flow(x, max_iter=10_000, tol=FLOW_TOL):
     steps = []
     with np.errstate(over="ignore", invalid="ignore"):
         while frob(m) > tol and len(steps) < max_iter:
-            w, u = np.linalg.eigh(_newton_direction(x, m))
+            w, u = np.linalg.eigh(_newton_direction(*_commutators(x)))
             gap = w[:, None] - w[None, :]
             ys = u.conj().T @ x @ u
             q = (ys.real**2 + ys.imag**2).sum(axis=0)
