@@ -148,11 +148,6 @@ def sl_from_normals(g) -> np.ndarray:
     return haar_from_normals(g[..., 0, :, :, :]) @ exp_herm(hermitian_from_normals(g[..., 1, :, :, :]))
 
 
-def random_traceless_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Hermitian part of a complex Ginibre matrix, projected traceless."""
-    return hermitian_from_normals(rng.standard_normal((2, n, n)))
-
-
 def sample_tuple(d: GroupDescriptor, r: int, rng: np.random.Generator) -> RepTuple:
     """Random tuple, one normal draw: Haar factors for SU, Haar times exp(Hermitian) for SL."""
     if r < 1:

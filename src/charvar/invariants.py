@@ -210,11 +210,12 @@ def gram(c, tol: float = DEFAULT_TOL):
     return r, s, det, t123[()]
 
 
-def _product_traces(x1, x2, unitary: bool):
+def product_traces(x1, x2, unitary: bool):
     """(t3, t-3, t5, t-5) from X1X2 and X2X1 alone: X1^-1X2^-1 = (X2X1)^-1, so
     t-3 = tr (X2X1)^-1, t5 = tr(X1X2 (X2X1)^-1) and t-5 = tr(X2X1 (X1X2)^-1).
     A function of its own, so the four product stacks are freed before
-    ``su3_trace_coords`` forms the factors' inverses."""
+    ``su3_trace_coords`` forms the factors' inverses; ``classify_B`` reads
+    t5 from it alone."""
     x12, x21 = x1 @ x2, x2 @ x1
     x12i, x21i = _inverse(x12, unitary), _inverse(x21, unitary)
     return _tr(x12), _tr(x21i), _tr_prod(x12, x21i), _tr_prod(x21, x12i)
@@ -225,11 +226,11 @@ def su3_trace_coords(x, unitary: bool = True):
 
     t1 = tr X1, t2 = tr X2, t3 = tr X1X2, t4 = tr X1X2^-1,
     t5 = tr X1X2X1^-1X2^-1; t-k is the trace of the inverse word.  The only
-    products formed are X1X2 and X2X1 (``_product_traces``); t4 and t-4 are
+    products formed are X1X2 and X2X1 (``product_traces``); t4 and t-4 are
     read without forming theirs.
     """
     x1, x2 = x[..., 0, :, :], x[..., 1, :, :]
-    t3, t3i, t5, t5i = _product_traces(x1, x2, unitary)
+    t3, t3i, t5, t5i = product_traces(x1, x2, unitary)
     x1i, x2i = _inverse(x1, unitary), _inverse(x2, unitary)
     return np.stack(
         [_tr(x1), _tr(x1i), _tr(x2), _tr(x2i), t3, t3i, _tr_prod(x1, x2i), _tr_prod(x1i, x2), t5, t5i],
@@ -581,10 +582,8 @@ def invariant_record(rho: RepTuple, tol: float = DEFAULT_TOL) -> dict:
         return rec
     if (rho.r, rho.n) == (2, 3):
         t = su3_traces(rho)
-        record = pq(t, unitary=None)
-        rec = {**vars(t), **vars(u_coords(t, unitary=None))}
-        rec["P"], rec["Q"] = record.P, record.Q
-        rec["disc"] = su3_disc(record.P, record.Q)
-        rec["Delta"] = su3_delta(record.P, record.Q)
-        return rec
+        a = t.as_array()
+        # One realness decision for u, P and Q together: all floats or all complex.
+        *u, P, Q = _realify(np.concatenate([u_from_traces(a), pq_from_traces(a)]), None)
+        return {**vars(t), **vars(UCoords(*u)), "P": P, "Q": Q, "disc": su3_disc(P, Q), "Delta": su3_delta(P, Q)}
     return word_trace_table(rho, max_len=3)

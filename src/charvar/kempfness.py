@@ -239,19 +239,17 @@ def check_flow_params(max_iter: int = 0, tol: float = 0.0) -> None:
     check_tol(tol)
 
 
-def _halvings(q, gap, delta) -> tuple:
+def _step_lengths(q, gap) -> tuple:
     """Per row, the first t of 1, 1/2, 1/4, ... (_MAX_HALVINGS trials) at which the
-    decrement sum_jk Q_jk expm1(2t (w_j - w_k)) is negative, given ``delta`` at
-    t = 1, and that decrement; t is 0 on a row where every trial failed."""
+    decrement sum_jk Q_jk expm1(2t (w_j - w_k)) is negative, and that decrement;
+    t is 0, with the last trial's decrement, on a row where every trial failed."""
     t = np.ones(len(q))
-    pending = ~(delta < 0.0)
-    for _ in range(_MAX_HALVINGS - 1):
-        t = np.where(pending, 0.5 * t, t)
-        delta = np.where(pending, (q * np.expm1(2.0 * t[:, None, None] * gap)).sum(axis=(1, 2)), delta)
-        pending = ~(delta < 0.0)
-        if not pending.any():
-            break
-    return np.where(pending, 0.0, t), delta
+    for _ in range(_MAX_HALVINGS):
+        delta = (q * np.expm1(2.0 * t[:, None, None] * gap)).sum(axis=(1, 2))
+        if delta.max() < 0.0:  # a nan decrement reads as not negative
+            return t, delta
+        t = np.where(delta < 0.0, t, 0.5 * t)
+    return np.where(delta < 0.0, t, 0.0), delta
 
 
 def flow_matrices(x, max_iter: int = FLOW_MAX_ITER, tol: float = FLOW_TOL) -> tuple:
@@ -262,25 +260,28 @@ def flow_matrices(x, max_iter: int = FLOW_MAX_ITER, tol: float = FLOW_TOL) -> tu
     residual read |M|_F = |h|_2 off it, and a live row's Newton direction
     (``_newton_direction``: one stacked ``eigh`` of the Hessians) is formed
     from the same commutators and h.  Each iteration conjugates every live
-    row by e^{tA}, A that direction, trying t = 1 and halving t per row (at
-    most _MAX_HALVINGS trials) until the functional decreases.  The step is
+    row by e^{tA}, A that direction, with one step rule for every row
+    (``_step_lengths``): t is the first of 1, 1/2, 1/4, ... (at most
+    _MAX_HALVINGS trials) at which the functional decreases.  The step is
     applied in A's eigenbasis, where it is the entrywise scaling
     Y_jk -> Y_jk e^{t (w_j - w_k)}, and the
     decrement sum_jk Q_jk expm1(2t (w_j - w_k)), Q = sum_i |Y_i|^2, is
     evaluated exactly, so the accept/halve decision keeps its true sign even
     once the decrement is far below the resolution of the functional itself.
 
-    A row stops on its own when its residual norm drops to ``tol``, when no
-    trial step decreases its functional (critical within rounding: it keeps
-    its last iterate), or after ``max_iter`` iterations.  A stopped row is
-    copied out and dropped from the working stack, so its matrices are not
-    touched again.  Returns the flowed stack and, per row, its FlowTrace:
-    the FlowStep rows, the input as iteration 0, and whether it converged,
-    that is, reached ``tol`` on an input whose orbit is closed
-    (``orbit_closed_matrices``).  On a non-closed orbit the residual can
-    still reach ``tol`` as the flow nears the orbit closure, but no point of
-    the orbit is critical.  Raises ValueError on a negative ``max_iter`` or
-    on a ``tol`` that is negative or not finite.
+    A row is retired, at one site, once its residual norm is at most
+    ``tol`` (the input counts as iteration 0), once it has made ``max_iter``
+    iterations, or once no trial step decreases its functional: such a row
+    has stalled, critical within rounding, and keeps its iterate without a
+    further FlowStep.  A retired row is copied out and dropped from the
+    working stack, so its matrices are not touched again.  Returns the
+    flowed stack and, per row, its FlowTrace: the FlowStep rows, the input
+    as iteration 0, and whether it converged, that is, reached ``tol`` on
+    an input whose orbit is closed (``orbit_closed_matrices``).  On a
+    non-closed orbit the residual can still reach ``tol`` as the flow nears
+    the orbit closure, but no point of the orbit is critical.  Raises
+    ValueError on a negative ``max_iter`` or on a ``tol`` that is negative
+    or not finite.
     """
     check_flow_params(max_iter, tol)
     out = np.array(x, dtype=complex)
@@ -291,40 +292,34 @@ def flow_matrices(x, max_iter: int = FLOW_MAX_ITER, tol: float = FLOW_TOL) -> tu
     res = _residual_norm(h)
     p = functional_values(out)
     steps = [[FlowStep(0, a, b, 0.0)] for a, b in zip(p.tolist(), res.tolist())]
-    rows = np.flatnonzero(res > tol) if max_iter else np.arange(0)
-    xs = out  # the live rows; each step makes a new array, so nothing writes to out through xs
-    if len(rows) < len(out):
-        xs, p, comm, h = out[rows], p[rows], comm[rows], h[rows]
-    it = 0
+    # xs and prev start as out itself; each step and each exit make new arrays,
+    # so nothing writes to out through them.
+    rows, xs, prev, it = np.arange(len(out)), out, out, 0
+    res, t = res.tolist(), [1.0] * len(out)  # no row has stalled yet
     with np.errstate(over="ignore", invalid="ignore"):  # an overlong step reads inf/nan: halve
-        while len(rows):
+        while True:
+            # The one exit: a row at tol, at max_iter or stalled (t = 0); a
+            # stalled row leaves on prev, the iterate no trial step could lower.
+            live = [b > tol and c > 0.0 and it < max_iter for b, c in zip(res, t)]
+            if not all(live):
+                live = np.array(live)
+                out[rows[~live]] = np.where(np.equal(t, 0.0)[:, None, None, None], prev, xs)[~live]
+                rows, xs, p, comm, h = (a[live] for a in (rows, xs, p, comm, h))
+            if not len(rows):
+                break
             it += 1
             w, u = np.linalg.eigh(_newton_direction(comm, h))
             gap = w[:, :, None] - w[:, None, :]
             u, uh = u[:, None], dagger(u)[:, None]
             ys = uh @ xs @ u
-            q = (ys.real**2 + ys.imag**2).sum(axis=1)
-            delta = (q * np.expm1(2.0 * gap)).sum(axis=(1, 2))
-            if delta.max() < 0.0:  # every row takes t = 1, the usual case
-                t, scale = [1.0] * len(rows), np.exp(gap)
-            else:
-                t, delta = _halvings(q, gap, delta)
-                ok = t > 0.0
-                if not ok.all():  # no trial step decreased the functional: keep the iterate
-                    out[rows[~ok]] = xs[~ok]
-                    rows, xs, p, u, uh, ys, gap, t, delta = (a[ok] for a in (rows, xs, p, u, uh, ys, gap, t, delta))
-                t, scale = t.tolist(), np.exp(t[:, None, None] * gap)
-            xs = u @ (ys * scale[:, None]) @ uh
+            t, delta = _step_lengths((ys.real**2 + ys.imag**2).sum(axis=1), gap)
+            prev, xs = xs, u @ (ys * np.exp(t[:, None, None] * gap)[:, None]) @ uh
             p = p + delta
             comm, h = _commutators(xs)
-            res = _residual_norm(h).tolist()
+            res, t = _residual_norm(h).tolist(), t.tolist()
             for row, a, b, c in zip(rows.tolist(), p.tolist(), res, t):
-                steps[row].append(FlowStep(it, a, b, c))
-            live = [b > tol and it < max_iter for b in res]
-            if not all(live):
-                stop = np.logical_not(live)
-                out[rows[stop]] = xs[stop]
-                rows, xs, p, comm, h = (a[live] for a in (rows, xs, p, comm, h))
+                if c:  # a stalled row takes no FlowStep
+                    steps[row].append(FlowStep(it, a, b, c))
     return out, [FlowTrace(tuple(s), bool(s[-1].residual <= tol and c), c) for s, c in zip(steps, closed)]
 
 

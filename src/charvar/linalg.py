@@ -57,7 +57,7 @@ def cmat(a) -> np.ndarray:
 
 def dagger(x) -> np.ndarray:
     """Conjugate transpose of one matrix or of each matrix of a stack (..., n, n)."""
-    return np.conj(np.swapaxes(x, -1, -2))
+    return np.conj(x).swapaxes(-1, -2)  # the layout of np.conj(np.swapaxes(x, -1, -2)), one call fewer
 
 
 def check_tol(tol: float) -> None:

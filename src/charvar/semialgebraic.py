@@ -20,11 +20,11 @@ from .invariants import (
     SU2Rank3Coords,
     UCoords,
     gram,
+    product_traces,
     sigma3,
     su3_alcove_quartic,
     su3_delta,
     su3_disc,
-    su3_traces,
 )
 
 
@@ -177,8 +177,7 @@ def classify_B(rho: RepTuple, tol: float = DEFAULT_TOL) -> str:
     if rho.n != 3 or rho.r != 2 or rho.descriptor.family != "SU":
         raise NotInGroup("classify_B expects an SU(3) pair")
     check_tol(tol)
-    t = su3_traces(rho)
-    u5 = float(t.t5.imag)
+    u5 = float(product_traces(rho[0], rho[1], unitary=True)[2].imag)
     if abs(u5) <= tol:
         return "B_zero"
     return "B_plus" if u5 > 0 else "B_minus"

@@ -16,7 +16,6 @@ from charvar.groups import (
     from_quaternion,
     hermitian_from_normals,
     quaternion_matrix,
-    random_traceless_hermitian,
     sample_tuple,
     sl,
     su,
@@ -199,7 +198,7 @@ def test_sample_tuple():
         stacked = sample_tuple(sl(n), 4, rng1)
         single = [_one_sl(n, rng2) for _ in range(4)]
         assert np.array_equal(stacked.matrices, np.array(single))
-        assert np.array_equal(random_traceless_hermitian(n, rng1), _one_traceless_hermitian(n, rng2))
+        assert np.array_equal(hermitian_from_normals(rng1.standard_normal((2, n, n))), _one_traceless_hermitian(n, rng2))
         assert rng1.standard_normal(3).tolist() == rng2.standard_normal(3).tolist()
 
 

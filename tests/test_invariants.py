@@ -375,6 +375,26 @@ def test_invariant_record_fallback_words():
     assert len(rec) == 10 + 100 + 1000
 
 
+def test_invariant_record_su3_case_decides_realness_once():
+    # A real SL(3, R) pair has real P and Q but complex u_(-k) = (t_k - t_-k)/2i:
+    # one decision for u, P and Q together keeps all of them complex, and
+    # disc and Delta with them.  An SU(3) pair gives floats throughout, the
+    # values of u_coords and pq.
+    keys = ("u1", "um1", "u2", "um2", "u3", "um3", "u4", "um4", "u5", "P", "Q", "disc", "Delta")
+    rng = np.random.default_rng(24)
+    a = rng.standard_normal((2, 3, 3))
+    a = a / np.cbrt(np.linalg.det(a))[:, None, None]  # real, det 1
+    rec = invariant_record(RepTuple(sl(3), a))
+    assert all(type(rec[k]) is complex for k in keys)
+    assert abs(rec["um1"].imag) > 1e-3 and rec["P"].imag == rec["Q"].imag == 0.0
+    rho = sample_tuple(su(3), 2, rng)
+    rec = invariant_record(rho)
+    assert all(type(rec[k]) is float for k in keys)
+    t = su3_traces(rho)
+    assert [rec[k] for k in keys[:9]] == u_coords(t).as_list()
+    assert (rec["P"], rec["Q"]) == (pq(t).P, pq(t).Q)
+
+
 # --- the batch core broadcasts like the scalar wrappers ------------------------
 
 

@@ -7,7 +7,7 @@ from charvar.groups import (
     NotInGroup,
     RepTuple,
     conjugate_tuple,
-    random_traceless_hermitian,
+    hermitian_from_normals,
     sample_tuple,
     sl,
     su,
@@ -20,6 +20,7 @@ from charvar.kempfness import (
     _herm_basis,
     _newton_direction,
     _residual_norm,
+    _step_lengths,
     composite_retraction,
     flow_matrices,
     functional_values,
@@ -94,7 +95,7 @@ def test_moment_residual_directional_derivative():
     for _ in range(100):
         n = 2 if rng.uniform() < 0.5 else 3
         rho = sample_tuple(sl(n), 2, rng)
-        H = random_traceless_hermitian(n, rng)
+        H = hermitian_from_normals(rng.standard_normal((2, n, n)))
         M = moment_residual(rho).M
         ep, em = exp_herm(H, h), exp_herm(H, -h)
         p_fwd = sum(np.trace(m @ m.conj().T).real for m in (ep @ x @ em for x in rho.matrices))
@@ -225,7 +226,7 @@ def test_flow_criticality_matches_derivative_bound():
     scale = np.sqrt(sum(frob(m) ** 2 for m in out.matrices))
     h = 1e-4
     for _ in range(20):
-        H = random_traceless_hermitian(2, rng)
+        H = hermitian_from_normals(rng.standard_normal((2, 2, 2)))
         H = H / frob(H)
         ep, em = exp_herm(H, h), exp_herm(H, -h)
         p_fwd = sum(np.trace(m @ m.conj().T).real for m in (ep @ x @ em for x in out.matrices))
@@ -301,7 +302,7 @@ def test_flow_trace_csv():
 
 def _stretched(n, norm, rng):
     """g = exp(H) for a random traceless Hermitian H with |H|_F = norm."""
-    h = random_traceless_hermitian(n, rng)
+    h = hermitian_from_normals(rng.standard_normal((2, n, n)))
     return exp_herm(h * (norm / frob(h)))
 
 
@@ -384,7 +385,7 @@ def test_hessian_form_matches_second_difference():
     h = 1e-4
     for n in (2, 3, 4):
         rho = sample_tuple(sl(n), 2, rng)
-        a = random_traceless_hermitian(n, rng)
+        a = hermitian_from_normals(rng.standard_normal((2, n, n)))
         a /= frob(a)
         ps = [kn_functional(RepTuple(sl(n), exp_herm(a, s) @ rho.matrices @ exp_herm(a, -s))) for s in (h, 0.0, -h)]
         second = (ps[0] - 2.0 * ps[1] + ps[2]) / h**2
@@ -401,7 +402,7 @@ def test_newton_direction_minimises_the_model():
         a = _newton_direction(*_commutators(x))
         assert frob(a - a.conj().T) < 1e-12
         for _ in range(5):
-            b = random_traceless_hermitian(n, rng)
+            b = hermitian_from_normals(rng.standard_normal((2, n, n)))
             slope = 2.0 * np.trace(b @ m).real + 4.0 * sum(
                 np.vdot(b @ xi - xi @ b, a @ xi - xi @ a).real for xi in x
             )
@@ -513,6 +514,84 @@ def test_stacked_flow_rows_stall_on_their_own():
         alone, (trace,) = flow_matrices(x[i : i + 1], max_iter=1000, tol=0.0)
         assert np.array_equal(out[i], alone[0]) and traces[i] == trace
     assert np.abs(out - x).max() < 1e-12
+
+
+def test_one_stack_hits_every_stop_reason():
+    # At tol = 0: a normal pair is critical at the input and retires at
+    # iteration 0; two SU pairs stall (no trial lowers the functional), one
+    # on its first iteration and one after a step; conjugated SU pairs stop
+    # at max_iter.  Each row leaves through the same exit as it does alone.
+    normal = np.array([np.diag([2.0, 0.5]), np.diag([3.0, 1.0 / 3.0])], dtype=complex)
+    stalls = [haar_su(2, np.random.default_rng(seed), 2) for seed in (3, 37)]
+    x = np.array([normal, *stalls, *_closed_stack(2, 2, 3, np.random.default_rng(0))])
+    out, traces = flow_matrices(x, max_iter=3, tol=0.0)
+    last = [t.steps[-1] for t in traces]
+    assert len(traces[0].steps) == 1 and last[0].residual == 0.0 and traces[0].converged
+    assert [s.iter for s in last] == [0, 0, 1, 3, 3, 3]
+    assert all(s.residual > 0.0 for s in last[1:]) and not any(t.converged for t in traces[1:])
+    assert np.array_equal(out[:2], x[:2])  # no step was taken: each keeps its input
+    for i in range(len(x)):
+        alone, (trace,) = flow_matrices(x[i : i + 1], max_iter=3, tol=0.0)
+        assert np.array_equal(out[i], alone[0]) and traces[i] == trace
+
+
+def _one_step_length(q, gap):
+    """The step rule for one row, one t at a time: (t, its decrement)."""
+    t = 1.0
+    for _ in range(_MAX_HALVINGS):
+        delta = np.sum(q * np.expm1(2.0 * t * gap))
+        if delta < 0.0:
+            return t, delta
+        t *= 0.5
+    return 0.0, delta
+
+
+def _check_step_lengths(q, gap):
+    with np.errstate(over="ignore", invalid="ignore"):
+        t, delta = _step_lengths(q, gap)
+        ref = [_one_step_length(a, b) for a, b in zip(q, gap)]
+    assert t.tolist() == [a for a, _ in ref]
+    assert np.array_equal(delta, [b for _, b in ref], equal_nan=True)
+    return t.tolist()
+
+
+def test_step_lengths_cover_every_outcome():
+    # 2 x 2 rows with gap (w_0 - w_1) = g: delta(t) = q01 expm1(2tg) + q10 expm1(-2tg).
+    rows = [
+        (0.1, 0.0, 1.0),  # t = 1 lowers the functional
+        (1.0, 1.0, 3.0),  # t = 1 overshoots, t = 1/2 does not
+        (1.0, 1.0, 1.0),  # delta >= 0 at every t: stalled
+        (800.0, 0.0, 1.0),  # 0 * inf: nan at t = 1 and 1/2
+        (800.0, 1e-300, 1.0),  # inf at t = 1 and 1/2
+    ]
+    gap = np.array([[[0.0, g], [-g, 0.0]] for g, _, _ in rows])
+    q = np.array([[[0.0, a], [b, 0.0]] for _, a, b in rows])
+    assert _check_step_lengths(q, gap) == [1.0, 0.5, 0.0, 0.25, 0.25]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 4),
+    kinds=st.lists(st.sampled_from(["descent", "random", "flat", "overlong"]), min_size=1, max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_step_lengths_match_one_t_at_a_time(n, kinds, seed):
+    # t is the first of 1, 1/2, ... whose decrement is negative, else 0 with
+    # the last trial's decrement; an overlong step reads inf or nan and is
+    # halved.  Each row's bits are its own, whatever the other rows hold.
+    rng = np.random.default_rng(seed)
+    q, gap = [], []
+    for kind in kinds:
+        w = rng.standard_normal(n) * (400.0 if kind == "overlong" else rng.uniform(0.1, 3.0))
+        g = w[:, None] - w[None, :]
+        if kind == "flat":
+            q.append(np.ones((n, n)))
+        elif kind == "random":
+            q.append(rng.uniform(0.0, 1.0, (n, n)))
+        else:  # heavier where g < 0, so short steps descend; 0 where an overlong g is large
+            q.append(np.exp(-rng.uniform(0.5, 2.0) * np.maximum(g, -5.0)) * rng.uniform(0.5, 1.5, (n, n)))
+        gap.append(g)
+    _check_step_lengths(np.array(q), np.array(gap))
 
 
 @pytest.mark.parametrize("kwargs", [{"max_iter": -1}, {"tol": -1e-9}, {"tol": np.nan}, {"tol": np.inf}])

@@ -10,6 +10,7 @@ from charvar.invariants import (
     SU2Rank3Coords,
     fricke_check,
     pq,
+    product_traces,
     su2_rank2_coords,
     su2_rank3_coords,
     su3_traces,
@@ -282,6 +283,19 @@ def test_classify_B():
     w = np.exp(2j * np.pi / 3)
     diag_pair = RepTuple(su(3), (np.diag([w, np.conj(w), 1]), np.diag([1j, -1j, 1])))
     assert classify_B(diag_pair) == "B_zero"
+
+
+def test_classify_B_reads_the_t5_of_su3_traces():
+    # classify_B forms X1X2 and X2X1 only: its u5 is su3_traces' t5.imag to
+    # the bit, so the verdicts agree with tol at |u5| and one ulp either side.
+    rng = np.random.default_rng(26)
+    for rho in [canonical_su3_example()] + [sample_tuple(su(3), 2, rng) for _ in range(50)]:
+        u5 = su3_traces(rho).t5.imag
+        assert float(product_traces(rho[0], rho[1], unitary=True)[2].imag) == u5
+        side = "B_plus" if u5 > 0 else "B_minus"
+        band = abs(u5)
+        assert classify_B(rho, band) == classify_B(rho, np.nextafter(band, np.inf)) == "B_zero"
+        assert classify_B(rho, np.nextafter(band, 0.0)) == side
 
 
 @pytest.mark.parametrize("fn, n", [(fricke_check, 2), (classify_B, 3)])

@@ -3,7 +3,7 @@ import pytest
 
 import charvar.groups
 import charvar.verify
-from charvar.groups import RepTuple, hermitian_from_normals, random_traceless_hermitian, sl, sl_from_normals, su
+from charvar.groups import RepTuple, hermitian_from_normals, sl, sl_from_normals, su
 from charvar.kempfness import kn_flow, kn_functional, moment_residual
 from charvar.linalg import exp_herm, haar_from_normals, haar_su
 from charvar.verify import SIZED, SUITES, random_sl3, run_suite
@@ -154,7 +154,7 @@ def test_retraction_draws_the_per_sample_stream(samples):
         for _ in range(samples):
             for _ in range(2):
                 haar_su(n, rng2)
-                random_traceless_hermitian(n, rng2)
+                hermitian_from_normals(rng2.standard_normal((2, n, n)))
             haar_su(n, rng2)
         haar_su(n, rng2, 40)
     assert rng1.standard_normal(3).tolist() == rng2.standard_normal(3).tolist()
