@@ -5,12 +5,16 @@ generators, one read-only (r, n, n) complex array, with a descriptor saying
 which group they live in (SU(n) or SL(n,C)).  Tuples are immutable values,
 checked against their group once, when built, by ``in_group`` on the stack;
 every operation trusts the tuples it is given, works on the whole stack and
-returns fresh ones.
+returns fresh ones.  ``RepTuple(d, mats)`` checks its own (r, n, n) stack;
+``tuples_in_group(d, x)`` checks a stack of tuples (m, r, n, n) with one
+``in_group`` call and builds its m tuples from it, so the two sheets of a
+lift, or the times of a retraction path, share one check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -55,6 +59,14 @@ def cartan(g) -> np.ndarray:
     return dagger(cmat(g))
 
 
+@lru_cache(maxsize=None)
+def _identity(n: int) -> np.ndarray:
+    """The n x n identity, read-only."""
+    eye = np.eye(n)
+    eye.setflags(write=False)
+    return eye
+
+
 def validate(g, d: GroupDescriptor, tol: float = DEFAULT_TOL):
     """Whether ``g`` lies in the group described by ``d`` within ``tol``: one
     bool per matrix of a stack (..., n, n), False if they are not n x n.
@@ -69,7 +81,11 @@ def validate(g, d: GroupDescriptor, tol: float = DEFAULT_TOL):
     if d.family == "SL":
         return np.abs(np.linalg.det(g) - 1.0) <= tol
     ok = np.abs(unitary_det(g) - 1.0) <= tol
-    ok &= np.linalg.norm(g @ dagger(g) - np.eye(d.n), axis=(-2, -1)) <= tol
+    # |g g* - I|_F as the root of the sum of squares of its real and imaginary parts.
+    e = g @ dagger(g)
+    e -= _identity(d.n)
+    v = e.reshape(*e.shape[:-2], d.n * d.n).view(float)
+    ok &= np.sqrt((v * v).sum(axis=-1)) <= tol
     return ok
 
 
@@ -116,6 +132,31 @@ class RepTuple:
         return self.descriptor == other.descriptor and np.array_equal(self.matrices, other.matrices)
 
     __hash__ = None
+
+
+def tuples_in_group(d: GroupDescriptor, x) -> list:
+    """The tuples of a stack x (m, r, n, n), after one ``in_group`` check of the
+    whole stack against ``d``: m RepTuples that share one read-only C-contiguous
+    copy of x and are not checked again one by one.  A stack of the wrong
+    shape raises DimensionMismatch, and one that misses the group anywhere,
+    a non-finite entry included, raises NotInGroup.
+    """
+    try:
+        x = np.array(x, dtype=complex, order="C")
+    except ValueError as err:  # ragged: the matrices differ in shape
+        raise DimensionMismatch(f"matrices of mixed shapes for {d}") from err
+    if x.ndim != 4 or x.shape[-2:] != (d.n, d.n):
+        raise DimensionMismatch(f"stack shape {x.shape} is not (m, r, {d.n}, {d.n})")
+    x.setflags(write=False)
+    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite entry fails the check quietly
+        in_group(x, d)
+    out = []
+    for mats in x:
+        rho = object.__new__(RepTuple)  # checked above, with the whole stack
+        object.__setattr__(rho, "descriptor", d)
+        object.__setattr__(rho, "matrices", mats)
+        out.append(rho)
+    return out
 
 
 def conjugate_tuple(g, rho: RepTuple, tol: float = DEFAULT_TOL) -> RepTuple:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import product
 
 import numpy as np
 
@@ -144,6 +144,15 @@ def word_traces(x, max_len: int = 3, unitary: bool = False):
     return np.concatenate(out, axis=-1)
 
 
+@lru_cache(maxsize=None)
+def _index_pairs(r: int):
+    """The index arrays (j, k) of the pairs j < k of range(r), lexicographic, read-only."""
+    j, k = np.triu_indices(r, 1)
+    j.setflags(write=False)
+    k.setflags(write=False)
+    return j, k
+
+
 def su2_a_coords(x, unitary: bool = True):
     """a-coordinates of stacked SU(2)/SL(2) tuples ``x`` of shape (..., r, 2, 2).
 
@@ -152,7 +161,7 @@ def su2_a_coords(x, unitary: bool = True):
     (a1, a2, a3, a12, a13, a23) for triples.  Real parts on unitary input.
     """
     x = np.asarray(x)
-    j, k = (list(v) for v in zip(*combinations(range(x.shape[-3]), 2)))
+    j, k = _index_pairs(x.shape[-3])
     pairs = _tr_prod(_inverse(x, unitary)[..., j, :, :], x[..., k, :, :])
     a = np.concatenate([_tr(x), pairs], axis=-1) / 2.0
     return a.real if unitary else a

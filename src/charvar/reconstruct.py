@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .linalg import DEFAULT_TOL, check_tol, dagger, unitary_det
-from .groups import DimensionMismatch, NotInGroup, RepTuple, quaternion_matrix, su
+from .groups import DimensionMismatch, NotInGroup, RepTuple, quaternion_matrix, su, tuples_in_group
 from .invariants import SU2Rank2Coords, SU2Rank3Coords, gram
 from .semialgebraic import su2_rank2_margins, su2_rank3_margins
 
@@ -114,14 +114,15 @@ def su2_rank3_lift(
 
     Returns both sheets when ``sign`` is None and the lift is non-unique,
     else sheet ``sign``; a unique lift gives the same triple for either
-    sign (see ``rank3_lift_matrices``).
+    sign (see ``rank3_lift_matrices``).  The requested sheets are checked
+    as one stack (``tuples_in_group``).
     """
     if sign not in (None, 1, -1):
         raise ValueError(f"sign must be 1, -1 or None, got {sign!r}")
     x, t123, unique = rank3_lift_matrices(c.as_array()[None], tol)
     t123, unique = float(t123[0]), bool(unique[0])
     signs = (sign,) if sign is not None else ((1,) if unique else (1, -1))
-    tuples = tuple(RepTuple(su(2), x[0, (1 - sg) // 2]) for sg in signs)
+    tuples = tuple(tuples_in_group(su(2), x[0, [(1 - sg) // 2 for sg in signs]]))
     return LiftResult(tuples=tuples, unique=unique, t123=t123, signs=signs)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import DEFAULT_TOL, Singular, check_invertible, cmat
-from .groups import GroupDescriptor, RepTuple
+from .groups import RepTuple, su, tuples_in_group
 
 _EPS = np.finfo(float).eps
 
@@ -83,10 +83,17 @@ def _retract_checked(x, ts: list) -> list:
 
 def _retract_tuples(rho: RepTuple, ts: list) -> list:
     """The tuples of ``retract_path`` at each t of the checked list ``ts``; at
-    t = 1 an SL tuple becomes SU(n)-valued."""
-    at_one = GroupDescriptor("SU", rho.n) if rho.descriptor.family == "SL" else rho.descriptor
+    t = 1 an SL tuple becomes SU(n)-valued.  The times of one descriptor are
+    checked as one stack (``tuples_in_group``): an SL path's t < 1, then t = 1."""
+    at_one = su(rho.n)
+    descs = [at_one if t == 1.0 else rho.descriptor for t in ts]
     mats = _retract_checked(rho.matrices, ts)
-    return [RepTuple(at_one if t == 1.0 else rho.descriptor, m) for t, m in zip(ts, mats)]
+    out = [None] * len(ts)
+    for d in dict.fromkeys(descs):
+        idx = [i for i, e in enumerate(descs) if e == d]
+        for i, tup in zip(idx, tuples_in_group(d, [mats[i] for i in idx])):
+            out[i] = tup
+    return out
 
 
 def retract_tuple(rho: RepTuple, t: float) -> RepTuple:

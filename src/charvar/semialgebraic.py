@@ -103,7 +103,7 @@ def tetrahedron_check(th, tol: float = DEFAULT_TOL) -> RegionVerdict:
 
 
 # The coordinate triples (a_j, a_k, a_jk) of the four sigma-conditions: 12, 13, 23, off.
-_RANK3_TRIPLES = ((0, 1, 3), (0, 2, 4), (1, 2, 5), (3, 4, 5))
+_RANK3_TRIPLES = np.array([(0, 1, 3), (0, 2, 4), (1, 2, 5), (3, 4, 5)])
 _RANK3_MARGINS = (
     *(f"a{k}_bound" for k in ("1", "2", "3", "12", "13", "23")),
     *(f"{kind}_{pair}" for kind in ("sigma", "cap") for pair in ("12", "13", "23", "off")),
@@ -115,7 +115,7 @@ def su2_rank3_margins(c, det):
     """The margins of ``in_su2_rank3_image`` in its order over stacked coordinates
     c (..., 6), with det the rows' det r as ``gram`` returns it."""
     c = np.asarray(c, dtype=float)
-    a = c[..., np.array(_RANK3_TRIPLES)]
+    a = c[..., _RANK3_TRIPLES]
     s = sigma3(a[..., 0], a[..., 1], a[..., 2])
     return np.concatenate([1.0 - c * c, s, 1.0 - s, np.asarray(det)[..., None]], axis=-1)
 

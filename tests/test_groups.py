@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from charvar.groups import (
     GROUP_TOL,
@@ -22,12 +24,14 @@ from charvar.groups import (
     to_quaternion,
     tuple_from_json,
     tuple_to_json,
+    tuples_in_group,
     validate,
 )
 from charvar.invariants import fricke_check, su2_rank2_coords, su2_rank3_coords, su3_traces
 from charvar.kempfness import kn_flow, kn_functional, moment_residual
 from charvar.linalg import Singular, exp_herm, frob, haar_su, unitary_det, unitary_eig
-from charvar.reconstruct import unitary_conjugacy
+from charvar.reconstruct import rank3_lift_matrices, su2_rank3_lift, unitary_conjugacy
+from charvar.retraction import retract_path, retraction_path
 from charvar.semialgebraic import classify_B, product_condition
 
 QI = Quaternion(0, 1, 0, 0)
@@ -306,6 +310,87 @@ def test_operations_trust_built_tuples(monkeypatch):
     assert calls == []
     kn_flow(sl_pair, max_iter=50)
     assert len(calls) == 1  # the flowed pair's own construction, one per tuple
+    # A stack of tuples is checked once: both sheets of a non-unique lift,
+    # and each descriptor of a retraction path (an SL path's t < 1, then t = 1).
+    rec = su2_rank3_coords(triple2)
+    calls.clear()
+    res = su2_rank3_lift(rec)
+    assert not res.unique and len(res.tuples) == 2 and len(calls) == 1
+    ts = (0.0, 0.25, 0.5, 0.75, 1.0)
+    paths = {}
+    for rho, checks in ((sl_pair, 2), (pair2, 1)):
+        calls.clear()
+        paths[rho.descriptor] = retraction_path(rho, ts)
+        assert len(calls) == checks
+    monkeypatch.undo()
+    sheets = rank3_lift_matrices(rec.as_array()[None])[0][0]
+    for rho, sheet in zip(res.tuples, sheets):
+        assert not rho.matrices.flags.writeable and rho == RepTuple(su(2), sheet)
+    for rho in (sl_pair, pair2):
+        path = paths[rho.descriptor]
+        for (t, got), mats in zip(path.samples, retract_path(rho.matrices, ts)):
+            d = su(rho.n) if t == 1.0 else rho.descriptor
+            assert not got.matrices.flags.writeable and got == RepTuple(d, mats)
+
+
+def test_tuples_in_group_checks_a_stack():
+    rng = np.random.default_rng(11)
+    x = haar_su(2, rng, 12).reshape(4, 3, 2, 2)
+    tuples = tuples_in_group(su(2), x)
+    assert len(tuples) == 4
+    for rho, mats in zip(tuples, x):
+        assert rho == RepTuple(su(2), mats)
+        assert not rho.matrices.flags.writeable and rho.matrices.flags.c_contiguous
+    assert x.flags.writeable  # the caller's stack is copied, not frozen
+    assert tuples_in_group(su(2), np.empty((0, 3, 2, 2))) == []
+    shear = np.array([[1, 1], [0, 1]], dtype=complex)
+    assert tuples_in_group(sl(2), [[shear, np.eye(2)]]) == [RepTuple(sl(2), (shear, np.eye(2)))]
+    for entry in (np.diag([2.0, 0.5]), np.full((2, 2), np.nan), np.full((2, 2), np.inf)):
+        bad = x.copy()
+        bad[2, 1] = entry  # one matrix: det 1 but not unitary, NaN, inf
+        with pytest.raises(NotInGroup):
+            tuples_in_group(su(2), bad)
+    with pytest.raises(NotInGroup):
+        tuples_in_group(sl(2), [[shear, np.full((2, 2), np.nan)]])
+    for d, bad in ((su(3), x), (su(2), x[0]), (su(2), x[..., :1]), (sl(2), [[np.eye(2), np.eye(3)]])):
+        with pytest.raises(DimensionMismatch):
+            tuples_in_group(d, bad)
+
+
+def _reference_su_verdicts(g, tol):
+    """The SU check written out: |g g* - I|_F <= tol and |det g - 1| <= tol."""
+    resid = np.linalg.norm(g @ np.conj(np.swapaxes(g, -1, -2)) - np.eye(g.shape[-1]), axis=(-2, -1))
+    return (resid <= tol) & (np.abs(unitary_det(g) - 1.0) <= tol)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 4),
+    count=st.integers(1, 6),
+    eps=st.sampled_from([0.5, 2.0]),
+    tol=st.sampled_from([1e-9, GROUP_TOL, 1e-6]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_su_validate_matches_the_written_out_check(n, count, eps, tol, seed):
+    # Haar matrices moved by eps * tol in a random direction: within tol of
+    # SU(n) or not, the one-pass residual gives the written-out verdicts.
+    rng = np.random.default_rng(seed)
+    e = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
+    g = haar_su(n, rng, count) + eps * tol * e / np.linalg.norm(e, axis=(-2, -1))[:, None, None]
+    assert np.array_equal(validate(g, su(n), tol), _reference_su_verdicts(g, tol))
+    assert validate(g[0], su(n), tol) == _reference_su_verdicts(g[0], tol)
+
+
+def test_su_validate_perturbations_land_on_both_sides():
+    # The perturbations of the property above: at eps = 0.5 every matrix is
+    # within tol of SU(3), at eps = 2 none is.
+    rng = np.random.default_rng(12)
+    e = rng.standard_normal((400, 3, 3)) + 1j * rng.standard_normal((400, 3, 3))
+    for eps, inside in ((0.5, True), (2.0, False)):
+        g = haar_su(3, rng, 400) + eps * GROUP_TOL * e / np.linalg.norm(e, axis=(-2, -1))[:, None, None]
+        ok = validate(g, su(3), GROUP_TOL)
+        assert np.array_equal(ok, _reference_su_verdicts(g, GROUP_TOL))
+        assert np.all(ok == inside)
 
 
 def test_validity_tol_removed_from_operations():
