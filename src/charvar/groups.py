@@ -3,12 +3,13 @@
 A representation of the rank-r free group is stored as the images of the
 generators, one read-only (r, n, n) complex array, with a descriptor saying
 which group they live in (SU(n) or SL(n,C)).  Tuples are immutable values,
-checked against their group once, when built, by ``in_group`` on the stack;
-every operation trusts the tuples it is given, works on the whole stack and
-returns fresh ones.  ``RepTuple(d, mats)`` checks its own (r, n, n) stack;
-``tuples_in_group(d, x)`` checks a stack of tuples (m, r, n, n) with one
-``in_group`` call and builds its m tuples from it, so the two sheets of a
-lift, or the times of a retraction path, share one check.
+checked once, when built, and trusted after: every operation works on the
+whole stack and returns fresh ones.  ``RepTuple(d, mats)`` checks an (r, n, n)
+stack and ``tuples_in_group(d, x)`` a stack of tuples (m, r, n, n) with one
+``in_group`` call, so both sheets of a lift share one check.  Both raise
+DimensionMismatch for a ragged, wrong-shaped or non-square input and NotInGroup
+for one off the group, a NaN or inf entry included.  ``expect_case`` is the
+guard of an operation that takes one (r, n) case: NotInGroup for any other.
 """
 
 from __future__ import annotations
@@ -67,9 +68,11 @@ def _identity(n: int) -> np.ndarray:
     return eye
 
 
+@np.errstate(invalid="ignore", over="ignore")  # a non-finite entry reads False
 def validate(g, d: GroupDescriptor, tol: float = DEFAULT_TOL):
     """Whether ``g`` lies in the group described by ``d`` within ``tol``: one
-    bool per matrix of a stack (..., n, n), False if they are not n x n.
+    bool per matrix of a stack (..., n, n), False if they are not n x n, and
+    False, without a warning, for a matrix with a NaN or inf entry.
 
     The SU determinant is ``unitary_det``'s: where the matrix misses unitarity
     by more than tol the verdict is False whatever its determinant.  SL
@@ -97,23 +100,30 @@ def in_group(x, d: GroupDescriptor):
     return x
 
 
+def _checked_stack(d: GroupDescriptor, x, ndim: int) -> np.ndarray:
+    """One read-only complex C-contiguous copy of x, after one ``in_group``
+    check: DimensionMismatch unless it has ndim axes, the last two (n, n)."""
+    try:
+        x = np.array(x, dtype=complex, order="C")
+    except ValueError as err:  # ragged: the matrices differ in shape
+        raise DimensionMismatch(f"matrices of mixed shapes for {d}") from err
+    if x.ndim != ndim or x.shape[-2:] != (d.n, d.n):
+        raise DimensionMismatch(f"shape {x.shape} is not ({'m, ' * (ndim - 3)}r, {d.n}, {d.n}) for {d}")
+    x.setflags(write=False)
+    return in_group(x, d)
+
+
 @dataclass(frozen=True, eq=False)
 class RepTuple:
-    """Value equality (same descriptor, equal matrices); unhashable, like the arrays it holds."""
+    """An (r, n, n) tuple in the group ``descriptor``, checked when built:
+    DimensionMismatch if ragged, wrong-shaped or non-square, NotInGroup if off the
+    group (NaN or inf included).  Value equality; unhashable, like its arrays."""
 
     descriptor: GroupDescriptor
     matrices: np.ndarray  # (r, n, n) complex, read-only
 
     def __post_init__(self):
-        try:
-            mats = np.array(self.matrices, dtype=complex, order="C")
-        except ValueError as err:  # ragged: the matrices differ in shape
-            raise DimensionMismatch(f"matrices of mixed shapes for {self.descriptor}") from err
-        mats = cmat(mats)
-        if mats.shape[1:] != (self.descriptor.n, self.descriptor.n):
-            raise DimensionMismatch(f"matrix shape {mats.shape[1:]} does not match {self.descriptor}")
-        mats.setflags(write=False)
-        object.__setattr__(self, "matrices", in_group(mats, self.descriptor))
+        object.__setattr__(self, "matrices", _checked_stack(self.descriptor, self.matrices, 3))
 
     @property
     def r(self) -> int:
@@ -137,26 +147,24 @@ class RepTuple:
 def tuples_in_group(d: GroupDescriptor, x) -> list:
     """The tuples of a stack x (m, r, n, n), after one ``in_group`` check of the
     whole stack against ``d``: m RepTuples that share one read-only C-contiguous
-    copy of x and are not checked again one by one.  A stack of the wrong
-    shape raises DimensionMismatch, and one that misses the group anywhere,
-    a non-finite entry included, raises NotInGroup.
+    copy of x and are not checked again one by one.  The check is RepTuple's:
+    DimensionMismatch for a ragged, wrong-shaped or non-square stack, NotInGroup
+    for one off the group anywhere, a NaN or inf entry included.
     """
-    try:
-        x = np.array(x, dtype=complex, order="C")
-    except ValueError as err:  # ragged: the matrices differ in shape
-        raise DimensionMismatch(f"matrices of mixed shapes for {d}") from err
-    if x.ndim != 4 or x.shape[-2:] != (d.n, d.n):
-        raise DimensionMismatch(f"stack shape {x.shape} is not (m, r, {d.n}, {d.n})")
-    x.setflags(write=False)
-    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite entry fails the check quietly
-        in_group(x, d)
     out = []
-    for mats in x:
+    for mats in _checked_stack(d, x, 4):
         rho = object.__new__(RepTuple)  # checked above, with the whole stack
         object.__setattr__(rho, "descriptor", d)
         object.__setattr__(rho, "matrices", mats)
         out.append(rho)
     return out
+
+
+def expect_case(rho: RepTuple, n: int, r: int, family: str | None = None) -> None:
+    """Raise NotInGroup unless rho is a rank-r tuple of n x n matrices, in ``family``
+    if one is given.  Membership was checked when rho was built, not again here."""
+    if rho.n != n or rho.r != r or family not in (None, rho.descriptor.family):
+        raise NotInGroup(f"expected a rank-{r} {family or 'SU or SL'}({n}) tuple, got {rho.descriptor} of rank {rho.r}")
 
 
 def conjugate_tuple(g, rho: RepTuple, tol: float = DEFAULT_TOL) -> RepTuple:

@@ -23,7 +23,7 @@ from itertools import product
 import numpy as np
 
 from .linalg import DEFAULT_TOL, check_tol, cmat, dagger
-from .groups import NotInGroup, RepTuple
+from .groups import RepTuple, expect_case
 
 REALIFY_TOL = 1e-10
 
@@ -314,14 +314,9 @@ class SU2Rank3Coords:
         return np.array([self.a1, self.a2, self.a3, self.a12, self.a13, self.a23])
 
 
-def _check_su2(rho: RepTuple, r: int) -> None:
-    if rho.descriptor.family != "SU" or rho.n != 2 or rho.r != r:
-        raise NotInGroup(f"expected an SU(2) tuple of rank {r}")
-
-
 def su2_rank2_coords(rho: RepTuple) -> SU2Rank2Coords:
     """(a1, a2, a3) = (Re X1, Re X2, Re(X1^-1 X2))."""
-    _check_su2(rho, 2)
+    expect_case(rho, 2, 2, "SU")
     return SU2Rank2Coords(*su2_a_coords(rho.matrices).tolist())
 
 
@@ -331,14 +326,14 @@ def fricke_check(rho: RepTuple):
     lhs = Re(X1 X2 X1^-1 X2^-1) by multiplication; rhs is the classical
     three-trace expression 2(a1^2+a2^2+a3^2) - 4 a1 a2 a3 - 1.
     """
-    _check_su2(rho, 2)
+    expect_case(rho, 2, 2, "SU")
     x = rho.matrices
     return float(su2_commutator_re(x)), float(fricke_rhs(*su2_a_coords(x)))
 
 
 def su2_rank3_coords(rho: RepTuple) -> SU2Rank3Coords:
     """Six real parts (a_1, a_2, a_3, a_12, a_13, a_23) of an SU(2) triple."""
-    _check_su2(rho, 3)
+    expect_case(rho, 2, 3, "SU")
     return SU2Rank3Coords(*su2_a_coords(rho.matrices).tolist())
 
 
@@ -425,8 +420,7 @@ class SU3Rank2Traces:
 
 
 def su3_traces(rho: RepTuple) -> SU3Rank2Traces:
-    if rho.n != 3 or rho.r != 2:
-        raise NotInGroup("expected a rank-2 tuple of 3x3 matrices")
+    expect_case(rho, 3, 2)
     t = su3_trace_coords(rho.matrices, rho.descriptor.family == "SU")
     return SU3Rank2Traces(*t.tolist())
 

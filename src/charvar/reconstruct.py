@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .linalg import DEFAULT_TOL, check_tol, dagger, unitary_det
-from .groups import DimensionMismatch, NotInGroup, RepTuple, quaternion_matrix, su, tuples_in_group
+from .groups import DimensionMismatch, RepTuple, expect_case, quaternion_matrix, su, tuples_in_group
 from .invariants import SU2Rank2Coords, SU2Rank3Coords, gram
 from .semialgebraic import su2_rank2_margins, su2_rank3_margins
 
@@ -202,8 +202,7 @@ def unitary_pair(rho1: RepTuple, rho2: RepTuple):
     """Two SU tuples of one shape as a one-pair stack for ``conjugacy_decisions``."""
     if rho1.descriptor != rho2.descriptor or rho1.r != rho2.r:
         raise DimensionMismatch("tuples must share descriptor and rank")
-    if rho1.descriptor.family != "SU":
-        raise NotInGroup("unitary_conjugacy expects unitary-valued tuples")
+    expect_case(rho1, rho1.n, rho1.r, "SU")
     return rho1.matrices[None], rho2.matrices[None]
 
 

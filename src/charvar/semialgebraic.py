@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import DEFAULT_TOL, check_tol, cmat
-from .groups import NotInGroup, RepTuple, in_group, su
+from .groups import RepTuple, expect_case, in_group, su
 from .invariants import (
     ComplexInput,
     PQRecord,
@@ -174,8 +174,7 @@ def in_S_plus(u: UCoords, record: PQRecord, tol: float = DEFAULT_TOL) -> RegionV
 
 def classify_B(rho: RepTuple, tol: float = DEFAULT_TOL) -> str:
     """Sign of u5 = Im tr(X1 X2 X1^-1 X2^-1) with a tol-wide B_zero band."""
-    if rho.n != 3 or rho.r != 2 or rho.descriptor.family != "SU":
-        raise NotInGroup("classify_B expects an SU(3) pair")
+    expect_case(rho, 3, 2, "SU")
     check_tol(tol)
     u5 = float(product_traces(rho[0], rho[1], unitary=True)[2].imag)
     if abs(u5) <= tol:
@@ -197,8 +196,7 @@ def product_condition(rho: RepTuple, tol: float = DEFAULT_TOL) -> RegionVerdict:
     both exceed tol (X1 interior to the alcove, pair in the product chart).
     Both margins are invariant under simultaneous conjugation.
     """
-    if rho.n != 3 or rho.r != 2 or rho.descriptor.family != "SU":
-        raise NotInGroup("product_condition expects an SU(3) pair")
+    expect_case(rho, 3, 2, "SU")
     x1, x2 = rho[0], rho[1]
     lam = np.linalg.eigvals(x1)
     diffs = lam[[0, 0, 1]] - lam[[1, 2, 2]]

@@ -60,6 +60,7 @@ def test_invariants_dispatch(capsys, tmp_path):
 
 BAD = [[[2.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]  # det 2
 EYE = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+NAN = [[[float("nan"), 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]  # json writes a NaN literal
 
 
 def test_invariants_rejects_invalid_tuple(capsys, tmp_path):
@@ -388,6 +389,7 @@ OUTSIDE_IMAGE = {"a1": 1.0000001, "a2": 1, "a3": 1, "a12": 1, "a13": 1, "a23": 1
     [
         (json.dumps(OUTSIDE_IMAGE), ["lift"], "NotInImage"),
         (json.dumps({"family": "SL", "n": 2, "r": 2, "matrices": [BAD, EYE]}), ["invariants"], "NotInGroup"),
+        (json.dumps({"family": "SL", "n": 2, "r": 2, "matrices": [NAN, EYE]}), ["invariants"], "NotInGroup"),
         ("{not json", ["invariants"], "JSONDecodeError"),
         (json.dumps({"family": "SU", "r": 2, "matrices": [EYE, EYE]}), ["invariants"],
          "ValueError: tuple JSON has no 'n' field"),
@@ -408,7 +410,7 @@ OUTSIDE_IMAGE = {"a1": 1.0000001, "a2": 1, "a3": 1, "a12": 1, "a13": 1, "a23": 1
         (json.dumps({"family": "SU", "n": [2], "r": 1, "matrices": [EYE]}), ["invariants"],
          "ValueError: tuple JSON field 'n' is malformed"),
     ],
-    ids=["lift-outside-image", "off-group", "invalid-json", "no-n", "word-rank", "retract-t",
+    ids=["lift-outside-image", "off-group", "non-finite", "invalid-json", "no-n", "word-rank", "retract-t",
          "unknown-region", "membership-sl", "missing-input", "verify-all-zero", "membership-tol-nan",
          "lift-tol-nan", "invariants-tol-negative", "lift-not-a-record", "lift-field-not-a-number",
          "entries-not-pairs", "n-not-a-number"],

@@ -1,5 +1,6 @@
 import inspect
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from charvar.groups import (
     conjugate_tuple,
     from_quaternion,
     hermitian_from_normals,
+    in_group,
     quaternion_matrix,
     sample_tuple,
     sl,
@@ -261,21 +263,42 @@ def test_rep_tuple_validated_at_construction():
     shear = np.array([[1, 1], [0, 1]], dtype=complex)
     eye = np.eye(2, dtype=complex)
     assert RepTuple(sl(2), (shear, eye)).r == 2  # in SL(2), not in SU(2)
-    with pytest.raises(NotInGroup):
-        RepTuple(su(2), (shear, eye))
-    with pytest.raises(NotInGroup):
-        RepTuple(sl(2), (np.diag([2.0, 1.0]), eye))
-    with pytest.raises(DimensionMismatch):
-        RepTuple(sl(2), (eye, np.eye(3)))  # mixed shapes
-    with pytest.raises(DimensionMismatch):
-        RepTuple(sl(2), (np.eye(3), np.eye(3)))
-    for bad in ((np.ones((2, 3)), np.ones((2, 3))), (eye, np.full((2, 2), np.nan)), eye):
-        with pytest.raises(ValueError):
-            RepTuple(sl(2), bad)  # non-square, non-finite, not a sequence of matrices
+    nan, inf = np.full((2, 2), np.nan), eye + np.diag([np.inf, 0])
+    table = [
+        (su(2), (shear, eye), NotInGroup),  # off the group
+        (sl(2), (np.diag([2.0, 1.0]), eye), NotInGroup),
+        (sl(2), (eye, nan), NotInGroup),
+        (su(2), (inf, eye), NotInGroup),
+        (sl(2), (eye, np.eye(3)), DimensionMismatch),  # ragged
+        (sl(2), (np.eye(3), np.eye(3)), DimensionMismatch),  # wrong n
+        (sl(2), (np.ones((2, 3)), np.ones((2, 3))), DimensionMismatch),  # non-square
+        (sl(2), eye, DimensionMismatch),  # one matrix, not a tuple of them
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for d, bad, err in table:  # one check behind both construction paths
+            with pytest.raises(err):
+                RepTuple(d, bad)
+            with pytest.raises(err):
+                tuples_in_group(d, [bad])
     obj = tuple_to_json(RepTuple(sl(2), (shear, eye)))
     obj["matrices"][0][0][0] = [2.0, 0.0]  # det 2
     with pytest.raises(NotInGroup):
         tuple_from_json(obj)
+
+
+@pytest.mark.parametrize("d", [su(2), su(3), sl(2)], ids=str)
+def test_validate_is_quiet_on_non_finite_input(d):
+    rng = np.random.default_rng(12)
+    x = np.array(sample_tuple(d, 6, rng).matrices)
+    x[1, 0, 1] = np.nan
+    x[3, 1, 1] = np.inf
+    x[4] = complex(np.inf, -np.inf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert validate(x, d, GROUP_TOL).tolist() == [True, False, True, False, False, True]
+        with pytest.raises(NotInGroup):
+            in_group(x, d)
 
 
 def test_tuples_build_within_group_tol():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from charvar.groups import NotInGroup, RepTuple, conjugate_tuple, sample_tuple, sl, su
+from charvar.groups import GroupDescriptor, NotInGroup, RepTuple, conjugate_tuple, sample_tuple, sl, su
 from charvar.invariants import (
     ComplexInput,
     SU2Rank3Coords,
@@ -36,7 +36,8 @@ from charvar.invariants import (
     word_traces,
 )
 from charvar.linalg import haar_su
-from charvar.semialgebraic import in_su2_rank3_image
+from charvar.reconstruct import unitary_conjugacy
+from charvar.semialgebraic import classify_B, in_su2_rank3_image, product_condition
 from charvar.verify import canonical_su3_example, random_sl3
 
 I2 = np.eye(2, dtype=complex)
@@ -144,6 +145,9 @@ def test_a1_of_inverse():
     rho = sample_tuple(su(2), 2, rng)
     flipped = RepTuple(su(2), (rho[0].conj().T, rho[1]))
     assert abs(su2_rank2_coords(rho).a1 - su2_rank2_coords(flipped).a1) < 1e-12
+    pair = sample_tuple(sl(2), 2, rng)  # an SL record takes the true inverse, not X^*
+    a3 = invariant_record(pair)["a3"]
+    assert abs(a3 - np.trace(np.linalg.inv(pair[0]) @ pair[1]) / 2) < 1e-12
 
 
 def test_fricke_examples():
@@ -162,16 +166,34 @@ def test_fricke_identity_sampled():
     assert worst < 1e-12
 
 
-def test_su2_coords_reject_sl_input():
+# The case each operation takes: (family, n, r), with None for either family.
+CASES = {
+    su2_rank2_coords: {("SU", 2, 2)},
+    fricke_check: {("SU", 2, 2)},
+    su2_rank3_coords: {("SU", 2, 3)},
+    su3_traces: {("SU", 3, 2), ("SL", 3, 2)},
+    classify_B: {("SU", 3, 2)},
+    product_condition: {("SU", 3, 2)},
+    unitary_conjugacy: {("SU", n, r) for n in (2, 3) for r in (2, 3)},
+}
+
+
+@pytest.mark.parametrize("fn", list(CASES), ids=lambda fn: fn.__name__)
+def test_operations_take_only_their_case(fn):
     # The inverse a_jk takes on SU(2) is X^*, which is wrong on SL(2) input;
-    # SL tuples go through invariant_record instead.
+    # SL tuples go through invariant_record instead.  A tuple of the wrong
+    # family, n or r raises NotInGroup; the operation's own case runs.
     rng = np.random.default_rng(0)
-    pair, triple = sample_tuple(sl(2), 2, rng), sample_tuple(sl(2), 3, rng)
-    for fn, rho in ((su2_rank2_coords, pair), (fricke_check, pair), (su2_rank3_coords, triple)):
-        with pytest.raises(NotInGroup):
-            fn(rho)
-    a3 = invariant_record(pair)["a3"]
-    assert abs(a3 - np.trace(np.linalg.inv(pair[0]) @ pair[1]) / 2) < 1e-12
+    for family in ("SU", "SL"):
+        for n in (2, 3):
+            for r in (2, 3):
+                rho = sample_tuple(GroupDescriptor(family, n), r, rng)
+                call = (lambda: fn(rho, rho)) if fn is unitary_conjugacy else (lambda: fn(rho))
+                if (family, n, r) in CASES[fn]:
+                    call()
+                else:
+                    with pytest.raises(NotInGroup):
+                        call()
 
 
 def test_su2_rank3_coords_examples():
