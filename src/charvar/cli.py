@@ -18,6 +18,7 @@ import io
 import json
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -200,18 +201,16 @@ def cmd_lift(args) -> int:
     from .reconstruct import su2_rank2_lift, su2_rank3_lift
 
     record = json.loads(_read_text(args.input))
-    keys2 = ("a1", "a2", "a3")
-    keys3 = keys2 + ("a12", "a13", "a23")
     if not isinstance(record, dict):
         raise ValueError(f"lift needs an invariant record (a JSON object), got {type(record).__name__}")
-    if all(k in record for k in keys3):
-        coords = SU2Rank3Coords(*(_coordinate(record, k) for k in keys3))
+    # A record holding any of a triple's pair fields (a12, a13, a23) is a triple's, and needs all six.
+    pair_fields = {f.name for f in fields(SU2Rank3Coords)} - {f.name for f in fields(SU2Rank2Coords)}
+    cls = SU2Rank3Coords if pair_fields & record.keys() else SU2Rank2Coords
+    coords = cls(*(_coordinate(record, f.name) for f in fields(cls)))
+    if cls is SU2Rank3Coords:
         res = su2_rank3_lift(coords, sign=args.sign, tol=args.tol)
-    elif all(k in record for k in keys2):
-        coords = SU2Rank2Coords(*(_coordinate(record, k) for k in keys2))
-        res = su2_rank2_lift(coords, tol=args.tol)
     else:
-        raise ValueError("lift needs an invariant record with a1..a3 (and a12..a23)")
+        res = su2_rank2_lift(coords, tol=args.tol)
     _emit_json(args, tuple_to_json(res.tuples[0]))
     return 0
 
@@ -223,6 +222,8 @@ def _is_number(v) -> bool:
 def _coordinate(record: dict, key: str) -> float:
     """Field ``key`` of a lift record: a number, or an [re, im] pair as the
     invariants command writes complex values, whose imaginary part must vanish."""
+    if key not in record:
+        raise ValueError(f"lift record has no {key!r} field: a pair's record holds a1..a3, a triple's a1..a23")
     v = record[key]
     if isinstance(v, list) and len(v) == 2 and all(map(_is_number, v)):
         if abs(v[1]) > 1e-9:

@@ -6,14 +6,15 @@ which group they live in (SU(n) or SL(n,C)).  Tuples are immutable values,
 checked once, when built, and trusted after: every operation works on the
 whole stack and returns fresh ones.  ``RepTuple(d, mats)`` checks an (r, n, n)
 stack and ``tuples_in_group(d, x)`` a stack of tuples (m, r, n, n) with one
-``in_group`` call, so both sheets of a lift share one check.  Both raise
-DimensionMismatch for a ragged, wrong-shaped or non-square input and NotInGroup
-for one off the group, a NaN or inf entry included.  ``expect_case`` is the
-guard of an operation that takes one (r, n) case: NotInGroup for any other.
+``in_group`` call, and ``to_quaternion`` one matrix.  All raise DimensionMismatch
+for a ragged, wrong-shaped or non-square input, NotInGroup for one off the group
+(NaN or inf included) and ValueError for an entry that is not a number.
+``expect_case`` guards an operation that takes one (r, n) case: NotInGroup for any other.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -101,14 +102,21 @@ def in_group(x, d: GroupDescriptor):
 
 
 def _checked_stack(d: GroupDescriptor, x, ndim: int) -> np.ndarray:
-    """One read-only complex C-contiguous copy of x, after one ``in_group``
-    check: DimensionMismatch unless it has ndim axes, the last two (n, n)."""
+    """One read-only complex C-contiguous copy of x, after one ``in_group`` check: DimensionMismatch
+    unless it has ndim axes, the last two (n, n), and a ValueError naming an entry that is not a number."""
     try:
         x = np.array(x, dtype=complex, order="C")
-    except ValueError as err:  # ragged: the matrices differ in shape
-        raise DimensionMismatch(f"matrices of mixed shapes for {d}") from err
+    except (TypeError, ValueError) as err:
+        try:  # as objects, a ragged x has fewer than ndim axes, or numpy refuses it
+            entries = np.array(x, dtype=object)
+        except ValueError:
+            entries = np.empty(0, dtype=object)
+        if entries.ndim < ndim:
+            raise DimensionMismatch(f"matrices of mixed shapes for {d}") from err
+        bad = next((e for e in entries.flat if not isinstance(e, numbers.Number)), err)
+        raise ValueError(f"matrix entry {bad!r} is not a number") from err
     if x.ndim != ndim or x.shape[-2:] != (d.n, d.n):
-        raise DimensionMismatch(f"shape {x.shape} is not ({'m, ' * (ndim - 3)}r, {d.n}, {d.n}) for {d}")
+        raise DimensionMismatch(f"shape {x.shape} is not ({'m, r, '[3 * (4 - ndim):]}{d.n}, {d.n}) for {d}")
     x.setflags(write=False)
     return in_group(x, d)
 
@@ -250,8 +258,7 @@ def quaternion_matrix(a, b, c, d) -> np.ndarray:
 
 def to_quaternion(g) -> Quaternion:
     """SU(2) matrix [[a+ib, c+id], [-c+id, a-ib]] -> unit quaternion a+bi+cj+dk."""
-    g = in_group(cmat(g), su(2))
-    alpha, beta = g[0, 0], g[0, 1]
+    (alpha, beta), _ = _checked_stack(su(2), g, 2)
     return Quaternion(alpha.real, alpha.imag, beta.real, beta.imag)
 
 

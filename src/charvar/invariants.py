@@ -203,8 +203,8 @@ def gram(c, tol: float = DEFAULT_TOL):
 
     Returns ``(r, s, det, t123)``: r (..., 3, 3) from ``gram_matrix``; the
     pairwise sigmas s (..., 3) = (s12, s13, s23), s_jk = sigma3(a_j, a_k,
-    a_jk), which is r's 2x2 principal minor r_jj r_kk - r_jk^2 and bitwise
-    the sigma margins of ``su2_rank3_margins``; det r; and the normalized
+    a_jk), which is r's 2x2 principal minor r_jj r_kk - r_jk^2 and which
+    ``su2_rank3_margins`` takes as its pair sigmas; det r; and the normalized
     Gram determinant t123 = det r / (r11 r22 r33), 0 where |r11 r22 r33| <=
     tol (an imaginary part degenerates).
     """

@@ -42,6 +42,7 @@ class LiftResult:
     signs: tuple = ()
 
 
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")  # cos's masked division; non-finite rows
 def _rank2_lift(a1, a2, a3, tol: float) -> np.ndarray:
     """Pairs X1 = a1 + b1 i, X2 = a2 + b2 i + c2 j lifting coordinates given as
     floats, or as arrays of one shape (...): (2, ..., 2, 2), X1 then X2.
@@ -51,15 +52,14 @@ def _rank2_lift(a1, a2, a3, tol: float) -> np.ndarray:
     cos = (a3 - a1 a2)/(b1 beta) clipped to [-1, 1], so X2 is a unit
     quaternion however small b1 is.  When b1 beta <= tol (X1 or X2 central)
     the angle is free and cos = 1 is taken.  Any coordinates outside the
-    image raise NotInImage.
+    image raise NotInImage, a NaN or inf one included, without a warning.
     """
     check_tol(tol)
     margins = np.array(su2_rank2_margins(a1, a2, a3))
     if not (margins >= -tol).all():
         raise NotInImage("coordinates fail the sigma-ball inequalities")
     b1, beta = np.sqrt(np.maximum(margins[:2], 0.0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cos = np.where(b1 * beta > tol, np.minimum(np.maximum((a3 - a1 * a2) / (b1 * beta), -1.0), 1.0), 1.0)
+    cos = np.where(b1 * beta > tol, np.minimum(np.maximum((a3 - a1 * a2) / (b1 * beta), -1.0), 1.0), 1.0)
     b, c = np.array([b1, beta * cos]), np.array([0.0 * b1, beta * np.sqrt(1.0 - cos**2)])
     return quaternion_matrix(np.array([a1, a2]), b, c, 0.0)
 
@@ -79,6 +79,7 @@ def su2_rank2_lift(a: SU2Rank2Coords, tol: float = DEFAULT_TOL) -> LiftResult:
 _SHEETS = np.array([1.0, -1.0])
 
 
+@np.errstate(invalid="ignore", over="ignore")  # a non-finite coordinate reads outside
 def rank3_lift_matrices(c, tol: float = DEFAULT_TOL):
     """Both sheets of the lifts of stacked six-coordinates c (m, 6).
 
@@ -91,12 +92,12 @@ def rank3_lift_matrices(c, tol: float = DEFAULT_TOL):
     (|t123| <= tol, or every pairwise sigma s_ab <= tol) both sheets are
     sheet +1, its smallest column kept as computed, so every matrix stays in
     SU(2).  Any row outside the image (``su2_rank3_margins``, the margins
-    of ``in_su2_rank3_image``) raises NotInImage.
+    of ``in_su2_rank3_image``) raises NotInImage, a NaN or inf one included.
     """
     check_tol(tol)
     c = np.asarray(c, dtype=float)
     r, s, det, t123 = gram(c, tol)
-    if not (su2_rank3_margins(c, det) >= -tol).all():
+    if not (su2_rank3_margins(c, s, det) >= -tol).all():
         raise NotInImage("coordinates fail the rank-3 image inequalities")
     unique = (abs(t123) <= tol) | (s.max(axis=-1) <= tol)
     w, q = np.linalg.eigh(r)

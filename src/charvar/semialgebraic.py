@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, check_tol, cmat
-from .groups import RepTuple, expect_case, in_group, su
+from .linalg import DEFAULT_TOL, check_tol
+from .groups import RepTuple, _checked_stack, expect_case, su
 from .invariants import (
     ComplexInput,
     PQRecord,
@@ -77,13 +77,12 @@ def in_su2_rank2_image(a: SU2Rank2Coords, tol: float = DEFAULT_TOL) -> RegionVer
 
 
 def theta(a: SU2Rank2Coords, tol: float = DEFAULT_TOL):
-    """Angle coordinates theta_i = arccos(a_i)/pi in [0, 1]."""
-    out = []
+    """Angle coordinates theta_i = arccos(a_i)/pi in [0, 1]; ValueError unless |a_i| <= 1 + tol."""
+    check_tol(tol)
     for v in (a.a1, a.a2, a.a3):
-        if abs(v) > 1.0 + tol:
+        if not abs(v) <= 1.0 + tol:
             raise ValueError(f"a-coordinate {v} outside [-1, 1]")
-        out.append(float(np.arccos(np.clip(v, -1.0, 1.0)) / np.pi))
-    return tuple(out)
+    return tuple(float(np.arccos(np.clip(v, -1.0, 1.0)) / np.pi) for v in (a.a1, a.a2, a.a3))
 
 
 def tetrahedron_check(th, tol: float = DEFAULT_TOL) -> RegionVerdict:
@@ -102,8 +101,6 @@ def tetrahedron_check(th, tol: float = DEFAULT_TOL) -> RegionVerdict:
 # --- SU(2) rank 3 ------------------------------------------------------------
 
 
-# The coordinate triples (a_j, a_k, a_jk) of the four sigma-conditions: 12, 13, 23, off.
-_RANK3_TRIPLES = np.array([(0, 1, 3), (0, 2, 4), (1, 2, 5), (3, 4, 5)])
 _RANK3_MARGINS = (
     *(f"a{k}_bound" for k in ("1", "2", "3", "12", "13", "23")),
     *(f"{kind}_{pair}" for kind in ("sigma", "cap") for pair in ("12", "13", "23", "off")),
@@ -111,15 +108,16 @@ _RANK3_MARGINS = (
 )
 
 
-def su2_rank3_margins(c, det):
+def su2_rank3_margins(c, s, det):
     """The margins of ``in_su2_rank3_image`` in its order over stacked coordinates
-    c (..., 6), with det the rows' det r as ``gram`` returns it."""
+    c (..., 6), with the pair sigmas s (..., 3) and det r that ``gram`` returns:
+    only the off-diagonal triple's sigma is computed here."""
     c = np.asarray(c, dtype=float)
-    a = c[..., _RANK3_TRIPLES]
-    s = sigma3(a[..., 0], a[..., 1], a[..., 2])
+    s = np.concatenate([s, sigma3(c[..., 3], c[..., 4], c[..., 5])[..., None]], axis=-1)
     return np.concatenate([1.0 - c * c, s, 1.0 - s, np.asarray(det)[..., None]], axis=-1)
 
 
+@np.errstate(invalid="ignore", over="ignore")  # a non-finite coordinate reads outside
 def in_su2_rank3_image(c: SU2Rank3Coords, tol: float = DEFAULT_TOL) -> RegionVerdict:
     """Each a in [-1, 1], four sigma-conditions of the rank-3 image, each in
     [0, 1], and det r >= 0 for the Gram matrix r of the quaternion imaginary
@@ -128,12 +126,11 @@ def in_su2_rank3_image(c: SU2Rank3Coords, tol: float = DEFAULT_TOL) -> RegionVer
     The sigma-conditions bound r's 2x2 principal minors only; with det r the
     margins say that r is positive semidefinite, which on the box [-1, 1]^6
     is exactly the image of SU(2)^3, the rows that ``rank3_lift_matrices``
-    lifts.
+    lifts.  A NaN or inf coordinate reads as outside, without a warning.
     """
     row = c.as_array()
-    margins = dict(zip(_RANK3_MARGINS, su2_rank3_margins(row, gram(row)[2]).tolist()))
-    inside = all(v >= -tol for v in margins.values())
-    return _verdict(margins, inside, tol)
+    margins = dict(zip(_RANK3_MARGINS, su2_rank3_margins(row, *gram(row)[1:3]).tolist()))
+    return _verdict(margins, all(v >= -tol for v in margins.values()), tol)
 
 
 # --- SU(3) single factor and pairs -------------------------------------------
@@ -230,11 +227,9 @@ def alcove_lambda(k) -> AlcovePoint:
     Angles are taken in (-1/2, 1/2]; their sum is an integer m (det has unit
     modulus and the determinant of an SU matrix is 1), and shifting the m
     largest angles down by one full turn (or the |m| smallest up) lands in
-    the alcove in a single pass.
+    the alcove in a single pass.  k is checked as a tuple is, in SU(n) for n its row count.
     """
-    k = cmat(k)
-    n = k.shape[0]
-    in_group(k, su(n))
+    k = _checked_stack(su(len(k)), k, 2)
     ang = np.angle(np.linalg.eigvals(k)) / (2.0 * np.pi)
     ang = np.where(ang <= -0.5, ang + 1.0, ang)
     ang = np.sort(ang)[::-1]
@@ -244,7 +239,7 @@ def alcove_lambda(k) -> AlcovePoint:
     elif m < 0:
         ang[m:] += 1.0
     ang = np.sort(ang)[::-1]
-    ang -= ang.sum() / n  # strip float residue so the sum is exactly 0
+    ang -= ang.mean()  # strip float residue so the sum is exactly 0
     return AlcovePoint(tuple(float(x) for x in ang))
 
 

@@ -405,6 +405,8 @@ OUTSIDE_IMAGE = {"a1": 1.0000001, "a2": 1, "a3": 1, "a12": 1, "a13": 1, "a23": 1
         ("su22", ["invariants", "--tol", "-1"], "ValueError: tol must be finite and >= 0, got -1.0"),
         ("5", ["lift"], "ValueError: lift needs an invariant record (a JSON object), got int"),
         (json.dumps({"a1": "x", "a2": 0.2, "a3": 0.3}), ["lift"], "ValueError: lift field 'a1' must be a number"),
+        (json.dumps({k: 0.1 for k in ("a1", "a2", "a3", "a12", "a13")}), ["lift"],
+         "ValueError: lift record has no 'a23' field"),
         (json.dumps({"family": "SU", "n": 2, "r": 1, "matrices": [[[1, 2]]]}), ["invariants"],
          "ValueError: tuple JSON field 'matrices' is malformed"),
         (json.dumps({"family": "SU", "n": [2], "r": 1, "matrices": [EYE]}), ["invariants"],
@@ -413,7 +415,7 @@ OUTSIDE_IMAGE = {"a1": 1.0000001, "a2": 1, "a3": 1, "a12": 1, "a13": 1, "a23": 1
     ids=["lift-outside-image", "off-group", "non-finite", "invalid-json", "no-n", "word-rank", "retract-t",
          "unknown-region", "membership-sl", "missing-input", "verify-all-zero", "membership-tol-nan",
          "lift-tol-nan", "invariants-tol-negative", "lift-not-a-record", "lift-field-not-a-number",
-         "entries-not-pairs", "n-not-a-number"],
+         "lift-partial-triple", "entries-not-pairs", "n-not-a-number"],
 )
 def test_bad_input_exits_2_without_traceback(capsys, tmp_path, monkeypatch, text, argv, error):
     from charvar.groups import sample_tuple, sl, su, tuple_to_json

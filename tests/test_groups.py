@@ -34,7 +34,7 @@ from charvar.kempfness import kn_flow, kn_functional, moment_residual
 from charvar.linalg import Singular, exp_herm, frob, haar_su, unitary_det, unitary_eig
 from charvar.reconstruct import rank3_lift_matrices, su2_rank3_lift, unitary_conjugacy
 from charvar.retraction import retract_path, retraction_path
-from charvar.semialgebraic import classify_B, product_condition
+from charvar.semialgebraic import alcove_lambda, classify_B, product_condition
 
 QI = Quaternion(0, 1, 0, 0)
 QJ = Quaternion(0, 0, 1, 0)
@@ -285,6 +285,26 @@ def test_rep_tuple_validated_at_construction():
     obj["matrices"][0][0][0] = [2.0, 0.0]  # det 2
     with pytest.raises(NotInGroup):
         tuple_from_json(obj)
+    # A single matrix takes a tuple's check: RepTuple(d, [m]), to_quaternion(m)
+    # and alcove_lambda(m) raise one class on each input.
+    singles = [
+        (nan, NotInGroup),
+        (inf, NotInGroup),
+        (shear, NotInGroup),
+        (np.ones((2, 3)), DimensionMismatch),  # non-square
+        (np.ones(2), DimensionMismatch),  # 1-D
+        ([[1, 0], [0, 1, 0]], DimensionMismatch),  # ragged rows
+        ([["a", 0], [0, 1]], ValueError),  # an entry that is not a number
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for m, err in singles:
+            for call in (lambda m: RepTuple(su(2), [m]), to_quaternion, alcove_lambda):
+                with pytest.raises(err) as exc:
+                    call(m)
+                assert err is not ValueError or not isinstance(exc.value, DimensionMismatch)
+        with pytest.raises(DimensionMismatch):
+            to_quaternion(np.eye(3))
 
 
 @pytest.mark.parametrize("d", [su(2), su(3), sl(2)], ids=str)

@@ -366,10 +366,10 @@ def test_rank3_lift_uniqueness_on_the_sigma_strata(sigma, pair, coplanar, seed):
     tol = 1e-9
     c = su2_a_coords(_sigma_stratum_triple(sigma, pair, coplanar, seed))
     _, s, det, t123 = gram(c)
-    shared = su2_rank3_margins(c, det)[6:9]
+    shared = su2_rank3_margins(c, s, det)[6:9]
     assert np.array_equal(s, shared)
     assert abs(s[pair] - sigma) <= 1e-12
-    assert (su2_rank3_margins(c, det) >= -tol).all()
+    assert (su2_rank3_margins(c, s, det) >= -tol).all()
     x, _, unique = rank3_lift_matrices(c[None], tol)
     assert bool(unique[0]) == bool(abs(t123) <= tol or shared.max() <= tol)
     assert bool(unique[0]) == (sigma == 0 or coplanar)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -17,7 +19,7 @@ from charvar.invariants import (
     u_coords,
 )
 from charvar.linalg import haar_su
-from charvar.reconstruct import NotInImage, su2_rank2_lift, su2_rank3_lift
+from charvar.reconstruct import NotInImage, rank2_lift_matrices, rank3_lift_matrices, su2_rank2_lift, su2_rank3_lift
 from charvar.semialgebraic import (
     ALCOVE_CORNERS,
     TETRAHEDRON_VERTICES,
@@ -79,6 +81,10 @@ def test_theta_and_tetrahedron():
     assert v.margins["tri_13_2"] < 0  # th1 + th3 - th2 = -1
     with pytest.raises(ValueError):
         theta(SU2Rank2Coords(1.5, 0, 0))
+    with pytest.raises(ValueError, match="a-coordinate nan"):
+        theta(SU2Rank2Coords(np.nan, 0, 0))
+    with pytest.raises(ValueError, match="tol must be finite"):
+        theta(SU2Rank2Coords(2.0, 0, 0), tol=np.nan)
 
 
 def test_sigma_tetrahedron_equivalence():
@@ -133,6 +139,26 @@ def test_in_su2_rank3_image_reads_the_gram_determinant():
     assert v.margins["gram_det"] < -0.1 and not v.inside
     with pytest.raises(NotInImage):
         su2_rank3_lift(c)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_coordinates_read_outside_quietly(value):
+    # One rule at both ranks: a NaN or inf coordinate is outside the image,
+    # the verdict says so and the lift raises, alone or as one row of a stack,
+    # without a RuntimeWarning.
+    cases = [(SU2Rank2Coords, in_su2_rank2_image, su2_rank2_lift, rank2_lift_matrices, [0.1, 0.2, 0.3])]
+    cases.append((SU2Rank3Coords, in_su2_rank3_image, su2_rank3_lift, rank3_lift_matrices, [0.1, 0.2, 0.3] * 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for coords, verdict, lift, stacked, row in cases:
+            assert verdict(coords(*row)).inside
+            for i in range(len(row)):
+                c = coords(*row[:i], value, *row[i + 1:])
+                assert not verdict(c).inside
+                with pytest.raises(NotInImage):
+                    lift(c)
+                with pytest.raises(NotInImage):
+                    stacked(np.array([row, c.as_array()]))
 
 
 @pytest.mark.parametrize("row", [(1.0000001, 1, 1, 1, 1, 1), (2**0.5, 2**0.5, 1, 2, 2**0.5, 2**0.5)])
