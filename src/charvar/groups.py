@@ -101,11 +101,11 @@ def in_group(x, d: GroupDescriptor):
     return x
 
 
-def _checked_stack(d: GroupDescriptor, x, ndim: int) -> np.ndarray:
-    """One read-only complex C-contiguous copy of x, after one ``in_group`` check: DimensionMismatch
-    unless it has ndim axes, the last two (n, n), and a ValueError naming an entry that is not a number."""
+def _complex_copy(x, ndim: int, d) -> np.ndarray:
+    """One complex C-contiguous copy of x: DimensionMismatch if x is ragged, for the group
+    ``d`` (a descriptor or its name), and a ValueError naming an entry that is not a number."""
     try:
-        x = np.array(x, dtype=complex, order="C")
+        return np.array(x, dtype=complex, order="C")
     except (TypeError, ValueError) as err:
         try:  # as objects, a ragged x has fewer than ndim axes, or numpy refuses it
             entries = np.array(x, dtype=object)
@@ -115,6 +115,12 @@ def _checked_stack(d: GroupDescriptor, x, ndim: int) -> np.ndarray:
             raise DimensionMismatch(f"matrices of mixed shapes for {d}") from err
         bad = next((e for e in entries.flat if not isinstance(e, numbers.Number)), err)
         raise ValueError(f"matrix entry {bad!r} is not a number") from err
+
+
+def _checked_stack(d: GroupDescriptor, x, ndim: int) -> np.ndarray:
+    """One read-only complex C-contiguous copy of x, after one ``in_group`` check: DimensionMismatch
+    unless it has ndim axes, the last two (n, n), and a ValueError naming an entry that is not a number."""
+    x = _complex_copy(x, ndim, d)
     if x.ndim != ndim or x.shape[-2:] != (d.n, d.n):
         raise DimensionMismatch(f"shape {x.shape} is not ({'m, r, '[3 * (4 - ndim):]}{d.n}, {d.n}) for {d}")
     x.setflags(write=False)

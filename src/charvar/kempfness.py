@@ -14,7 +14,10 @@ One commutator product per iterate gives the Hessian, the gradient and the
 residual norm: the commutators [E_k, X_i] with a Frobenius-orthonormal basis
 E_k of the Hermitian matrices form the Hessian, and tr(E_k M) =
 sum_i Re <[E_k, X_i], X_i>, so the same commutators give the gradient's
-coordinates h_k and |M|_F = |h|_2, M being Hermitian.
+coordinates h_k and |M|_F = |h|_2, M being Hermitian.  The product is one
+real matrix product with a map cached per n, (2n^2, 2n^4) floats (128 KB at
+n = 4), and the Newton direction one damped linear solve in the Hessian,
+whose null space (the tuple's stabiliser) conjugates nothing.
 
 Whether the orbit is closed is decided algebraically, not read off the flow:
 the orbit of rho under simultaneous conjugation is closed iff rho is
@@ -38,7 +41,7 @@ from .retraction import retract_tuple
 FLOW_TOL = 1e-8
 FLOW_MAX_ITER = 100_000
 _MAX_HALVINGS = 40
-_PINV_RCOND = 1e-12  # Hessian eigenvalues below this fraction of the largest count as null
+_PINV_RCOND = 1e-12  # the Newton solve damps the Hessian by this fraction of its trace
 _SPAN_TOL = 1e-8  # about sqrt(eps): a product is new to the algebra above this fraction of max |X_i|
 _CLOSED_RATIO = 1e-9  # trace-form Gram matrix: s_min / s_max above this means semisimple
 
@@ -117,35 +120,36 @@ def _herm_basis(n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _basis_factors(n: int):
-    """The basis E_k laid out for _newton_direction, read-only.
+def _commutator_map(n: int) -> np.ndarray:
+    """X -> ([E_k, X])_k as one real matrix on float views, (2n^2, 2n^4), read-only.
 
-    rows (n^3, n): rows @ X stacks every E_k X.  cols (n, n^3): X @ cols
-    stacks every X E_k.  flat (n^2, 2n^2): row k holds the real and imaginary
-    parts of E_k's entries, interleaved as a complex array's float view.
+    Row g holds the float views of the [E_k, U_g] over k, U_g the n x n
+    complex matrix whose float view is the g-th unit vector, so the float
+    view of X times the map is the float view of every [E_k, X].  It holds
+    4n^6 floats: 2 KB at n = 2, 128 KB at n = 4 and 8.4 MB at n = 8.
     """
+    u = np.eye(2 * n * n).view(complex).reshape(2 * n * n, 1, n, n)
     e = _herm_basis(n)
-    out = (e.reshape(-1, n), np.ascontiguousarray(e.transpose(1, 0, 2).reshape(n, -1)), e.reshape(n * n, -1).view(float))
-    for a in out:
-        a.setflags(write=False)
+    out = (e @ u - u @ e).reshape(2 * n * n, -1).view(float)
+    out.setflags(write=False)
     return out
 
 
 def _commutators(x) -> tuple:
     """The commutators [E_k, X_i] of stacked tuples x (..., r, n, n) and h_k = tr(E_k M).
 
-    comm (..., n^2, 2 r n^2) is real: row k holds the float views of
-    [E_k, X_i] over i.  As the E_k are Hermitian, Re <[E_k, X_i], X_i> =
-    tr(E_k [X_i, X_i*]), so h = comm @ (the float view of x) gives
-    h (..., n^2), the coordinates of M in the orthonormal basis E_k.
+    One real product of x's float view with the cached ``_commutator_map``
+    gives every [E_k, X_i].  comm (..., n^2, 2 r n^2) is real: row k holds
+    the float views of [E_k, X_i] over i.  As the E_k are Hermitian,
+    Re <[E_k, X_i], X_i> = tr(E_k [X_i, X_i*]), so h = comm @ (the float view
+    of x) gives h (..., n^2), the coordinates of M in the orthonormal basis E_k.
     """
     x = np.ascontiguousarray(x, dtype=complex)
     *lead, r, n, _ = x.shape
-    rows, cols, _ = _basis_factors(n)
-    ex = (rows @ x).reshape(*lead, r, n * n, n, n)
-    xe = (x @ cols).reshape(*lead, r, n, n * n, n).swapaxes(-3, -2)
-    comm = (ex - xe).swapaxes(-4, -3).reshape(*lead, n * n, r * n * n).view(float)
-    h = (comm @ x.reshape(*lead, r * n * n).view(float)[..., None])[..., 0]
+    nn = n * n
+    xf = x.reshape(*lead, r, nn).view(float)
+    comm = (xf @ _commutator_map(n)).reshape(*lead, r, nn, 2 * nn).swapaxes(-3, -2).reshape(*lead, nn, 2 * r * nn)
+    h = (comm @ xf.reshape(*lead, 2 * r * nn, 1))[..., 0]
     return comm, h
 
 
@@ -159,19 +163,24 @@ def _newton_direction(comm: np.ndarray, h: np.ndarray) -> np.ndarray:
 
     Takes the commutators and h = (tr(E_k M))_k of ``_commutators(x)``.  In the
     basis E_k the gradient is g = 2h and the Hessian is
-    4 Re <[E_k, X_i], [E_l, X_i]> summed over i, four times comm comm^T, so
-    A = -sum_k (H^+ g)_k E_k.  The identity and the tuple's stabiliser span
-    the Hessian's null space and the gradient is orthogonal to them;
-    eigenvalues below _PINV_RCOND of the largest are dropped.  The factors 2
-    and 4 are folded into one -1/2.  Broadcasts over stacks comm
+    4 Re <[E_k, X_i], [E_l, X_i]> summed over i, four times H = comm comm^T;
+    the factors 2 and 4 fold into one -1/2, and A = sum_k a_k E_k for a from
+    one damped solve (H + mu I) a = -h/2, mu = _PINV_RCOND tr H (mu = 1 when
+    tr H = 0, on a central tuple, where H and h vanish).  H is singular: its
+    null space is the Hermitian A with [A, X_i] = 0 for every i, the identity
+    and the tuple's stabiliser.  The gradient is orthogonal to it, and any
+    component the damping leaves there, from rounding in h, conjugates
+    nothing, so no eigenvalue cut is needed.  Broadcasts over stacks comm
     (..., n^2, 2 r n^2), h (..., n^2); returns A (..., n, n).
     """
     *lead, nn, _ = comm.shape
     n = math.isqrt(nn)
-    lam, v = np.linalg.eigh(comm @ comm.swapaxes(-1, -2))
-    keep = lam > _PINV_RCOND * lam[..., -1:]
-    coef = ((-0.5 * h[..., None, :] @ v) / np.where(keep, lam, np.inf)[..., None, :]) @ v.swapaxes(-1, -2)
-    return (coef @ _basis_factors(n)[2]).view(complex).reshape(*lead, n, n)
+    hess = comm @ comm.swapaxes(-1, -2)
+    diag = hess.reshape(*lead, nn * nn)[..., :: nn + 1]  # a view of H's diagonal
+    tr = diag.sum(axis=-1)
+    diag += np.where(tr == 0.0, 1.0, _PINV_RCOND * tr)[..., None]
+    coef = np.linalg.solve(hess, -0.5 * h[..., None])[..., 0]
+    return (coef @ _herm_basis(n).reshape(nn, -1).view(float)).view(complex).reshape(*lead, n, n)
 
 
 @lru_cache(maxsize=None)
@@ -243,12 +252,12 @@ def _step_lengths(q, gap) -> tuple:
     """Per row, the first t of 1, 1/2, 1/4, ... (_MAX_HALVINGS trials) at which the
     decrement sum_jk Q_jk expm1(2t (w_j - w_k)) is negative, and that decrement;
     t is 0, with the last trial's decrement, on a row where every trial failed."""
-    t = np.ones(len(q))
-    for _ in range(_MAX_HALVINGS):
-        delta = (q * np.expm1(2.0 * t[:, None, None] * gap)).sum(axis=(1, 2))
+    t, delta = np.ones(len(q)), (q * np.expm1(2.0 * gap)).sum(axis=(1, 2))  # the trial t = 1
+    for _ in range(_MAX_HALVINGS - 1):
         if delta.max() < 0.0:  # a nan decrement reads as not negative
             return t, delta
         t = np.where(delta < 0.0, t, 0.5 * t)
+        delta = (q * np.expm1(2.0 * t[:, None, None] * gap)).sum(axis=(1, 2))
     return np.where(delta < 0.0, t, 0.0), delta
 
 
@@ -258,8 +267,8 @@ def flow_matrices(x, max_iter: int = FLOW_MAX_ITER, tol: float = FLOW_TOL) -> tu
     One stacked commutator product per iterate (``_commutators``) gives
     everything the next step needs: the stop test and each FlowStep's
     residual read |M|_F = |h|_2 off it, and a live row's Newton direction
-    (``_newton_direction``: one stacked ``eigh`` of the Hessians) is formed
-    from the same commutators and h.  Each iteration conjugates every live
+    (``_newton_direction``: one stacked damped solve in the Hessians) is
+    formed from the same commutators and h.  Each iteration conjugates every live
     row by e^{tA}, A that direction, with one step rule for every row
     (``_step_lengths``): t is the first of 1, 1/2, 1/4, ... (at most
     _MAX_HALVINGS trials) at which the functional decreases.  The step is

@@ -6,10 +6,11 @@ Hermitian matrix exponentials, spectral decompositions of unitary matrices,
 determinants of unitary matrices, and Haar sampling on SU(n): for n = 2 and
 3, n - 1 Gram-Schmidt columns and the determinant-1 completion, with no
 determinant and no n-th root.  Other modules call ``numpy.linalg`` directly
-for their own eigen- and singular-value problems (the flow's Newton steps
-and orbit-closedness test, the retraction's SVD, one per stack for every t
-of a path, the lifts' Gram matrices, the conjugacy test's QR and one stacked
-SVD with vectors, the alcove angles and the product chart), for inverses of
+for their own eigen- and singular-value problems (the eigenbasis of the
+flow's Newton step and its orbit-closedness test, the retraction's SVD, one
+per stack for every t of a path, the lifts' Gram matrices, the conjugacy
+test's QR and one stacked SVD with vectors, the alcove angles and the
+product chart), for the flow's damped Newton solve, for inverses of
 SL(n,C) matrices, and for determinants of matrices that need not be unitary,
 which stay on LU (see ``unitary_det``): the SL group check, the retraction's
 normalisation, the Gram determinant and the random SL(3) draws.

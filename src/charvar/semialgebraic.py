@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import DEFAULT_TOL, check_tol
-from .groups import RepTuple, _checked_stack, expect_case, su
+from .groups import RepTuple, _checked_stack, _complex_copy, expect_case, su
 from .invariants import (
     ComplexInput,
     PQRecord,
@@ -227,9 +227,11 @@ def alcove_lambda(k) -> AlcovePoint:
     Angles are taken in (-1/2, 1/2]; their sum is an integer m (det has unit
     modulus and the determinant of an SU matrix is 1), and shifting the m
     largest angles down by one full turn (or the |m| smallest up) lands in
-    the alcove in a single pass.  k is checked as a tuple is, in SU(n) for n its row count.
+    the alcove in a single pass.  k is checked as a tuple is, in SU(n) for n its row count,
+    read after conversion: input without rows (a number, []) is a DimensionMismatch.
     """
-    k = _checked_stack(su(len(k)), k, 2)
+    k = _complex_copy(k, 2, "SU(n)")
+    k = _checked_stack(su(max(k.shape[:1] + (1,))), k, 2)  # SU(1) without rows: its shape check raises
     ang = np.angle(np.linalg.eigvals(k)) / (2.0 * np.pi)
     ang = np.where(ang <= -0.5, ang + 1.0, ang)
     ang = np.sort(ang)[::-1]

@@ -295,6 +295,8 @@ def test_rep_tuple_validated_at_construction():
         (np.ones(2), DimensionMismatch),  # 1-D
         ([[1, 0], [0, 1, 0]], DimensionMismatch),  # ragged rows
         ([["a", 0], [0, 1]], ValueError),  # an entry that is not a number
+        (5, DimensionMismatch),  # no rows
+        ([], DimensionMismatch),
     ]
     with warnings.catch_warnings():
         warnings.simplefilter("error")

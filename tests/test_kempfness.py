@@ -425,13 +425,13 @@ def test_flow_iterations_bounded_on_closed_orbits():
 # --- the stacked flow ----------------------------------------------------------
 
 
-def _reference_flow(x, max_iter=10_000, tol=FLOW_TOL):
+def _reference_flow(x, max_iter=10_000, tol=FLOW_TOL, direction=lambda x: _newton_direction(*_commutators(x))):
     """The flow one tuple at a time, as a plain loop: (matrices, iterations, step lengths)."""
     m = residual_matrix(x)
     steps = []
     with np.errstate(over="ignore", invalid="ignore"):
         while frob(m) > tol and len(steps) < max_iter:
-            w, u = np.linalg.eigh(_newton_direction(*_commutators(x)))
+            w, u = np.linalg.eigh(direction(x))
             gap = w[:, None] - w[None, :]
             ys = u.conj().T @ x @ u
             q = (ys.real**2 + ys.imag**2).sum(axis=0)
@@ -446,6 +446,64 @@ def _reference_flow(x, max_iter=10_000, tol=FLOW_TOL):
             m = residual_matrix(x)
             steps.append(t)
     return x, len(steps), steps
+
+
+def _pinv_direction(x):
+    """The Newton direction of one tuple from the Hessian's pseudo-inverse: one
+    eigh, eigenvalues at most 1e-12 of the largest dropped as null."""
+    comm, h = _commutators(x)
+    lam, v = np.linalg.eigh(comm @ comm.T)
+    inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=lam > 1e-12 * lam[-1])
+    return np.tensordot(v @ (inv * (-0.5 * h @ v)), _herm_basis(x.shape[-1]), 1)
+
+
+def _newton_step(a, x):
+    """e^A X_i e^-A for a Hermitian A."""
+    return exp_herm(a) @ x @ exp_herm(-a)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(n=st.integers(2, 5), r=st.integers(1, 3), norm=st.floats(0.1, 3.0), seed=st.integers(0, 2**32 - 1))
+def test_damped_direction_steps_as_the_pseudo_inverse(n, r, norm, seed):
+    # The damped solve and the pseudo-inverse differ only along the Hessian's
+    # null space (the identity, the stabiliser), which conjugates nothing.
+    rng = np.random.default_rng(seed)
+    x = _conjugated(_stretched(n, norm, rng), haar_su(n, rng, r)).matrices
+    a = _newton_direction(*_commutators(x))
+    assert frob(a - a.conj().T) == 0.0
+    assert np.abs(_newton_step(a, x) - _newton_step(_pinv_direction(x), x)).max() <= 1e-10 * np.abs(x).max()
+
+
+def test_stabilised_tuples_flow_as_the_pseudo_inverse():
+    # A stabiliser makes the Hessian singular: a normal diagonal pair, a
+    # conjugated SU(2) + SU(2) block pair in SL(4) and central tuples, whose
+    # Hessian and gradient vanish.  Each flows without LinAlgError and takes
+    # the pseudo-inverse's steps to the same functional.  Near the Kempf-Ness
+    # set the block pair's stabiliser is almost Hermitian and almost null in
+    # the Hessian, so the two directions part along it, by up to about 6e-10
+    # on these inputs: the endpoints are unitary conjugates that differ by
+    # more than rounding.
+    rng = np.random.default_rng(38)
+    normal = np.array([np.diag([2.0, 0.5]), np.diag([3.0, 1.0 / 3.0])], dtype=complex)
+    blocks = [
+        _conjugated(_stretched(4, s, rng), [_block(*haar_su(2, rng, 2)) for _ in range(2)]).matrices
+        for s in (0.5, 1.0, 2.0)
+    ]
+    omega = np.exp(2j * np.pi / 3)
+    central = [np.array([-np.eye(2), np.eye(2)], dtype=complex), omega * np.eye(3, dtype=complex)[None]]
+    for x in (normal, *blocks, *central):
+        out, (trace,) = flow_matrices(x[None])
+        ref, iters, ts = _reference_flow(x, direction=_pinv_direction)
+        assert trace.converged and trace.steps[-1].iter == iters
+        assert [s.step for s in trace.steps[1:]] == ts
+        assert abs(trace.steps[-1].p - functional_values(ref)) <= 1e-10 * trace.steps[-1].p
+        assert np.abs(out[0] - ref).max() <= 1e-8 * np.abs(x).max()
+    assert all(len(flow_matrices(x[None])[1][0].steps) > 2 for x in blocks)
+    for x in central:
+        comm, h = _commutators(x)
+        assert not h.any()
+        assert not _newton_direction(comm, h).any()
+    assert not _commutators(central[0])[0].any()  # H = 0: the solve takes mu = 1
 
 
 def _closed_stack(n, r, count, rng):
@@ -522,7 +580,7 @@ def test_one_stack_hits_every_stop_reason():
     # on its first iteration and one after a step; conjugated SU pairs stop
     # at max_iter.  Each row leaves through the same exit as it does alone.
     normal = np.array([np.diag([2.0, 0.5]), np.diag([3.0, 1.0 / 3.0])], dtype=complex)
-    stalls = [haar_su(2, np.random.default_rng(seed), 2) for seed in (3, 37)]
+    stalls = [haar_su(2, np.random.default_rng(seed), 2) for seed in (3, 18)]
     x = np.array([normal, *stalls, *_closed_stack(2, 2, 3, np.random.default_rng(0))])
     out, traces = flow_matrices(x, max_iter=3, tol=0.0)
     last = [t.steps[-1] for t in traces]
