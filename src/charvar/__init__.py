@@ -5,9 +5,10 @@ Kempf-Ness Newton flow, exact trace-coordinate maps and their inverses for
 low-rank free-group character varieties, and semi-algebraic membership tests
 for the images.
 
-``import charvar`` loads no submodule: each name below imports its home
-module the first time it is read (PEP 562), so a CLI command compiles only
-the modules it runs.
+``import charvar`` loads no submodule: each name below, and each
+submodule's own name (``charvar.kempfness``), imports its home module the
+first time it is read (PEP 562), so a CLI command compiles only the modules
+it runs.
 """
 
 import importlib
@@ -114,7 +115,12 @@ _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = list(_HOME)
 
 
+_SUBMODULES = (*_EXPORTS, "verify", "cli")
+
+
 def __getattr__(name):
+    if name in _SUBMODULES:  # importing a submodule binds it here, so later reads skip this hook
+        return importlib.import_module(f"{__name__}.{name}")
     if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
@@ -123,4 +129,4 @@ def __getattr__(name):
 
 
 def __dir__():
-    return sorted(set(globals()) | set(__all__))
+    return sorted(set(globals()) | set(__all__) | set(_SUBMODULES))

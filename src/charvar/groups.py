@@ -20,7 +20,17 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, check_invertible, cmat, dagger, exp_herm, haar_from_normals, haar_su, unitary_det
+from .linalg import (
+    DEFAULT_TOL,
+    check_invertible,
+    cmat,
+    dagger,
+    exp_herm,
+    haar_from_normals,
+    haar_su,
+    stack_matmul,
+    unitary_det,
+)
 
 GROUP_TOL = 1e-8  # how far a RepTuple's matrices may miss their group
 
@@ -86,7 +96,7 @@ def validate(g, d: GroupDescriptor, tol: float = DEFAULT_TOL):
         return np.abs(np.linalg.det(g) - 1.0) <= tol
     ok = np.abs(unitary_det(g) - 1.0) <= tol
     # |g g* - I|_F as the root of the sum of squares of its real and imaginary parts.
-    e = g @ dagger(g)
+    e = stack_matmul(g, dagger(g))
     e -= _identity(d.n)
     v = e.reshape(*e.shape[:-2], d.n * d.n).view(float)
     ok &= np.sqrt((v * v).sum(axis=-1)) <= tol

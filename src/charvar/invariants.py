@@ -22,7 +22,7 @@ from itertools import product
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, check_tol, cmat, dagger
+from .linalg import DEFAULT_TOL, check_tol, cmat, dagger, stack_matmul
 from .groups import RepTuple, expect_case
 
 REALIFY_TOL = 1e-10
@@ -170,7 +170,7 @@ def su2_a_coords(x, unitary: bool = True):
 def su2_commutator_re(x):
     """Re(X1 X2 X1^-1 X2^-1) = half its trace, by multiplication; x is (..., 2, 2, 2) SU(2)."""
     x1, x2 = x[..., 0, :, :], x[..., 1, :, :]
-    return _tr_prod(x1 @ x2, _inverse(x2 @ x1, True)).real / 2.0
+    return _tr_prod(stack_matmul(x1, x2), dagger(stack_matmul(x2, x1))).real / 2.0
 
 
 def fricke_rhs(a1, a2, a3):
@@ -221,13 +221,15 @@ def gram(c, tol: float = DEFAULT_TOL):
 
 def product_traces(x1, x2, unitary: bool):
     """(t3, t-3, t5, t-5) from X1X2 and X2X1 alone: X1^-1X2^-1 = (X2X1)^-1, so
-    t-3 = tr (X2X1)^-1, t5 = tr(X1X2 (X2X1)^-1) and t-5 = tr(X2X1 (X1X2)^-1).
-    A function of its own, so the four product stacks are freed before
-    ``su3_trace_coords`` forms the factors' inverses; ``classify_B`` reads
-    t5 from it alone."""
-    x12, x21 = x1 @ x2, x2 @ x1
-    x12i, x21i = _inverse(x12, unitary), _inverse(x21, unitary)
-    return _tr(x12), _tr(x21i), _tr_prod(x12, x21i), _tr_prod(x21, x12i)
+    t-3 = tr (X2X1)^-1, t5 = tr(X1X2 (X2X1)^-1) and t-5 = tr(X2X1 (X1X2)^-1),
+    which is conj t5 on unitary input.  A function of its own, so the product
+    stacks are freed before ``su3_trace_coords`` forms the factors' inverses;
+    ``classify_B`` reads t5 from it alone."""
+    x12, x21 = stack_matmul(x1, x2), stack_matmul(x2, x1)
+    x21i = _inverse(x21, unitary)
+    t5 = _tr_prod(x12, x21i)
+    t5i = np.conj(t5) if unitary else _tr_prod(x21, np.linalg.inv(x12))
+    return _tr(x12), _tr(x21i), t5, t5i
 
 
 def su3_trace_coords(x, unitary: bool = True):
@@ -236,11 +238,15 @@ def su3_trace_coords(x, unitary: bool = True):
     t1 = tr X1, t2 = tr X2, t3 = tr X1X2, t4 = tr X1X2^-1,
     t5 = tr X1X2X1^-1X2^-1; t-k is the trace of the inverse word.  The only
     products formed are X1X2 and X2X1 (``product_traces``); t4 and t-4 are
-    read without forming theirs.
+    read without forming theirs.  On unitary input t-k = conj t_k for k = 1,
+    2, 4 and 5, and X1 and X2 are not inverted.
     """
     x1, x2 = x[..., 0, :, :], x[..., 1, :, :]
     t3, t3i, t5, t5i = product_traces(x1, x2, unitary)
-    x1i, x2i = _inverse(x1, unitary), _inverse(x2, unitary)
+    if unitary:
+        t1, t2, t4 = _tr(x1), _tr(x2), _tr_prod(x1, dagger(x2))
+        return np.stack([t1, np.conj(t1), t2, np.conj(t2), t3, t3i, t4, np.conj(t4), t5, t5i], axis=-1)
+    x1i, x2i = np.linalg.inv(x1), np.linalg.inv(x2)
     return np.stack(
         [_tr(x1), _tr(x1i), _tr(x2), _tr(x2i), t3, t3i, _tr_prod(x1, x2i), _tr_prod(x1i, x2), t5, t5i],
         axis=-1,

@@ -33,7 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, check_tol, dagger
+from .linalg import DEFAULT_TOL, check_tol, dagger, stack_matmul
 from .groups import RepTuple
 from .invariants import invariant_record
 from .retraction import retract_tuple
@@ -89,7 +89,7 @@ def residual_matrix(x) -> np.ndarray:
     """M = sum_i (X_i X_i* - X_i* X_i) of stacked tuples x (..., r, n, n): (..., n, n), Hermitian."""
     x = np.asarray(x)
     xh = dagger(x)
-    m = (x @ xh - xh @ x).sum(axis=-3)
+    m = (stack_matmul(x, xh) - stack_matmul(xh, x)).sum(axis=-3)
     return (m + dagger(m)) / 2.0
 
 

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, check_tol, dagger, unitary_det
+from .linalg import DEFAULT_TOL, check_tol, dagger, stack_matmul, unitary_det
 from .groups import DimensionMismatch, RepTuple, expect_case, quaternion_matrix, su, tuples_in_group
 from .invariants import SU2Rank2Coords, SU2Rank3Coords, gram
 from .semialgebraic import su2_rank2_margins, su2_rank3_margins
@@ -192,7 +192,8 @@ def conjugacy_decisions(a, b, tol: float = DEFAULT_TOL):
     u, _, wh = np.linalg.svd(g.reshape(-1, n, n))
     kc = u @ wh
     kc *= np.exp(-1j * np.angle(unitary_det(kc)) / n)[:, None, None]
-    err[below] = np.linalg.norm(kc[:, None] @ a[below] @ dagger(kc)[:, None] - b[below], axis=(-2, -1)).max(axis=-1)
+    conj = stack_matmul(stack_matmul(kc[:, None], a[below]), dagger(kc)[:, None])
+    err[below] = np.linalg.norm(conj - b[below], axis=(-2, -1)).max(axis=-1)
     for i, ki in zip(np.flatnonzero(below).tolist(), kc):
         if err[i] <= eps:
             k[i] = ki

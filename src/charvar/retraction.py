@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, Singular, check_invertible, cmat
+from .linalg import DEFAULT_TOL, Singular, check_invertible, cmat, stack_matmul
 from .groups import RepTuple, su, tuples_in_group
 
 _EPS = np.finfo(float).eps
@@ -51,7 +51,7 @@ def _phi_checked(g, ts: list, tol: float) -> list:
     g = cmat(g)
     u, s, vh = np.linalg.svd(g)
     check_invertible(s, tol)
-    return [g.copy() if t == 0.0 else (u * s[..., None, :] ** (1.0 - t)) @ vh for t in ts]
+    return [g.copy() if t == 0.0 else stack_matmul(u * s[..., None, :] ** (1.0 - t), vh) for t in ts]
 
 
 def phi(g, t: float, tol: float = DEFAULT_TOL) -> np.ndarray:

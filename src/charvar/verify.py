@@ -15,7 +15,7 @@ import time
 
 import numpy as np
 
-from .linalg import dagger, exp_herm, haar_from_normals, haar_su, unitary_det
+from .linalg import dagger, exp_herm, haar_from_normals, haar_su, stack_matmul, unitary_det
 from .groups import RepTuple, hermitian_from_normals, in_group, quaternion_matrix, sl, sl_from_normals, su
 from .invariants import (
     fricke_rhs,
@@ -89,16 +89,16 @@ def verify_retraction(samples: int, rng: np.random.Generator) -> tuple[bool, dic
         x = sl_from_normals(z[:, :4].reshape(samples, 2, 2, 2, n, n))
         k = haar_from_normals(z[:, 4:])
         kinv = np.linalg.inv(k)
-        conj = in_group(k @ x @ kinv, sl(n))
+        conj = in_group(stack_matmul(stack_matmul(k, x), kinv), sl(n))
         for t, ret, lhs in zip(ts, retract_path(x, ts), retract_path(conj, ts)):
             d = su(n) if t == 1.0 else sl(n)
             ret, lhs = in_group(ret, d), in_group(lhs, d)
-            rhs = in_group(k @ ret @ kinv, sl(n))
+            rhs = in_group(stack_matmul(stack_matmul(k, ret), kinv), sl(n))
             worst_equiv = max(worst_equiv, _max_frob(lhs - rhs))
             if t == 1.0:
                 worst_unitary = max(
                     worst_unitary,
-                    _max_frob(ret @ dagger(ret) - np.eye(n)),
+                    _max_frob(stack_matmul(ret, dagger(ret)) - np.eye(n)),
                     float(np.abs(unitary_det(ret) - 1.0).max(initial=0.0)),
                 )
         ku = in_group(haar_su(n, rng, 40).reshape(20, 2, n, n), su(n))
@@ -299,8 +299,8 @@ def _fd_worst(rng) -> float:
         x = in_group(sl_from_normals(rng.standard_normal((50, 2, 2, 2, n, n))), sl(n))
         H = hermitian_from_normals(rng.standard_normal((50, 2, n, n)))
         e_plus, e_minus = exp_herm(H, h)[:, None], exp_herm(H, -h)[:, None]
-        fd = functional_values(in_group(e_plus @ x @ e_minus, sl(n)))
-        fd = (fd - functional_values(in_group(e_minus @ x @ e_plus, sl(n)))) / (2.0 * h)
+        fd = functional_values(in_group(stack_matmul(stack_matmul(e_plus, x), e_minus), sl(n)))
+        fd = (fd - functional_values(in_group(stack_matmul(stack_matmul(e_minus, x), e_plus), sl(n)))) / (2.0 * h)
         exact = 2.0 * np.trace(H @ residual_matrix(x), axis1=-2, axis2=-1).real
         worst = max(worst, float(np.max(abs(fd - exact) / np.maximum(abs(exact), 1e-12))))
     return worst
@@ -317,7 +317,7 @@ def _flow_checks(flows: int, rng) -> tuple:
         count = len(range(j, flows, 2))
         g = sl_from_normals(rng.standard_normal((count, 2, 2, n, n)))
         k = haar_from_normals(rng.standard_normal((count, 2, 2, n, n)))
-        x = in_group(g[:, None] @ k @ np.linalg.inv(g)[:, None], sl(n))
+        x = in_group(stack_matmul(stack_matmul(g[:, None], k), np.linalg.inv(g)[:, None]), sl(n))
         out, traces = flow_matrices(x)
         for trace in traces:
             not_converged += not trace.converged

@@ -6,6 +6,8 @@ from charvar.invariants import (
     ComplexInput,
     SU2Rank3Coords,
     Word,
+    _tr,
+    _tr_prod,
     all_words,
     evaluate_word,
     fricke_check,
@@ -35,7 +37,7 @@ from charvar.invariants import (
     word_trace_table,
     word_traces,
 )
-from charvar.linalg import haar_su
+from charvar.linalg import dagger, haar_su, stack_matmul
 from charvar.reconstruct import unitary_conjugacy
 from charvar.semialgebraic import classify_B, in_su2_rank3_image, product_condition
 from charvar.verify import canonical_su3_example, random_sl3
@@ -434,6 +436,31 @@ def test_su3_trace_coords_match_explicit_word_products():
             ref = np.stack([np.trace(w, axis1=-2, axis2=-1) for w in words], axis=-1)
             t = su3_trace_coords(x, unitary)
             assert np.abs(t - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+
+
+def test_su3_unitary_traces_are_the_ten_written_out():
+    # On unitary input t-1, t-2, t-4 and t-5 are read as conjugates: bitwise
+    # the ten traces written out on the same two products, on a Haar stack
+    # and on each of its rows alone.
+    rng = np.random.default_rng(19)
+    x = np.stack([haar_su(3, rng, 300), haar_su(3, rng, 300)], axis=1)
+
+    def ten(x):
+        x1, x2 = x[..., 0, :, :], x[..., 1, :, :]
+        x1i, x2i = dagger(x1), dagger(x2)
+        x12, x21 = stack_matmul(x1, x2), stack_matmul(x2, x1)
+        x12i, x21i = dagger(x12), dagger(x21)
+        words = [
+            _tr(x1), _tr(x1i), _tr(x2), _tr(x2i), _tr(x12), _tr(x21i),
+            _tr_prod(x1, x2i), _tr_prod(x1i, x2), _tr_prod(x12, x21i), _tr_prod(x21, x12i),
+        ]
+        return np.stack(words, axis=-1)
+
+    ref = ten(x)
+    assert np.array_equal(su3_trace_coords(x), ref)
+    for i in range(len(x)):
+        assert np.array_equal(su3_trace_coords(x[i]), ref[i])
+        assert np.array_equal(ten(x[i]), ref[i])
 
 
 def test_vectorized_su3_formulas_match_scalar():

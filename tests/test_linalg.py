@@ -13,6 +13,7 @@ from charvar.linalg import (
     herm_eig,
     polar,
     psd_power,
+    stack_matmul,
     unitary_det,
     unitary_eig,
 )
@@ -199,6 +200,38 @@ def test_unitary_det_matches_lu_on_haar_stacks(n):
         assert np.abs(det - np.linalg.det(u)).max() < 1e-14
         flat = u.reshape(count, n, n)
         assert all(np.array_equal(det.reshape(count)[i], unitary_det(flat[i])) for i in range(count))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_stack_matmul_is_matmul_one_matrix_at_a_time(n, dtype):
+    # Agrees with np.matmul to rounding; each matrix's product is the same bits
+    # alone and inside stacks of 7 and 500, broadcast over a tuple axis too;
+    # for n >= 4 it is a @ b itself.
+    rng = np.random.default_rng(60 + n)
+
+    def draw(*shape):
+        z = rng.standard_normal((2, *shape, n, n))
+        return z[0] + 1j * z[1] if dtype is complex else z[0]
+
+    eps = np.finfo(float).eps
+    a, b, c = draw(500), draw(500), draw(500, 3)
+    for x, y in ((a, b), (a[:, None], c)):
+        out = stack_matmul(x, y)
+        assert out.dtype == np.result_type(x, y)
+        ref = np.matmul(x, y)
+        scale = np.linalg.norm(x, axis=(-2, -1), keepdims=True) * np.linalg.norm(y, axis=(-2, -1), keepdims=True)
+        assert np.all(np.abs(out - ref) <= 8 * n * eps * scale)
+        if n >= 4:
+            assert np.array_equal(out, ref)
+        seven = stack_matmul(x[:7], y[:7])
+        for i in range(7):
+            assert np.array_equal(stack_matmul(x[i], y[i]), out[i])
+            assert np.array_equal(seven[i], out[i])
+    for i, j in ((0, 0), (4, 2), (499, 1)):
+        assert np.array_equal(stack_matmul(a[i], c[i, j]), stack_matmul(a[:, None], c)[i, j])
+    with pytest.raises(ValueError):  # mismatched inner dimensions raise as @ does
+        stack_matmul(a, b[..., 1:, :])
 
 
 def test_check_tol():

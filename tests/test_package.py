@@ -94,3 +94,10 @@ def test_command_loads_only_its_modules(inputs, argv, modules):
 def test_import_charvar_loads_no_submodule(tmp_path):
     assert loaded_modules(["-c", "import charvar"], tmp_path) == (0, set())
 
+
+def test_submodules_resolve_after_a_bare_import(tmp_path):
+    # ``charvar.<module>`` imports that module on first read, as README names them.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+    code = "import charvar; charvar.verify.SUITES; charvar.kempfness.flow_matrices; print(charvar.linalg.__name__)"
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0 and proc.stdout == "charvar.linalg\n", proc.stderr

@@ -14,7 +14,7 @@ from charvar.invariants import (
     su2_rank3_coords,
     trace_word,
 )
-from charvar.linalg import exp_herm, frob, haar_su
+from charvar.linalg import exp_herm, frob, haar_su, stack_matmul
 from charvar.reconstruct import (
     NotInImage,
     conjugacy_decisions,
@@ -651,7 +651,8 @@ def test_conjugacy_decisions_match_pairwise(case):
         assert (ki is None) == (ref is None)
         if ki is not None:
             assert np.array_equal(ki, ref)
-            assert err[i] == np.linalg.norm(ki @ a[i] @ ki.conj().T - b[i], axis=(-2, -1)).max() < 1e-8
+            conj = stack_matmul(stack_matmul(ki, a[i]), ki.conj().T)
+            assert err[i] == np.linalg.norm(conj - b[i], axis=(-2, -1)).max() < 1e-8
         else:
             assert not err[i] <= 1e-8
 

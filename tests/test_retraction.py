@@ -4,7 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from charvar.groups import NotInGroup, RepTuple, conjugate_tuple, sample_tuple, sl, su, validate
-from charvar.linalg import Singular, exp_herm, frob, haar_su, polar, psd_power
+from charvar.linalg import Singular, exp_herm, frob, haar_su, polar, psd_power, stack_matmul
 from charvar.retraction import (
     NotDiagonal,
     abelian_retract,
@@ -191,7 +191,7 @@ def test_retract_path_equals_each_t_alone(x, ts, su_stack):
         if t == 0.0:
             assert np.array_equal(m, x) and not np.shares_memory(m, x)
         else:
-            ref = (u * s[..., None, :] ** (1.0 - t)) @ vh
+            ref = stack_matmul(u * s[..., None, :] ** (1.0 - t), vh)
             assert np.array_equal(m, ref / np.linalg.det(ref)[..., None, None] ** (1.0 / x.shape[-1]))
     assert all(np.array_equal(a, b) for a, b in zip(phi_path(x, ts), (phi(x, t) for t in ts)))
     singular = x.copy()

@@ -5,7 +5,7 @@ import charvar.groups
 import charvar.verify
 from charvar.groups import RepTuple, hermitian_from_normals, sl, sl_from_normals, su
 from charvar.kempfness import kn_flow, kn_functional, moment_residual
-from charvar.linalg import exp_herm, haar_from_normals, haar_su
+from charvar.linalg import exp_herm, haar_from_normals, haar_su, stack_matmul
 from charvar.verify import SIZED, SUITES, random_sl3, run_suite
 
 
@@ -180,8 +180,8 @@ def test_kempf_ness_draws_the_per_sample_stream(samples):
         for z, w in zip(pairs, directions):
             x, H = sl_from_normals(z), hermitian_from_normals(w)
             e_plus, e_minus = exp_herm(H, h), exp_herm(H, -h)
-            p_fwd = kn_functional(RepTuple(sl(n), e_plus @ x @ e_minus))
-            p_bwd = kn_functional(RepTuple(sl(n), e_minus @ x @ e_plus))
+            p_fwd = kn_functional(RepTuple(sl(n), stack_matmul(stack_matmul(e_plus, x), e_minus)))
+            p_bwd = kn_functional(RepTuple(sl(n), stack_matmul(stack_matmul(e_minus, x), e_plus)))
             exact = 2.0 * np.trace(H @ moment_residual(RepTuple(sl(n), x)).M).real
             worst_fd = max(worst_fd, float(abs((p_fwd - p_bwd) / (2.0 * h) - exact) / max(abs(exact), 1e-12)))
     assert checks["max_fd_relative_error"] == worst_fd
@@ -191,7 +191,8 @@ def test_kempf_ness_draws_the_per_sample_stream(samples):
         gs, ks = rng2.standard_normal((count, 2, 2, n, n)), rng2.standard_normal((count, 2, 2, n, n))
         for zg, zk in zip(gs, ks):
             g = sl_from_normals(zg)
-            _, trace = kn_flow(RepTuple(sl(n), g @ haar_from_normals(zk) @ np.linalg.inv(g)))
+            x = stack_matmul(stack_matmul(g, haar_from_normals(zk)), np.linalg.inv(g))
+            _, trace = kn_flow(RepTuple(sl(n), x))
             assert trace.converged
             worst_p = max(worst_p, abs(trace.steps[-1].p - 2 * n))
     assert checks["max_functional_gap"] == worst_p
